@@ -74,6 +74,12 @@ class Domain:
 
     def coerce(self, value):
         """Map an int / Fraction into the canonical internal representation."""
+        if type(value) is int:
+            if self.kind == "Z":
+                return value
+            if self.kind == "Q":
+                return Fraction(value)
+            return value % self.p
         if self.kind == "Z":
             if isinstance(value, Fraction):
                 if value.denominator != 1:

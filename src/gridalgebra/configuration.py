@@ -120,6 +120,8 @@ class Pattern:
 
 
 def _canon_value(v):
+    if type(v) is int:
+        return v
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
@@ -225,18 +227,32 @@ Source = Patch | TorusConfig
 # -- pattern extraction and complexity -----------------------------------
 
 
-def _patch_positions(patch: Patch, shape: Shape):
+def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
+    """Distinct value tuples of the shape over every position of the source.
+
+    Both carriers reduce to one grid read at offsets (cx - x0, cy - y0) from
+    an nx x ny block of positions: a patch is its own grid, and a torus is
+    unrolled so that the grid covers every translate of the bounding box.
+    """
     x0, y0, x1, y1 = shape.bounding_box()
-    ox, oy = patch.origin
-    tx_lo, tx_hi = ox - x0, ox + patch.width - 1 - x1
-    ty_lo, ty_hi = oy - y0, oy + patch.height - 1 - y1
-    if tx_lo > tx_hi or ty_lo > ty_hi:
-        raise ShapeTooLarge(
-            f"no translate of the shape fits inside the {patch.width}x{patch.height} patch"
-        )
-    for ty in range(ty_lo, ty_hi + 1):
-        for tx in range(tx_lo, tx_hi + 1):
-            yield (tx, ty)
+    if isinstance(source, TorusConfig):
+        k, l = source.k, source.l
+        nx, ny = k, l
+        grid = [
+            [source.rows[j % l][i % k] for i in range(x0, x1 + k)] for j in range(y0, y1 + l)
+        ]
+    else:
+        nx, ny = source.width - (x1 - x0), source.height - (y1 - y0)
+        if nx < 1 or ny < 1:
+            raise ShapeTooLarge(
+                f"no translate of the shape fits inside the {source.width}x{source.height} patch"
+            )
+        grid = source.rows
+    columns = [
+        [v for row in grid[cy - y0 : cy - y0 + ny] for v in row[cx - x0 : cx - x0 + nx]]
+        for cx, cy in shape.cells
+    ]
+    return set(zip(*columns))
 
 
 def extract_patterns(source: Source, shape: Shape) -> set[Pattern]:
@@ -245,22 +261,13 @@ def extract_patterns(source: Source, shape: Shape) -> set[Pattern]:
     For a torus this equals the pattern set of the infinite configuration;
     for a patch it covers exactly the fully contained translates.
     """
-    out = set()
-    if isinstance(source, TorusConfig):
-        positions = source.fundamental_cells()
-    else:
-        positions = _patch_positions(source, shape)
-    for t in positions:
-        out.add(
-            Pattern(shape, tuple(source.value_at((t[0] + c[0], t[1] + c[1])) for c in shape.cells))
-        )
-    return out
+    return {Pattern(shape, values) for values in _value_tuples(source, shape)}
 
 
 def complexity(source: Source, shape: Shape) -> tuple[int, bool]:
     """Number of distinct shape-patterns and the low-complexity flag
     (count <= number of cells)."""
-    count = len(extract_patterns(source, shape))
+    count = len(_value_tuples(source, shape))
     return count, count <= len(shape)
 
 
@@ -281,6 +288,18 @@ def rectangle_complexity_profile(
 
 
 # -- polynomial action ----------------------------------------------------
+
+
+def _valid_region(f: LaurentPoly, patch: Patch) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1) of the cells u where every c_{u-v}, v in the
+    support of f, lies inside the patch."""
+    xs, ys = zip(*f.terms)
+    ox, oy = patch.origin
+    rx_lo, rx_hi = ox + max(xs), ox + patch.width - 1 + min(xs)
+    ry_lo, ry_hi = oy + max(ys), oy + patch.height - 1 + min(ys)
+    if rx_lo > rx_hi or ry_lo > ry_hi:
+        raise EmptyValidRegion("support of the polynomial exceeds the patch")
+    return rx_lo, ry_lo, rx_hi, ry_hi
 
 
 def _convolve_at(f: LaurentPoly, source: Source, u: ExponentVector):
@@ -305,13 +324,7 @@ def apply_poly(f: LaurentPoly, source: Source) -> Source:
             [_convolve_at(f, source, (i, j)) for i in range(source.k)] for j in range(source.l)
         ]
         return TorusConfig(rows)
-    vx0, vy0 = f.min_exponents()
-    vx1, vy1 = f.max_exponents()
-    ox, oy = source.origin
-    rx_lo, rx_hi = ox + vx1, ox + source.width - 1 + vx0
-    ry_lo, ry_hi = oy + vy1, oy + source.height - 1 + vy0
-    if rx_lo > rx_hi or ry_lo > ry_hi:
-        raise EmptyValidRegion("support of the polynomial exceeds the patch")
+    rx_lo, ry_lo, rx_hi, ry_hi = _valid_region(f, source)
     rows = [
         [_convolve_at(f, source, (x, y)) for x in range(rx_lo, rx_hi + 1)]
         for y in range(ry_lo, ry_hi + 1)
@@ -337,42 +350,89 @@ class AnnihilationCheck:
         return self.kind != "no"
 
 
+def _domain_rows(source: Source, dom):
+    """The source rows as values of the domain: the rows themselves when
+    every symbol is a plain int, else each symbol mapped once through
+    Domain.coerce, in first-appearance order, so that a symbol outside the
+    domain raises the error Domain.coerce gives it."""
+    for s in source.alphabet:
+        if type(s) is not int:
+            break
+    else:
+        return source.rows
+    image = {s: dom.coerce(s) for s in dict.fromkeys(v for row in source.rows for v in row)}
+    return [[image[v] for v in row] for row in source.rows]
+
+
 def is_annihilated(source: Source, f: LaurentPoly) -> AnnihilationCheck:
-    """Test whether f annihilates the source configuration."""
+    """Test whether f annihilates the source configuration.
+
+    The product is summed cell by cell from the raw rows, and the test
+    stops at the first nonzero cell, which is the ``witness``: the first in
+    fundamental order (row by row from (0, 0)) on a torus, the first in
+    row-major order over the valid region on a patch. Raises
+    EmptyValidRegion when the support of f does not fit inside a patch.
+    """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial annihilates everything")
-    product = apply_poly(f, source)
-    if isinstance(product, TorusConfig):
-        for cell in product.fundamental_cells():
-            if product.value_at(cell) != 0:
-                return AnnihilationCheck("no", witness=cell)
+    torus = isinstance(source, TorusConfig)
+    if not torus:
+        # before the symbols, so EmptyValidRegion wins as in apply_poly
+        region = _valid_region(f, source)
+    dom = f.domain
+    p = dom.p
+    rows = _domain_rows(source, dom)
+    terms = f.terms.items()
+    if dom.kind == "Q":
+        # den * f vanishes exactly where f does, and int sums beat Fraction sums
+        den = math.lcm(*(c.denominator for _, c in terms))
+        terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
+    if torus:
+        k, l = source.k, source.l
+        for j in range(l):
+            for i in range(k):
+                acc = sum([c * rows[(j - vy) % l][(i - vx) % k] for (vx, vy), c in terms])
+                if (acc % p if p else acc) != 0:
+                    return AnnihilationCheck("no", witness=(i, j))
         return AnnihilationCheck("yes")
-    ox, oy = product.origin
-    for j in range(product.height):
-        for i in range(product.width):
-            if product.rows[j][i] != 0:
-                return AnnihilationCheck("no", witness=(ox + i, oy + j))
-    region = (ox, oy, ox + product.width - 1, oy + product.height - 1)
+    x0, y0, x1, y1 = region
+    ox, oy = source.origin
+    terms = [(vx + ox, vy + oy, c) for (vx, vy), c in terms]
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            acc = sum([c * rows[y - dy][x - dx] for dx, dy, c in terms])
+            if (acc % p if p else acc) != 0:
+                return AnnihilationCheck("no", witness=(x, y))
     return AnnihilationCheck("yes_on_region", region=region)
 
 
 # -- periodicity ----------------------------------------------------------
 
 
-def _is_period(torus: TorusConfig, t: ExponentVector) -> bool:
-    tx, ty = t
-    for j in range(torus.l):
-        for i in range(torus.k):
-            if torus.rows[j][i] != torus.value_at((i + tx, j + ty)):
-                return False
-    return True
+def _periods(torus: TorusConfig) -> set[ExponentVector]:
+    """Fundamental cells t with c_{u+t} = c_u for every u: the period
+    lattice of the torus, reduced modulo (k, 0) and (0, l)."""
+    rows, k, l = torus.rows, torus.k, torus.l
+    out = set()
+    for tx in range(k):
+        shifted = [row[tx:] + row[:tx] for row in rows]
+        for ty in range(l):
+            if all(rows[j] == shifted[(j + ty) % l] for j in range(l)):
+                out.add((tx, ty))
+    return out
+
+
+def _least_period_multiple(torus: TorusConfig, periods, u: ExponentVector) -> int:
+    """Minimal n >= 1 such that n*u is a period, given _periods(torus)."""
+    k, l = torus.k, torus.l
+    # n = k*l always lands on (0, 0), which is a period
+    return next(n for n in range(1, k * l + 1) if ((n * u[0]) % k, (n * u[1]) % l) in periods)
 
 
 def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:
     """Minimal multiple n per primitive direction u such that n*u is a
     period, for every direction with max-norm at most max(k, l)."""
     bound = max(torus.k, torus.l)
-    out: dict[ExponentVector, int] = {}
     dirs = set()
     for a in range(0, bound + 1):
         for b in range(-bound, bound + 1):
@@ -380,18 +440,13 @@ def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:
                 continue
             if math.gcd(a, abs(b)) == 1:
                 dirs.add((a, b))
-    for u in sorted(dirs):
-        for n in range(1, torus.k * torus.l + 1):
-            if _is_period(torus, (n * u[0], n * u[1])):
-                out[u] = n
-                break
-    return out
+    periods = _periods(torus)
+    return {u: _least_period_multiple(torus, periods, u) for u in sorted(dirs)}
 
 
 def period_lattice_index(torus: TorusConfig) -> int:
     """Index in Z^2 of the full period lattice of the configuration."""
-    count = sum(1 for cell in torus.fundamental_cells() if _is_period(torus, cell))
-    return torus.k * torus.l // count
+    return torus.k * torus.l // len(_periods(torus))
 
 
 __all__ = [

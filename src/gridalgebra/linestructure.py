@@ -22,7 +22,7 @@ from .algebra import (
     poly_divexact,
     univariate_resultant,
 )
-from .configuration import TorusConfig, is_annihilated
+from .configuration import TorusConfig, _least_period_multiple, _periods, is_annihilated
 from .errors import (
     DomainMismatch,
     NotALinePolynomial,
@@ -172,9 +172,4 @@ def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
         raise NotALinePolynomial(f"{f} is not a line polynomial")
     if not is_annihilated(source, f).annihilated:
         raise NotAnnihilated(f"{f} does not annihilate the torus")
-    from .configuration import _is_period
-
-    for n in range(1, source.k * source.l + 1):
-        if _is_period(source, (n * u[0], n * u[1])):
-            return n
-    raise AssertionError("every torus direction has a periodic multiple")
+    return _least_period_multiple(source, _periods(source), u)

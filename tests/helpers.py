@@ -228,3 +228,50 @@ def brute_force_torus_patterns(torus, shape):
                 )
             )
     return out
+
+
+def brute_force_patch_patterns(patch, shape):
+    """Independent pattern enumeration on a patch: every translate whose
+    cells all lie inside, read cell by cell through value_at."""
+    ox, oy = patch.origin
+    out = set()
+    for ty in range(oy - 8, oy + patch.height + 8):
+        for tx in range(ox - 8, ox + patch.width + 8):
+            cells = [(tx + cx, ty + cy) for (cx, cy) in shape.cells]
+            if all(c in patch for c in cells):
+                out.add(tuple(patch.value_at(c) for c in cells))
+    return out
+
+
+# -- independent period oracles -------------------------------------------
+
+
+def brute_force_is_period(torus, t):
+    """c_{u+t} == c_u at every cell u, compared one cell at a time."""
+    return all(
+        torus.value_at(u) == torus.value_at((u[0] + t[0], u[1] + t[1]))
+        for u in torus.fundamental_cells()
+    )
+
+
+def brute_force_least_period(torus, u):
+    """Least n >= 1 with n*u a period, trying n = 1, 2, ... in turn."""
+    n = 1
+    while not brute_force_is_period(torus, (n * u[0], n * u[1])):
+        n += 1
+    return n
+
+
+def translate_orbit_size(torus):
+    """Number of distinct translates of the configuration. By orbit and
+    stabilizer this is the index of the period lattice in Z^2."""
+    return len(
+        {
+            tuple(
+                tuple(torus.value_at((i + tx, j + ty)) for i in range(torus.k))
+                for j in range(torus.l)
+            )
+            for tx in range(torus.k)
+            for ty in range(torus.l)
+        }
+    )

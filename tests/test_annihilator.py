@@ -7,6 +7,7 @@ import pytest
 
 from gridalgebra import (
     LaurentPoly,
+    Patch,
     Pattern,
     QQ,
     Shape,
@@ -146,6 +147,22 @@ def test_scaling_invariance():
 
 
 # -- binomial products ----------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="verify checks the periodizer on its own valid region, which is larger "
+    "than the region the patterns came from when its support is smaller than the shape",
+)
+def test_verify_accepts_patch_periodizer_with_small_support():
+    patch = Patch(
+        (-3, 3),
+        [[0, 3, 0, 3, 0], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3]],
+    )
+    result = find_annihilator(extract_patterns(patch, Shape.rectangle(1, 2)))
+    assert result.kind == PERIODIZER_TIMES_BINOMIAL
+    assert result.periodizer == poly_from_text("y^-1", QQ)
+    assert verify(result, patch).passed
 
 
 def test_binomial_torus_3_5():

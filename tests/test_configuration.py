@@ -1,12 +1,18 @@
 """Patterns, complexity counts, polynomial action, periods."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
+    GF,
     LaurentPoly,
     Patch,
+    QQ,
     Shape,
     TorusConfig,
     ZZ,
@@ -15,12 +21,22 @@ from gridalgebra import (
     detect_periods,
     extract_patterns,
     is_annihilated,
+    period_lattice_index,
     rectangle_complexity_profile,
 )
+from gridalgebra.configuration import AnnihilationCheck
 from gridalgebra.errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
+from gridalgebra.linestructure import period_from_line_annihilator
 
-from helpers import brute_force_torus_patterns, random_poly, random_torus
+from helpers import (
+    brute_force_least_period,
+    brute_force_patch_patterns,
+    brute_force_torus_patterns,
+    random_poly,
+    random_torus,
+    translate_orbit_size,
+)
 
 
 def P(text, domain=ZZ):
@@ -230,3 +246,187 @@ def test_torus_extraction_matches_brute_force():
         shape = Shape([(0, 0), (1, 0), (0, 1), (2, 1)])
         ours = {p.values for p in extract_patterns(torus, shape)}
         assert ours == brute_force_torus_patterns(torus, shape)
+
+
+# -- property tests of the raw-row kernels ---------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+DOMAINS = [ZZ, QQ, GF(2), GF(3), GF(5)]
+
+
+@st.composite
+def sources(draw, symbols=st.integers(-3, 3)):
+    """A torus, or a patch at a random origin, tiled from a small random
+    block so that binomials of the block's periods annihilate it."""
+    k0, l0 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    block = [[draw(symbols) for _ in range(k0)] for _ in range(l0)]
+    k, l = k0 * draw(st.integers(1, 3)), l0 * draw(st.integers(1, 3))
+    rows = [[block[j % l0][i % k0] for i in range(k)] for j in range(l)]
+    if draw(st.booleans()):
+        return TorusConfig(rows), (k0, l0)
+    origin = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    return Patch(origin, rows), (k0, l0)
+
+
+@st.composite
+def polys(draw, domain, periods):
+    """Random nonzero polynomial over the domain; half the time times a
+    binomial x^t - 1 with t a period of the source's block."""
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    coeffs = st.integers(-3, 3)
+    if domain is QQ:
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    f = LaurentPoly(domain, terms)
+    if draw(st.booleans()):
+        t = (periods[0] * draw(st.integers(0, 1)), periods[1] * draw(st.integers(0, 1)))
+        if t != (0, 0):
+            f = f * LaurentPoly.difference_binomial(domain, t)
+    return f
+
+
+def _reference_check(source, f):
+    """The annihilation test built on apply_poly: compute the whole
+    product, then scan it in fundamental / row-major order."""
+    product = apply_poly(f, source)
+    if isinstance(product, TorusConfig):
+        for cell in product.fundamental_cells():
+            if product.value_at(cell) != 0:
+                return AnnihilationCheck("no", witness=cell)
+        return AnnihilationCheck("yes")
+    ox, oy = product.origin
+    for j in range(product.height):
+        for i in range(product.width):
+            if product.rows[j][i] != 0:
+                return AnnihilationCheck("no", witness=(ox + i, oy + j))
+    region = (ox, oy, ox + product.width - 1, oy + product.height - 1)
+    return AnnihilationCheck("yes_on_region", region=region)
+
+
+def _outcome(check, source, f):
+    # with several symbols outside the domain, the message may name another
+    # one, so only the exception type is compared
+    try:
+        return check(source, f)
+    except (EmptyValidRegion, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(data, symbols):
+    domain = data.draw(st.sampled_from(DOMAINS))
+    source, periods = data.draw(sources(symbols))
+    f = data.draw(polys(domain, periods))
+    if f.is_zero:
+        return
+    assert _outcome(is_annihilated, source, f) == _outcome(_reference_check, source, f)
+
+
+@PROPERTY
+@given(st.data())
+def test_is_annihilated_matches_apply_poly_reference(data):
+    _assert_matches_reference(data, st.integers(-3, 3))
+
+
+@PROPERTY
+@given(st.data())
+def test_is_annihilated_fraction_symbols_match_reference(data):
+    # non-integer symbols: ValueError over Z, and over F_p when the
+    # denominator vanishes mod p; exact values over Q and the other F_p
+    symbols = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5)])
+    _assert_matches_reference(data, symbols)
+
+
+def test_is_annihilated_fraction_symbol_values():
+    torus = TorusConfig([[Fraction(1, 2), Fraction(3, 2)]])
+    with pytest.raises(ValueError):
+        is_annihilated(torus, P("x - 1"))
+    assert is_annihilated(torus, P("x^2 - 1", QQ)).kind == "yes"
+    # over F_3 the symbols map to 2 and 0, so (x - 1) c at (0, 0) is 0 - 2
+    assert is_annihilated(torus, P("x - 1", GF(3))).witness == (0, 0)
+    # over F_2, x - 1 is x + 1; 1/2 has no image mod 2
+    with pytest.raises(ValueError):
+        is_annihilated(torus, P("x + 1", GF(2)))
+
+
+def test_is_annihilated_rational_coefficients():
+    # 1/2 c_{u-(1,0)} - 1/3 c_u vanishes only with both denominators kept
+    patch = Patch((0, 0), [[2, 3, Fraction(9, 2), 7]])
+    check = is_annihilated(patch, P("1/2*x - 1/3", QQ))
+    assert check.witness == (3, 0)
+    assert is_annihilated(patch, P("3*x - 2", QQ)).witness == (3, 0)
+
+
+def test_is_annihilated_empty_valid_region():
+    patch = Patch((0, 0), [[1, 2], [3, 4]])
+    with pytest.raises(EmptyValidRegion):
+        is_annihilated(patch, P("x^2 - 1"))
+    with pytest.raises(EmptyValidRegion):
+        is_annihilated(patch, P("x*y^-2 + 1"))
+
+
+def test_is_annihilated_witness_is_first_nonzero_cell():
+    # (y - 1) c at u is c_{u - (0, 1)} - c_u: zero up to (2, 0), where it is 3
+    torus = TorusConfig([[1, 1, 1], [1, 1, 4]])
+    assert is_annihilated(torus, P("y - 1")).witness == (2, 0)
+    assert is_annihilated(torus, P("y - 1", GF(5))).witness == (2, 0)
+    # 4 = 1 in F_3, so the whole product vanishes
+    assert is_annihilated(torus, P("y - 1", GF(3))).kind == "yes"
+    patch = Patch((4, -1), [[0, 0, 0, 7], [0, 1, 0, 0]])
+    assert is_annihilated(patch, P("x - 1")).witness == (7, -1)
+
+
+@PROPERTY
+@given(sources(), st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=5))
+def test_extract_patterns_matches_brute_force(source_and_periods, cells):
+    source, _ = source_and_periods
+    shape = Shape(cells)
+    if isinstance(source, TorusConfig):
+        expected = brute_force_torus_patterns(source, shape)
+    else:
+        expected = brute_force_patch_patterns(source, shape)
+        if not expected:
+            with pytest.raises(ShapeTooLarge):
+                extract_patterns(source, shape)
+            return
+    assert {p.values for p in extract_patterns(source, shape)} == expected
+    assert complexity(source, shape)[0] == len(expected)
+
+
+@st.composite
+def tori(draw):
+    """Tori tiled from a small block, so most have periods shorter than
+    their sides."""
+    k0, l0 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    block = [[draw(st.integers(0, 2)) for _ in range(k0)] for _ in range(l0)]
+    k, l = k0 * draw(st.integers(1, 2)), l0 * draw(st.integers(1, 2))
+    # a sheared tiling gives diagonal periods as well
+    shift = draw(st.integers(0, k0 - 1))
+    return TorusConfig(
+        [[block[j % l0][(i + shift * (j // l0)) % k0] for i in range(k)] for j in range(l)]
+    )
+
+
+@PROPERTY
+@given(tori())
+def test_detect_periods_matches_oracle(torus):
+    detected = detect_periods(torus)
+    bound = max(torus.k, torus.l)
+    assert set(detected) == {
+        (a, b)
+        for a in range(bound + 1)
+        for b in range(-bound, bound + 1)
+        if (a > 0 or b > 0) and math.gcd(a, b) == 1
+    }
+    for u, n in detected.items():
+        assert n == brute_force_least_period(torus, u)
+    assert period_lattice_index(torus) == translate_orbit_size(torus)
+
+
+@PROPERTY
+@given(tori(), st.integers(-7, 7), st.integers(-7, 7))
+def test_period_from_line_annihilator_matches_oracle(torus, a, b):
+    if (a, b) == (0, 0) or math.gcd(a, b) != 1:
+        return
+    n = brute_force_least_period(torus, (a, b))
+    f = LaurentPoly.difference_binomial(ZZ, (n * a, n * b))
+    assert period_from_line_annihilator(f, torus) == n
