@@ -10,6 +10,15 @@ The module also provides the geometric helpers built on top of the raw
 arithmetic: Newton polygons, parallel-edge direction detection, unimodular
 exponent substitutions, per-direction line-polynomial content, and the
 classical Sylvester resultant for eliminating one variable.
+
+Direction content over Z and Q never leaves the integers: each column is
+cleared to a primitive integer polynomial and the gcd comes from the
+primitive polynomial remainder sequence (pseudo-remainder, then divide by
+the content); by Gauss's lemma that is the rational gcd cleared to coprime
+integers. Over F_p it is Euclid's algorithm on ints mod p. Resultants run
+fraction-free Bareiss elimination on dense coefficient lists in the kept
+variable, shifted to nonnegative exponents and shifted back at the end;
+the entries are ints mod p over F_p and Fractions over Q.
 """
 
 from __future__ import annotations
@@ -103,38 +112,8 @@ class Domain:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "Fp" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("no inverse of zero")
-        if self.kind == "Fp":
-            return pow(a, -1, self.p)
-        if self.kind == "Q":
-            return 1 / Fraction(a)
-        if a in (1, -1):
-            return a
-        raise NotDivisible(f"{a} is not a unit in Z")
-
-    def exact_div(self, a, b):
-        """Return a/b, or raise NotDivisible when the quotient leaves the domain."""
-        if b == 0:
-            raise DivisionByZero("division by zero coefficient")
-        if self.kind == "Fp":
-            return (a * pow(b, -1, self.p)) % self.p
-        if self.kind == "Q":
-            return Fraction(a) / Fraction(b)
-        q, r = divmod(a, b)
-        if r != 0:
-            raise NotDivisible(f"{a} is not divisible by {b} in Z")
-        return q
 
     def format_coeff(self, a) -> str:
         if self.kind == "Q" and a.denominator != 1:
@@ -187,6 +166,17 @@ class LaurentPoly:
                 clean[u] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, domain: Domain, terms: dict) -> "LaurentPoly":
+        """Wrap ``terms`` without checks: the keys must be int pairs and the
+        values canonical (int over Z, Fraction over Q, [0, p) over F_p)
+        and nonzero. The ring operations below build their results here."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -257,11 +247,20 @@ class LaurentPoly:
     def shift(self, t: ExponentVector) -> "LaurentPoly":
         """Multiply by the monomial x^t (translate the support)."""
         dx, dy = t
-        return LaurentPoly(self.domain, {(e[0] + dx, e[1] + dy): c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.domain, {(a + dx, b + dy): c for (a, b), c in self.terms.items()}
+        )
 
     def scale(self, c) -> "LaurentPoly":
-        c = self.domain.coerce(c)
-        return LaurentPoly(self.domain, {e: self.domain.mul(v, c) for e, v in self.terms.items()})
+        dom = self.domain
+        c = dom.coerce(c)
+        if c == 0:
+            return LaurentPoly.zero(dom)
+        # a product of nonzero elements of a domain is nonzero
+        p = dom.p
+        if p is None:
+            return LaurentPoly._trusted(dom, {e: v * c for e, v in self.terms.items()})
+        return LaurentPoly._trusted(dom, {e: v * c % p for e, v in self.terms.items()})
 
     def leading_term(self) -> tuple[ExponentVector, object]:
         """Term with the lexicographically largest exponent vector."""
@@ -279,35 +278,38 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_domain(other)
         out = dict(self.terms)
-        dom = self.domain
+        p = self.domain.p
         for e, c in other.terms.items():
-            s = dom.add(out.get(e, 0), c)
-            if s == 0:
-                out.pop(e, None)
-            else:
+            s = out.get(e, 0) + c
+            if p is not None:
+                s %= p
+            if s:
                 out[e] = s
-        return LaurentPoly(dom, out)
+            else:
+                out.pop(e, None)
+        return LaurentPoly._trusted(self.domain, out)
 
     def __neg__(self) -> "LaurentPoly":
-        dom = self.domain
-        return LaurentPoly(dom, {e: dom.neg(c) for e, c in self.terms.items()})
+        p = self.domain.p
+        if p is None:
+            return LaurentPoly._trusted(self.domain, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.domain, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_domain(other)
-        dom = self.domain
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                s = dom.add(out.get(e, 0), dom.mul(c1, c2))
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(dom, out)
+        get = out.get
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                e = (a1 + a2, b1 + b2)
+                out[e] = get(e, 0) + c1 * c2
+        p = self.domain.p
+        if p is None:
+            return LaurentPoly._trusted(self.domain, {e: c for e, c in out.items() if c})
+        return LaurentPoly._trusted(self.domain, {e: r for e, c in out.items() if (r := c % p)})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -385,30 +387,39 @@ def poly_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(f.domain)
     f._check_domain(g)
     dom = f.domain
-    fmin = f.min_exponents()
-    gmin = g.min_exponents()
-    fn = f.shift((-fmin[0], -fmin[1]))
-    gn = g.shift((-gmin[0], -gmin[1]))
-
-    glead_e, glead_c = gn.leading_term()
-    rem = dict(fn.terms)
+    p = dom.p
+    fx, fy = f.min_exponents()
+    gx, gy = g.min_exponents()
+    gterms = [((a - gx, b - gy), c) for (a, b), c in g.terms.items()]
+    (lx, ly), lead = max(gterms)
+    inv_lead = pow(lead, -1, p) if p is not None else None
+    rem = {(a - fx, b - fy): c for (a, b), c in f.terms.items()}
     quo = {}
     while rem:
-        rlead_e = max(rem)
-        qe = (rlead_e[0] - glead_e[0], rlead_e[1] - glead_e[1])
-        if qe[0] < 0 or qe[1] < 0:
+        rx, ry = max(rem)
+        qx, qy = rx - lx, ry - ly
+        if qx < 0 or qy < 0:
             raise NotDivisible("no exact quotient")
-        qc = dom.exact_div(rem[rlead_e], glead_c)
-        quo[qe] = qc
-        for e, c in gn.terms.items():
-            te = (e[0] + qe[0], e[1] + qe[1])
-            s = dom.sub(rem.get(te, 0), dom.mul(c, qc))
-            if s == 0:
-                rem.pop(te, None)
-            else:
+        rc = rem[(rx, ry)]
+        if p is not None:
+            qc = rc * inv_lead % p
+        elif dom.kind == "Q":
+            qc = rc / lead
+        else:
+            qc, r = divmod(rc, lead)
+            if r:
+                raise NotDivisible(f"{rc} is not divisible by {lead} in Z")
+        quo[(qx + fx - gx, qy + fy - gy)] = qc
+        for (a, b), c in gterms:
+            te = (a + qx, b + qy)
+            s = rem.get(te, 0) - c * qc
+            if p is not None:
+                s %= p
+            if s:
                 rem[te] = s
-    shift = (fmin[0] - gmin[0], fmin[1] - gmin[1])
-    return LaurentPoly(dom, quo).shift(shift)
+            else:
+                rem.pop(te, None)
+    return LaurentPoly._trusted(dom, quo)
 
 
 # -- Newton polygon -----------------------------------------------------
@@ -578,54 +589,98 @@ def unimodular_completion(u: ExponentVector) -> UnimodularMatrix:
 
 def unimodular_substitute(f: LaurentPoly, m: UnimodularMatrix) -> LaurentPoly:
     """Ring automorphism replacing every exponent vector u by M u."""
-    return LaurentPoly(f.domain, {m.apply(e): c for e, c in f.terms.items()})
+    (a, b), (c, d) = m.rows
+    return LaurentPoly._trusted(
+        f.domain, {(a * x + b * y, c * x + d * y): v for (x, y), v in f.terms.items()}
+    )
 
 
 # -- univariate helpers (dense, ascending coefficients) -----------------
+# A dense list holds the coefficients of one univariate polynomial, constant
+# term first, with no trailing zeros; [] is the zero polynomial.
 
 
 def _dense_trim(c: list) -> list:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _dense_mod(a: list, b: list, dom: Domain) -> list:
-    """Remainder of dense division over a field."""
+def _primitive(c: list[int]) -> list[int]:
+    """Divide a nonzero integer list by the gcd of its entries."""
+    g = math.gcd(*c)
+    return c if g == 1 else [v // g for v in c]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^k * a mod b over Z, k the number of division steps."""
     a = a[:]
-    inv_lead = dom.inv(b[-1])
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        q = dom.mul(a[-1], inv_lead)
-        for i, bc in enumerate(b):
-            a[shift + i] = dom.sub(a[shift + i], dom.mul(q, bc))
+    lb = b[-1]
+    db = len(b) - 1
+    while len(a) > db:
+        la = a.pop()
+        s = len(a) - db
+        for i in range(s):
+            a[i] *= lb
+        for i in range(db):
+            a[s + i] = lb * a[s + i] - la * b[i]
         _dense_trim(a)
     return a
 
 
-def _dense_gcd_field(a: list, b: list, dom: Domain) -> list:
-    a, b = _dense_trim(a[:]), _dense_trim(b[:])
+def _gcd_primitive_prs(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two primitive integer polynomials up to sign, by the
+    primitive polynomial remainder sequence (Collins 1967)."""
     while b:
-        a, b = b, _dense_mod(a, b, dom)
-    if a:
-        inv_lead = dom.inv(a[-1])
-        a = [dom.mul(c, inv_lead) for c in a]
+        r = _pseudo_rem(a, b)
+        a, b = b, _primitive(r) if r else r
     return a
 
 
-def _primitive_int(coeffs: list[Fraction]) -> list[int]:
-    """Clear a rational coefficient list to coprime integers, positive lead."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p by Euclid's algorithm."""
+    while b:
+        a, b = b, _dense_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _dense_mul_sub(a: list, b: list, c: list, d: list, p: int | None) -> list:
+    """a*b - c*d, reduced mod p unless p is None."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d), 1) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(d):
+                out[i + j] -= x * y
+    if p is not None:
+        out = [v % p for v in out]
+    return _dense_trim(out)
+
+
+def _dense_divmod(a: list, b: list, p: int | None) -> tuple[list, list]:
+    """Quotient and remainder of a by b over F_p (p given) or Q (p None)."""
+    a = a[:]
+    db = len(b) - 1
+    lead = b[-1]
+    inv = pow(lead, -1, p) if p is not None else None
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a.pop()
+        if not c:
+            continue
+        c = c * inv % p if p is not None else c / lead
+        q[k] = c
+        if p is None:
+            for i in range(db):
+                a[k + i] -= c * b[i]
+        else:
+            for i in range(db):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    return q, _dense_trim(a)
 
 
 # -- direction content ---------------------------------------------------
@@ -665,74 +720,90 @@ def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
     if not is_primitive(u):
         raise ValueError(f"{u} is not a primitive direction")
     dom = f.domain
+    p = dom.p
     m = unimodular_completion(u)
-    g = unimodular_substitute(f, m.inverse())
-
+    (a, b), (c, d) = m.inverse().rows
     columns: dict[int, dict[int, object]] = {}
-    for (e1, e2), c in g.terms.items():
-        columns.setdefault(e2, {})[e1] = c
+    for (x, y), v in f.terms.items():
+        columns.setdefault(c * x + d * y, {})[a * x + b * y] = v
 
-    work_dom = QQ if dom.kind == "Z" else dom
     content: list | None = None
     for col in columns.values():
         lo = min(col)
         dense = [0] * (max(col) - lo + 1)
-        for e1, c in col.items():
-            dense[e1 - lo] = work_dom.coerce(c)
-        content = dense if content is None else _dense_gcd_field(content, dense, work_dom)
+        for e1, v in col.items():
+            dense[e1 - lo] = v
+        if p is not None:
+            content = dense if content is None else _gcd_mod_p(content, dense, p)
+        else:
+            if dom.kind == "Q":
+                den = math.lcm(*(v.denominator for v in dense))
+                dense = [v.numerator * (den // v.denominator) for v in dense]
+            dense = _primitive(dense)
+            content = dense if content is None else _gcd_primitive_prs(content, dense)
         if len(content) == 1:
-            break
-    assert content, "content of a nonzero polynomial is nonzero"
-    if len(content) == 1:
-        return LaurentPoly.one(dom)
+            return LaurentPoly.one(dom)
 
-    if dom.kind in ("Z", "Q"):
-        content = _primitive_int(content)
-    poly = LaurentPoly(dom, {(i, 0): c for i, c in enumerate(content) if c != 0})
-    if poly.num_terms < 2:
-        return LaurentPoly.one(dom)
-    return unimodular_substitute(poly, m)
+    if p is None:
+        if content[-1] < 0:
+            content = [-v for v in content]
+        if dom.kind == "Q":
+            content = [Fraction(v) for v in content]
+    # every column has a nonzero constant term, so the content has one too
+    # and is a line polynomial; x^(i,0) maps back to x^(i*u)
+    return LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})
 
 
 # -- resultants ----------------------------------------------------------
 
 
-def _coefficients_in_var(f: LaurentPoly, var: int) -> list[LaurentPoly]:
-    """Coefficient list of f in the chosen variable, ascending, after
-    shifting var-exponents to start at zero; entries are Laurent
-    polynomials in the other variable."""
-    vi = var - 1
-    lo = min(e[vi] for e in f.terms)
-    hi = max(e[vi] for e in f.terms)
-    coeffs = [dict() for _ in range(hi - lo + 1)]
-    for e, c in f.terms.items():
-        other = (0, e[1]) if var == 1 else (e[0], 0)
-        coeffs[e[vi] - lo][other] = c
-    return [LaurentPoly(f.domain, d) for d in coeffs]
+def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list], int]:
+    """Coefficients of f in the chosen variable, leading first, as dense
+    lists in the other variable shifted by its least exponent ``lo`` in f;
+    returns (coefficients, lo)."""
+    vi, oi = var - 1, 2 - var
+    terms = f.terms
+    hi_v = max(e[vi] for e in terms)
+    lo_v = min(e[vi] for e in terms)
+    lo = min(e[oi] for e in terms)
+    width = max(e[oi] for e in terms) - lo + 1
+    coeffs = [[0] * width for _ in range(hi_v - lo_v + 1)]
+    for e, c in terms.items():
+        coeffs[hi_v - e[vi]][e[oi] - lo] = c
+    return [_dense_trim(c) for c in coeffs], lo
 
 
-def _bareiss_determinant(rows: list[list[LaurentPoly]], dom: Domain) -> LaurentPoly:
-    """Fraction-free determinant over the Laurent ring; exact divisions by
-    the previous pivot are guaranteed by the Bareiss identity."""
-    n = len(rows)
-    a = [row[:] for row in rows]
+def _bareiss_determinant(a: list[list[list]], p: int | None) -> list:
+    """Fraction-free determinant of a square matrix of dense polynomials
+    over F_p (p given) or Q (p None). Each division by the previous pivot
+    is exact by Sylvester's identity (Bareiss 1968); a row swap only
+    flips the sign."""
+    n = len(a)
     sign = 1
-    prev = LaurentPoly.one(dom)
+    prev = [1]
     for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not a[r][k].is_zero), None)
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return LaurentPoly.zero(dom)
+            return []
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            lead_i = row_i[k]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = poly_divexact(num, prev)
-            a[i][k] = LaurentPoly.zero(dom)
-        prev = a[k][k]
+                num = _dense_mul_sub(pivot, row_i[j], lead_i, row_k[j], p)
+                row_i[j], rem = _dense_divmod(num, prev, p)
+                if rem:
+                    raise AssertionError("inexact division in fraction-free elimination")
+            row_i[k] = []
+        prev = pivot
     det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    if sign > 0:
+        return det
+    return [-c for c in det] if p is None else [(-c) % p for c in det]
 
 
 def univariate_resultant(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
@@ -750,22 +821,19 @@ def univariate_resultant(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPol
     dom = f.domain
     if dom.kind == "Z":
         raise DomainMismatch("resultants are computed over Q or F_p")
-    fc = _coefficients_in_var(f, var)
-    gc = _coefficients_in_var(g, var)
+    fc, flo = _coefficients_in_var(f, var)
+    gc, glo = _coefficients_in_var(g, var)
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both inputs must involve the eliminated variable")
-    size = n + m
-    zero = LaurentPoly.zero(dom)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_determinant(rows, dom)
+    rows = [[[]] * i + fc + [[]] * (m - 1 - i) for i in range(m)]
+    rows += [[[]] * i + gc + [[]] * (n - 1 - i) for i in range(n)]
+    det = _bareiss_determinant(rows, dom.p)
+    # the m rows of f carry y^-flo and the n rows of g carry y^-glo
+    # (x for var = 2), so the determinant comes back shifted
+    shift = flo * m + glo * n
+    if var == 1:
+        terms = {(0, i + shift): c for i, c in enumerate(det) if c}
+    else:
+        terms = {(i + shift, 0): c for i, c in enumerate(det) if c}
+    return LaurentPoly._trusted(dom, terms)

@@ -44,7 +44,9 @@ class AnnihilatorResult:
 
 def _row_echelon_fraction_free(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Bareiss row echelon form of an integer matrix; returns the reduced
-    rows and the pivot column indices."""
+    rows and the pivot column indices. Every division by the previous
+    pivot is exact (each entry is a minor of the input); a remainder
+    raises AssertionError."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -58,7 +60,10 @@ def _row_echelon_fraction_free(rows: list[list[int]]) -> tuple[list[list[int]], 
             rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, len(rows)):
             for j in range(c + 1, ncols):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
+                q, rem = divmod(rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j], prev)
+                if rem:
+                    raise AssertionError("inexact division in fraction-free elimination")
+                rows[i][j] = q
             rows[i][c] = 0
         prev = rows[r][c]
         pivots.append(c)

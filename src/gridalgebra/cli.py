@@ -81,11 +81,18 @@ def _load_source(path: str, inputs: dict, torus: bool):
 
 def _load_shape(spec: str, inputs: dict):
     if spec.startswith("rect:") or spec == "plus":
-        return parse_shape_spec(spec)
+        try:
+            return parse_shape_spec(spec)
+        except InputFormatError as e:
+            raise UsageError(str(e)) from e
     return shape_from_json(json.loads(_read_file(spec, inputs)))
 
 
 def _load_poly(path_or_literal: str, inputs: dict, field: str) -> LaurentPoly:
+    try:
+        domain = domain_from_name(field)
+    except ValueError as e:
+        raise UsageError(f"bad --field {field!r}: {e}") from e
     try:
         text = _read_file(path_or_literal, inputs)
     except InputFormatError:
@@ -93,7 +100,14 @@ def _load_poly(path_or_literal: str, inputs: dict, field: str) -> LaurentPoly:
     text = text.strip()
     if text.startswith("{"):
         return poly_from_json(json.loads(text))
-    return poly_from_text(text, domain_from_name(field))
+    return poly_from_text(text, domain)
+
+
+def _antenna_problem(shape, args) -> AntennaProblem:
+    try:
+        return AntennaProblem(shape, args.a, args.b)
+    except ValueError as e:
+        raise UsageError(f"bad --a/--b: {e}") from e
 
 
 def _budget(args) -> Budget:
@@ -245,6 +259,8 @@ def _dispatch(args, inputs, start) -> int:
         return 0
 
     if cmd == "profile":
+        if args.nmax < 1 or args.mmax < 1:
+            raise UsageError("--nmax and --mmax must be positive")
         source = _load_source(args.grid, inputs, args.torus)
         table = rectangle_complexity_profile(source, args.nmax, args.mmax)
         result = {
@@ -312,7 +328,7 @@ def _dispatch(args, inputs, start) -> int:
     if cmd == "antenna":
         if args.antenna_command == "classify":
             shape = _load_shape(args.shape, inputs)
-            problem = AntennaProblem(shape, args.a, args.b)
+            problem = _antenna_problem(shape, args)
             verdict = antenna_classify(problem)
             result = {
                 "shape": shape_to_json(shape),
@@ -325,7 +341,7 @@ def _dispatch(args, inputs, start) -> int:
         if args.antenna_command == "verify":
             shape = _load_shape(args.shape, inputs)
             source = _load_source(args.grid, inputs, torus=True)
-            problem = AntennaProblem(shape, args.a, args.b)
+            problem = _antenna_problem(shape, args)
             ok = antenna_verify(source, problem)
             result = {
                 "certificate": "antenna",

@@ -58,6 +58,8 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
             c = Fraction(1)
         elif "/" in coeff:
             num, den = coeff.split("/")
+            if int(den) == 0:
+                raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
             c = Fraction(int(num), int(den))
         else:
             c = Fraction(int(coeff))
@@ -90,7 +92,7 @@ def poly_from_json(data: dict) -> LaurentPoly:
         domain = domain_from_name(data["domain"])
         terms = {(int(a), int(b)): domain.parse_coeff(c) for a, b, c in data["terms"]}
         return LaurentPoly(domain, terms)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise InputFormatError(f"bad polynomial JSON: {e}") from e
 
 
@@ -115,7 +117,10 @@ def parse_shape_spec(spec: str) -> Shape:
         return Shape.plus()
     m = re.match(r"^rect:(\d+)x(\d+)$", spec)
     if m:
-        return Shape.rectangle(int(m.group(1)), int(m.group(2)))
+        try:
+            return Shape.rectangle(int(m.group(1)), int(m.group(2)))
+        except ValueError as e:
+            raise InputFormatError(f"bad shape spec {spec!r}: {e}") from e
     raise InputFormatError(f"unknown shape spec {spec!r}")
 
 
@@ -135,6 +140,8 @@ def grid_from_text(text: str) -> list[list[int]]:
             raise InputFormatError(f"bad grid line {line!r}") from e
     if not rows:
         raise InputFormatError("empty grid")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputFormatError("ragged grid: rows differ in length")
     return rows
 
 

@@ -5,9 +5,18 @@ The oracles here deliberately re-implement things the library also does
 simpler algorithms, so the tests never check the code against itself.
 """
 
+import math
 from fractions import Fraction
 
-from gridalgebra import GF, LaurentPoly, TorusConfig, UnimodularMatrix, ZZ
+from gridalgebra import (
+    GF,
+    LaurentPoly,
+    TorusConfig,
+    UnimodularMatrix,
+    ZZ,
+    unimodular_completion,
+    unimodular_substitute,
+)
 
 
 def random_torus(rng, kmax=6, lmax=6, max_symbols=4, symbols=None):
@@ -145,36 +154,50 @@ def fp_torus_annihilated_by(polys, k, l, p, rng):
     return TorusConfig([[vec[j * k + i] for i in range(k)] for j in range(l)])
 
 
-# -- independent Sylvester-determinant oracle over F_p --------------------
+# -- independent Sylvester-determinant oracle -------------------------------
+# Univariate Laurent polynomials are dicts {exponent: coefficient}; p = None
+# means exact rational arithmetic, otherwise everything is reduced mod p.
 
 
-def _uni_mul_fp(a, b, p):
+def _uni_mul(a, b, p):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c % p if p else c for e, c in out.items() if (c % p if p else c)}
 
 
-def _det_laplace_fp(mat, p):
+def _det_laplace(mat, p):
+    """Cofactor expansion along the first row, memoized on the set of
+    columns left (the row is implied by how many are left)."""
     n = len(mat)
-    if n == 1:
-        return dict(mat[0][0])
-    out = {}
-    for j in range(n):
-        if not mat[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = _uni_mul_fp(mat[0][j], _det_laplace_fp(minor, p), p)
-        sign = 1 if j % 2 == 0 else p - 1
-        for e, c in term.items():
-            out[e] = (out.get(e, 0) + sign * c) % p
-    return {e: c for e, c in out.items() if c}
+    memo = {}
+
+    def det(cols):
+        if not cols:
+            return {0: 1}
+        if cols in memo:
+            return memo[cols]
+        row = mat[n - len(cols)]
+        out = {}
+        for idx, j in enumerate(cols):
+            if not row[j]:
+                continue
+            term = _uni_mul(row[j], det(cols[:idx] + cols[idx + 1 :]), p)
+            sign = 1 if idx % 2 == 0 else -1
+            for e, c in term.items():
+                out[e] = out.get(e, 0) + sign * c
+        memo[cols] = {e: c % p if p else c for e, c in out.items() if (c % p if p else c)}
+        return memo[cols]
+
+    return det(tuple(range(n)))
 
 
-def sylvester_resultant_oracle_fp(f, g, var, p):
+def _sylvester_resultant_oracle(f, g, var, p):
     """Resultant eliminating ``var`` as a dict {other-var exponent: coeff},
-    via an explicit Sylvester matrix and Laplace expansion."""
+    via an explicit Sylvester matrix and Laplace expansion, over F_p or,
+    with p None, over Q in Fractions. Entries keep their Laurent exponents
+    in the other variable, so no exponent shift is involved."""
 
     def coeff_list(h):
         vi, oi = var - 1, 2 - var
@@ -182,7 +205,7 @@ def sylvester_resultant_oracle_fp(f, g, var, p):
         hi = max(e[vi] for e in h.terms)
         out = [dict() for _ in range(hi - lo + 1)]
         for e, c in h.terms.items():
-            out[e[vi] - lo][e[oi]] = c % p
+            out[e[vi] - lo][e[oi]] = c % p if p else Fraction(c)
         return out
 
     fc, gc = coeff_list(f), coeff_list(g)
@@ -195,7 +218,15 @@ def sylvester_resultant_oracle_fp(f, g, var, p):
     for i in range(n):
         for j, c in enumerate(reversed(gc)):
             mat[m + i][i + j] = c
-    return _det_laplace_fp(mat, p)
+    return _det_laplace(mat, p)
+
+
+def sylvester_resultant_oracle_fp(f, g, var, p):
+    return _sylvester_resultant_oracle(f, g, var, p)
+
+
+def sylvester_resultant_oracle_q(f, g, var):
+    return _sylvester_resultant_oracle(f, g, var, None)
 
 
 def poly_fp_as_uni_dict(r, var_other):
@@ -214,6 +245,63 @@ def random_fp_poly_with_both_vars(rng, p, span=2, max_terms=5):
         e2 = {e[1] for e in f.terms}
         if len(e1) > 1 and len(e2) > 1:
             return f
+
+
+# -- direction content by rational Euclid -----------------------------------
+
+
+def direction_content_oracle(f, u):
+    """Line-polynomial content of f in direction u: change coordinates so u
+    becomes (1, 0) and take the monic gcd of the x-columns by Euclid over
+    Q, or over F_p for a prime field, where a single column is kept as it
+    is. A rational result is cleared to coprime integers, lead positive."""
+    dom = f.domain
+    p = dom.p
+
+    def norm(c):
+        return c % p if p else Fraction(c)
+
+    def div(a, b):
+        return a * pow(b, -1, p) % p if p else a / b
+
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b) and a:
+            q = div(a[-1], b[-1])
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = norm(a[shift + i] - q * bc)
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    m = unimodular_completion(u)
+    g = unimodular_substitute(f, m.inverse())
+    columns = {}
+    for (e1, e2), c in g.terms.items():
+        columns.setdefault(e2, {})[e1] = c
+    content = None
+    for col in columns.values():
+        lo = min(col)
+        dense = [norm(0)] * (max(col) - lo + 1)
+        for e1, c in col.items():
+            dense[e1 - lo] = norm(c)
+        if content is None:
+            content = dense
+            continue
+        a, b = content, dense
+        while b:
+            a, b = b, rem(a, b)
+        content = [div(c, a[-1]) for c in a]
+    if len(content) == 1:
+        return LaurentPoly.one(dom)
+    if not p:
+        den = math.lcm(*(c.denominator for c in content))
+        ints = [int(c * den) for c in content]
+        sign = 1 if ints[-1] > 0 else -1
+        content = [sign * c // math.gcd(*ints) for c in ints]
+    line = LaurentPoly(dom, {(i, 0): c for i, c in enumerate(content)})
+    return unimodular_substitute(line, m)
 
 
 def brute_force_torus_patterns(torus, shape):

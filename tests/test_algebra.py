@@ -1,8 +1,11 @@
 """Laurent arithmetic, polygons, substitutions, content, resultants."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
     GF,
@@ -30,12 +33,16 @@ from gridalgebra.errors import (
 )
 
 from helpers import (
+    direction_content_oracle,
     fp_torus_annihilated_by,
+    poly_fp_as_uni_dict,
     random_fp_poly_with_both_vars,
     random_line_poly,
     random_poly,
     random_triangle_poly,
     random_unimodular,
+    sylvester_resultant_oracle_fp,
+    sylvester_resultant_oracle_q,
 )
 
 X = LaurentPoly.variable(ZZ, 1)
@@ -264,6 +271,39 @@ def test_content_divides_random_products():
                 assert poly_divexact(f, g) * g == f
 
 
+def test_content_primitive_prs_with_nonconstant_cofactors():
+    # both x-columns are (1 + 2x) times a coprime non-constant cofactor, so
+    # the pseudo-remainders grow and must be made primitive along the way
+    line = P("1 + 2*x")
+    f = line * P("3 + x + 5*x^2 + 2*y - 7*x^2*y + x^3*y")
+    assert direction_content(f, (1, 0)) == line
+    assert direction_content(P("-2 - 4*x") * P("3 + y + x*y"), (1, 0)) == line
+    for dom in (QQ, GF(7)):
+        g = unimodular_substitute(f, UnimodularMatrix(((1, 0), (2, 1))))
+        g = LaurentPoly(dom, g.terms)
+        assert direction_content(g, (1, 2)) == direction_content_oracle(g, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "domain, f, g",
+    [
+        (QQ, "-1 + 2*x*y - 2*x^2", "2*x - 2*x^2*y^-1"),
+        (GF(3), "y^-1 + 2 + x + x^2*y", "2 + 2*x*y"),
+        (GF(3), "y^-1 + 2*y + x^2*y^-1", "2*y^-1 + y + x + 2*x^2*y^-1"),
+    ],
+)
+def test_resultant_with_zero_pivot(domain, f, g):
+    # these Sylvester matrices have a vanishing leading minor, so Bareiss
+    # swaps rows and the sign of the determinant must follow
+    f, g = P(f, domain), P(g, domain)
+    for var in (1, 2):
+        r = poly_fp_as_uni_dict(univariate_resultant(f, g, var), 3 - var)
+        if domain.p:
+            assert r == sylvester_resultant_oracle_fp(f, g, var, domain.p)
+        else:
+            assert r == sylvester_resultant_oracle_q(f, g, var)
+
+
 def test_content_rejects_zero():
     with pytest.raises(ZeroPolynomial):
         direction_content(LaurentPoly.zero(ZZ), (1, 0))
@@ -297,8 +337,6 @@ def test_resultant_rejects_integer_domain():
 
 
 def test_resultant_matches_laplace_oracle():
-    from helpers import poly_fp_as_uni_dict, sylvester_resultant_oracle_fp
-
     rng = random.Random(37)
     for p in (2, 3, 5):
         for _ in range(15):
@@ -329,3 +367,129 @@ def test_resultant_annihilates_common_torus():
             if not r.is_zero:
                 assert is_annihilated(torus, r).kind == "yes"
                 checked += 1
+
+
+# -- fast paths against references (hypothesis) ---------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+DOMAINS = [ZZ, QQ, GF(2), GF(3), GF(5), GF(101)]
+EXPONENTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def coefficients(domain):
+    if domain == QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return st.integers(-4, 4)
+
+
+@st.composite
+def polys(draw, domain, nonzero=False):
+    f = LaurentPoly(domain, draw(st.dictionaries(EXPONENTS, coefficients(domain), max_size=5)))
+    if nonzero and f.is_zero:
+        f = LaurentPoly.monomial(domain, draw(EXPONENTS))
+    return f
+
+
+@st.composite
+def both_var_polys(draw, domain):
+    """Polynomial with two terms that differ in both exponents, so either
+    variable can be eliminated."""
+    terms = dict(draw(polys(domain)).terms)
+    e1 = draw(EXPONENTS)
+    e2 = draw(EXPONENTS.filter(lambda e: e[0] != e1[0] and e[1] != e1[1]))
+    nonzero = st.integers(1, domain.p - 1) if domain.p else st.sampled_from([-3, -1, 1, 2])
+    terms[e1], terms[e2] = draw(nonzero), draw(nonzero)
+    return LaurentPoly(domain, terms)
+
+
+def assert_canonical(f):
+    """No zero terms; int over Z, Fraction over Q, [0, p) over F_p."""
+    dom = f.domain
+    for (a, b), c in f.terms.items():
+        assert type(a) is int and type(b) is int
+        assert c != 0
+        if dom == ZZ:
+            assert type(c) is int
+        elif dom == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 <= c < dom.p
+
+
+@st.composite
+def directions(draw):
+    """Image of (1, 0) under a random unimodular matrix: any primitive
+    direction, not only the axis and diagonal ones."""
+    return random_unimodular(random.Random(draw(st.integers(0, 10**6)))).apply((1, 0))
+
+
+@PROPERTY
+@given(st.data())
+def test_ring_ops_match_public_constructor(data):
+    dom = data.draw(st.sampled_from(DOMAINS))
+    f, g = data.draw(polys(dom)), data.draw(polys(dom, nonzero=True))
+    t = data.draw(EXPONENTS)
+    k = data.draw(st.integers(-4, 4))
+
+    def rebuilt(pairs):
+        acc = {}
+        for e, c in pairs:
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly(dom, acc)
+
+    fi, gi = list(f.terms.items()), list(g.terms.items())
+    cases = [
+        ("add", f + g, rebuilt(fi + gi)),
+        ("neg", -g, rebuilt((e, -c) for e, c in gi)),
+        ("sub", f - g, rebuilt(fi + [(e, -c) for e, c in gi])),
+        ("scale", f.scale(k), rebuilt((e, c * k) for e, c in fi)),
+        ("mul", f * g, rebuilt(((a + c, b + d), u * v) for (a, b), u in fi for (c, d), v in gi)),
+        ("shift", f.shift(t), rebuilt(((a + t[0], b + t[1]), u) for (a, b), u in fi)),
+        ("divexact", poly_divexact(f * g, g), f),
+    ]
+    for name, got, expected in cases:
+        assert_canonical(got)
+        assert got == expected, name
+
+
+@PROPERTY
+@given(st.data())
+def test_direction_content_matches_euclid_oracle(data):
+    dom = data.draw(st.sampled_from(DOMAINS))
+    f = data.draw(polys(dom, nonzero=True))
+    planted = data.draw(st.lists(directions(), max_size=2))
+    for u in planted:
+        line = {(0, 0): data.draw(coefficients(dom).filter(bool))}
+        for j in range(1, data.draw(st.integers(1, 2)) + 1):
+            line[(j * u[0], j * u[1])] = data.draw(coefficients(dom))
+        f = f * LaurentPoly(dom, line)
+    if f.is_zero:  # a planted factor vanished mod p
+        return
+    tried = set(planted) | line_direction_candidates(f) | {data.draw(directions())}
+    for u in sorted(tried):
+        got = direction_content(f, u)
+        assert_canonical(got)
+        assert got == direction_content_oracle(f, u)
+
+
+@PROPERTY
+@given(st.data())
+def test_resultant_fp_matches_laplace_oracle(data):
+    dom = data.draw(st.sampled_from([GF(2), GF(3), GF(5), GF(101)]))
+    f, g = data.draw(both_var_polys(dom)), data.draw(both_var_polys(dom))
+    for var in (1, 2):
+        r = univariate_resultant(f, g, var)
+        assert_canonical(r)
+        assert poly_fp_as_uni_dict(r, 3 - var) == sylvester_resultant_oracle_fp(f, g, var, dom.p)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_resultant_q_matches_laplace_oracle(data):
+    # exponents run over -2..2, so the kept variable has negative exponents
+    # and the determinant must be shifted back
+    f, g = data.draw(both_var_polys(QQ)), data.draw(both_var_polys(QQ))
+    for var in (1, 2):
+        r = univariate_resultant(f, g, var)
+        assert_canonical(r)
+        assert poly_fp_as_uni_dict(r, 3 - var) == sylvester_resultant_oracle_q(f, g, var)

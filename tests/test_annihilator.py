@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
     LaurentPoly,
@@ -19,7 +21,7 @@ from gridalgebra import (
     is_annihilated,
     verify,
 )
-from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL
+from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, _row_echelon_fraction_free
 from gridalgebra.errors import NotLowComplexity
 from gridalgebra.formats import poly_from_text
 
@@ -213,3 +215,32 @@ def test_binomial_deterministic_across_workers():
         seq = find_binomial_product_annihilator(torus, bound)
         for workers in (2, 4):
             assert find_binomial_product_annihilator(torus, bound, workers=workers) == seq
+
+
+# -- fraction-free echelon form ---------------------------------------------
+
+
+def _assert_echelon_of(matrix, echelon, pivots):
+    assert len(pivots) == len(echelon) == fraction_rank(matrix)
+    assert pivots == sorted(set(pivots))
+    for row, pc in zip(echelon, pivots):
+        assert row[pc] != 0 and not any(row[:pc])
+    # the echelon rows span the row space of the input
+    assert fraction_rank(matrix + echelon) == fraction_rank(matrix)
+
+
+def test_row_echelon_skips_dependent_column():
+    # column 1 is twice column 0, so it has no pivot and elimination moves
+    # on to column 2 with the previous pivot still the Bareiss divisor
+    matrix = [[2, 4, 1, 3], [1, 2, 5, 7], [3, 6, 2, 1]]
+    echelon, pivots = _row_echelon_fraction_free(matrix)
+    assert pivots == [0, 2, 3]
+    assert echelon == [[2, 4, 1, 3], [0, 0, 9, 11], [0, 0, 0, -37]]
+    _assert_echelon_of(matrix, echelon, pivots)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_row_echelon_matches_fraction_rank(matrix):
+    echelon, pivots = _row_echelon_fraction_free(matrix)
+    _assert_echelon_of(matrix, echelon, pivots)

@@ -177,3 +177,28 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         results.append((code, report["result"]))
     assert all(r == results[0] for r in results)
     assert results[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, error",
+    [
+        (["factor-lines", "1 + 1/0*x"], 65, "input-format"),
+        (["factor-lines", "x + y", "--field", "F4"], 64, "usage"),
+        (["complexity", "{ragged}", "--shape", "rect:1x1"], 65, "input-format"),
+        (["complexity", "{grid}", "--shape", "rect:0x1"], 64, "usage"),
+        (["profile", "{grid}", "--nmax", "0", "--mmax", "1"], 64, "usage"),
+        (["antenna", "classify", "--shape", "rect:2x2", "--a", "-1", "--b", "1"], 64, "usage"),
+    ],
+    ids=["zero-denominator", "field-not-prime", "ragged-grid", "empty-rect", "profile-zero", "antenna-negative"],
+)
+def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("0 1\n1\n")
+    grid = tmp_path / "grid.txt"
+    grid.write_text("0 1\n1 0\n")
+    argv = [a.format(ragged=ragged, grid=grid) for a in argv]
+    assert run(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == error

@@ -48,9 +48,11 @@ def test_poly_text_zero():
 
 
 def test_poly_text_rejects_garbage():
-    for bad in ("", "1 +", "x**2", "z + 1", "1 ++ x"):
+    for bad in ("", "1 +", "x**2", "z + 1", "1 ++ x", "1 + 1/0*x"):
         with pytest.raises(InputFormatError):
             poly_from_text(bad)
+    with pytest.raises(InputFormatError):
+        poly_from_json({"domain": "Q", "terms": [[0, 0, "1/0"]]})
 
 
 def test_poly_text_roundtrip_random():
@@ -86,15 +88,17 @@ def test_shape_roundtrip():
 def test_shape_specs():
     assert parse_shape_spec("plus") == Shape.plus()
     assert parse_shape_spec("rect:3x2") == Shape.rectangle(3, 2)
-    with pytest.raises(InputFormatError):
-        parse_shape_spec("blob")
+    for bad in ("blob", "rect:0x1"):
+        with pytest.raises(InputFormatError):
+            parse_shape_spec(bad)
 
 
 def test_grid_text_roundtrip():
     rows = [[1, -2, 3], [4, 5, -6]]
     assert grid_from_text(grid_to_text(rows)) == rows
-    with pytest.raises(InputFormatError):
-        grid_from_text("1 2\nx y\n")
+    for bad in ("1 2\nx y\n", "1 2\n3\n"):
+        with pytest.raises(InputFormatError):
+            grid_from_text(bad)
 
 
 def test_source_json_roundtrip():
