@@ -469,9 +469,6 @@ class NewtonPolygon:
         """Edge vectors in counterclockwise traversal order."""
         if self.kind == "point":
             return []
-        if self.kind == "segment":
-            a, b = self.vertices
-            return [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
         verts = self.vertices
         out = []
         for i, v in enumerate(verts):
@@ -514,14 +511,8 @@ def line_direction_candidates(f: LaurentPoly) -> set[ExponentVector]:
     summand forces a pair of parallel edges, so every direction of an
     actual line-polynomial factor shows up here.
     """
-    np_ = newton_polygon(f)
-    if np_.kind == "point":
-        return set()
-    if np_.kind == "segment":
-        a, b = np_.vertices
-        return {normalize_direction((b[0] - a[0], b[1] - a[1]))}
     counts: dict[ExponentVector, int] = {}
-    for e in np_.edges():
+    for e in newton_polygon(f).edges():
         d = normalize_direction(e)
         counts[d] = counts.get(d, 0) + 1
     return {d for d, n in counts.items() if n >= 2}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,10 +167,7 @@ def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> Verificati
     if result.kind == DIRECT:
         return VerificationReport(passed=check.annihilated, annihilation=check)
     product = apply_poly(result.periodizer, source)
-    if isinstance(product, TorusConfig):
-        values = {product.value_at(c) for c in product.fundamental_cells()}
-    else:
-        values = {v for row in product.rows for v in row}
+    values = {v for row in product.rows for v in row}
     observed = values.pop() if len(values) == 1 else None
     constant_ok = observed is not None and observed == result.constant
     return VerificationReport(
@@ -206,56 +202,31 @@ def find_binomial_product_annihilator(
     source: Patch | TorusConfig,
     max_norm: int,
     max_factors: int = 3,
-    workers: int | None = None,
 ) -> tuple[ExponentVector, ...] | None:
     """Smallest product of difference binomials annihilating the source.
 
     Tuples are searched by increasing factor count, then in lexicographic
     order over the canonical vector order; vectors are pairwise linearly
-    independent with max-norm at most max_norm. With ``workers`` set,
-    candidate tuples are evaluated in parallel batches and reduced to the
-    schedule-first hit, so the result does not depend on thread count.
+    independent with max-norm at most max_norm. The first hit in that
+    order is returned, so the result is deterministic.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
     if not 1 <= max_factors <= 3:
         raise ValueError("max_factors must be between 1 and 3")
     candidates = _binomial_candidates(max_norm)
-
-    def admissible(ts) -> bool:
-        dirs = [normalize_direction(t) for t in ts]
-        return len(set(dirs)) == len(dirs)
-
     skipped_all = True
-
-    def check(ts) -> bool | None:
-        try:
-            return is_annihilated(source, _binomial_product(ts)).annihilated
-        except EmptyValidRegion:
-            return None
-
     for m in range(1, max_factors + 1):
-        tuples = (ts for ts in itertools.combinations(candidates, m) if admissible(ts))
-        if workers is None or workers <= 1:
-            for ts in tuples:
-                hit = check(ts)
-                if hit is None:
-                    continue
-                skipped_all = False
-                if hit:
-                    return ts
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                while True:
-                    batch = list(itertools.islice(tuples, 64))
-                    if not batch:
-                        break
-                    for ts, hit in zip(batch, pool.map(check, batch)):
-                        if hit is None:
-                            continue
-                        skipped_all = False
-                        if hit:
-                            return ts
+        for ts in itertools.combinations(candidates, m):
+            if len({normalize_direction(t) for t in ts}) < m:
+                continue
+            try:
+                hit = is_annihilated(source, _binomial_product(ts)).annihilated
+            except EmptyValidRegion:
+                continue
+            skipped_all = False
+            if hit:
+                return ts
     if skipped_all:
         raise EmptyValidRegion("every candidate product outgrows the patch")
     return None

@@ -390,34 +390,47 @@ def _dispatch(args, inputs, start) -> int:
     raise UsageError(f"unknown command {cmd!r}")
 
 
+def _field(cert: dict, key: str):
+    try:
+        return cert[key]
+    except KeyError:
+        raise InputFormatError(f"certificate lacks {key!r}") from None
+
+
 def _verify_certificate(args, inputs, start) -> int:
     data = json.loads(_read_file(args.certificate, inputs))
-    cert = data.get("result", data)  # accept a full report or a bare result
+    cert = data.get("result", data) if isinstance(data, dict) else data  # report or bare result
+    if not isinstance(cert, dict):
+        raise InputFormatError("certificate must be a JSON object")
     kind = cert.get("certificate")
     checks: dict[str, bool] = {}
 
     if kind == "annihilator":
-        result_obj = annihilator_result_from_json(cert["result"])
+        result_obj = annihilator_result_from_json(_field(cert, "result"))
         if args.grid:
             source = _load_source(args.grid, inputs, args.torus)
         else:
-            source = source_from_json(cert["source"])
+            source = source_from_json(_field(cert, "source"))
         report = verify_annihilator(result_obj, source)
         checks["annihilates"] = report.annihilation.annihilated
         if report.constant_ok is not None:
             checks["periodizer_constant"] = report.constant_ok
     elif kind == "sft_decision":
-        spec = sft_spec_from_json(cert["spec"])
-        if cert["decision"] == NONEMPTY:
+        spec = sft_spec_from_json(_field(cert, "spec"))
+        decision = _field(cert, "decision")
+        if decision == NONEMPTY:
             checks["witness_patterns_allowed"] = verify_witness(
-                spec, source_from_json(cert["witness"])
+                spec, source_from_json(_field(cert, "witness"))
             )
-        elif cert["decision"] == EMPTY:
-            checks["window_unfillable"] = reconfirm_empty(spec, cert["window"], seed=args.seed)
+        elif decision == EMPTY:
+            window = _field(cert, "window")
+            if type(window) is not int:
+                raise InputFormatError(f"certificate window {window!r} is not an integer")
+            checks["window_unfillable"] = reconfirm_empty(spec, window, seed=args.seed)
         else:
             checks["unknown_makes_no_claim"] = True
     elif kind == "cotiler":
-        tile = ClusterTile(shape_from_json(cert["tile"]))
+        tile = ClusterTile(shape_from_json(_field(cert, "tile")))
         if "config" in cert and cert.get("config"):
             witness = source_from_json(cert["config"])
         elif cert.get("witness"):
@@ -429,11 +442,13 @@ def _verify_certificate(args, inputs, start) -> int:
             checks["exact_cover"] = exact_cover_on_torus(tile, witness)
             checks["sft_patterns_allowed"] = verify_witness(cotiler_sft(tile), witness)
     elif kind == "antenna":
-        problem = AntennaProblem(
-            shape_from_json(cert["shape"]), int(cert["a"]), int(cert["b"])
-        )
-        config = source_from_json(cert["config"])
-        checks["antenna_condition"] = antenna_verify(config, problem) == cert["valid"]
+        shape = shape_from_json(_field(cert, "shape"))
+        try:
+            problem = AntennaProblem(shape, int(_field(cert, "a")), int(_field(cert, "b")))
+        except (TypeError, ValueError) as e:
+            raise InputFormatError(f"bad antenna a/b: {e}") from e
+        config = source_from_json(_field(cert, "config"))
+        checks["antenna_condition"] = antenna_verify(config, problem) == _field(cert, "valid")
     else:
         raise InputFormatError(f"unknown certificate kind {kind!r}")
 

@@ -98,24 +98,45 @@ class _NodeCounter:
         self.used += 1
 
 
-def _sorted_allowed(spec: SftSpec) -> list[tuple[int, ...]]:
-    return sorted(p.values for p in spec.allowed)
-
-
 def _search(
-    num_cells: int,
-    values: list[int],
-    translates: list[list[int]],
-    allowed: list[tuple[int, ...]],
-    counter: _NodeCounter,
-) -> list[int] | None:
-    """Backtracking fill of ``num_cells`` cells with forward checking.
+    spec: SftSpec, w: int, h: int, wrap: bool, counter: _NodeCounter, rng=None
+) -> list[list[int]] | None:
+    """Backtracking fill of a w x h grid with forward checking.
 
-    ``translates[t]`` lists, per shape-cell position, the flat cell index
-    it touches; a translate stays viable while some allowed pattern agrees
-    with every assigned cell it covers. Deterministic: cells in flat
-    order, values in sorted order, first solution returned.
+    With ``wrap`` the grid is a torus and every translate of the shape is
+    constrained (cells taken mod w and h); otherwise every translate lying
+    fully inside the window is. A translate stays viable while some allowed
+    pattern agrees with every assigned cell it covers. Deterministic: cells
+    in row-major order, values and patterns in sorted order, first solution
+    returned as rows. With ``rng`` the cell, value and pattern orders are
+    shuffled and the rows come back in shuffled cell coordinates, so only
+    whether the result ``is None`` is meaningful.
     """
+    num_cells = w * h
+    if wrap:
+        translates = [
+            [((ty + cy) % h) * w + ((tx + cx) % w) for (cx, cy) in spec.shape.cells]
+            for ty in range(h)
+            for tx in range(w)
+        ]
+    else:
+        x0, y0, x1, y1 = spec.shape.bounding_box()
+        translates = [
+            [(ty + cy) * w + (tx + cx) for (cx, cy) in spec.shape.cells]
+            for ty in range(-y0, h - y1)
+            for tx in range(-x0, w - x1)
+        ]
+    values = sorted(spec.alphabet)
+    allowed = sorted(p.values for p in spec.allowed)
+    if rng is not None:
+        order = list(range(num_cells))
+        rng.shuffle(order)
+        position = {cell: slot for slot, cell in enumerate(order)}
+        # remap cells through the shuffled order so the search explores a
+        # genuinely different tree, then solve the same constraints
+        translates = [[position[c] for c in cells] for cells in translates]
+        rng.shuffle(values)
+        rng.shuffle(allowed)
     touching: list[list[tuple[int, int]]] = [[] for _ in range(num_cells)]
     for t, cells in enumerate(translates):
         for pos, cell in enumerate(cells):
@@ -147,7 +168,9 @@ def _search(
             assignment[idx] = None
         return False
 
-    return assignment if fill(0) else None  # type: ignore[return-value]
+    if not fill(0):
+        return None
+    return [assignment[j * w : (j + 1) * w] for j in range(h)]  # type: ignore[return-value]
 
 
 def window_fillable(
@@ -157,18 +180,7 @@ def window_fillable(
     shape carries an allowed pattern; None certifies no filling exists."""
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
-    counter = _counter or _NodeCounter(None)
-    x0, y0, x1, y1 = spec.shape.bounding_box()
-    translates = []
-    for ty in range(-y0, n - y1):
-        for tx in range(-x0, n - x1):
-            translates.append(
-                [(ty + cy) * n + (tx + cx) for (cx, cy) in spec.shape.cells]
-            )
-    flat = _search(n * n, sorted(spec.alphabet), translates, _sorted_allowed(spec), counter)
-    if flat is None:
-        return None
-    return [[flat[j * n + i] for i in range(n)] for j in range(n)]
+    return _search(spec, n, n, False, _counter or _NodeCounter(None))
 
 
 def find_periodic_point(
@@ -178,17 +190,8 @@ def find_periodic_point(
     shape-patterns are allowed."""
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
-    counter = _counter or _NodeCounter(None)
-    translates = []
-    for ty in range(l):
-        for tx in range(k):
-            translates.append(
-                [((ty + cy) % l) * k + ((tx + cx) % k) for (cx, cy) in spec.shape.cells]
-            )
-    flat = _search(k * l, sorted(spec.alphabet), translates, _sorted_allowed(spec), counter)
-    if flat is None:
-        return None
-    return TorusConfig([[flat[j * k + i] for i in range(k)] for j in range(l)])
+    rows = _search(spec, k, l, True, _counter or _NodeCounter(None))
+    return None if rows is None else TorusConfig(rows)
 
 
 def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
@@ -250,49 +253,19 @@ def reconfirm_empty(spec: SftSpec, n: int, seed: int = 0) -> bool:
     search at size n with randomized cell and value order."""
     import random
 
-    rng = random.Random(seed)
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
-    x0, y0, x1, y1 = spec.shape.bounding_box()
-    translates = []
-    for ty in range(-y0, n - y1):
-        for tx in range(-x0, n - x1):
-            translates.append([((ty + cy) * n + (tx + cx)) for (cx, cy) in spec.shape.cells])
-    order = list(range(n * n))
-    rng.shuffle(order)
-    position = {cell: slot for slot, cell in enumerate(order)}
-    # remap cells through the shuffled order so the search explores a
-    # genuinely different tree, then solve the same constraints
-    remapped = [[position[c] for c in cells] for cells in translates]
-    values = sorted(spec.alphabet)
-    rng.shuffle(values)
-    allowed = _sorted_allowed(spec)
-    rng.shuffle(allowed)
-    flat = _search(n * n, values, remapped, allowed, _NodeCounter(None))
-    return flat is None
+    return _search(spec, n, n, False, _NodeCounter(None), random.Random(seed)) is None
 
 
 def is_discrete_convex(shape: Shape) -> bool:
-    """True iff the shape equals the integer points of its convex hull."""
+    """True iff the shape holds every integer point of its convex hull."""
     cells = set(shape.cells)
     hull = convex_hull(cells)
-    if len(hull) == 1:
-        return len(cells) == 1
-    if len(hull) == 2:
-        (ax, ay), (bx, by) = hull
-        import math
-
-        g = math.gcd(abs(bx - ax), abs(by - ay))
-        segment = {(ax + i * (bx - ax) // g, ay + i * (by - ay) // g) for i in range(g + 1)}
-        return cells == segment
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
-    inside = set()
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if all(
-                _cross(hull[i], hull[(i + 1) % len(hull)], (x, y)) >= 0
-                for i in range(len(hull))
-            ):
-                inside.add((x, y))
-    return cells == inside
+    edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    x0, y0, x1, y1 = shape.bounding_box()
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
+            if (x, y) not in cells and all(_cross(a, b, (x, y)) >= 0 for a, b in edges):
+                return False
+    return True

@@ -5,6 +5,7 @@ The oracles here deliberately re-implement things the library also does
 simpler algorithms, so the tests never check the code against itself.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -363,3 +364,88 @@ def translate_orbit_size(torus):
             for ty in range(torus.l)
         }
     )
+
+
+# -- SFT search oracles ---------------------------------------------------
+
+
+def _first_filling(alphabet, cells, translates, allowed):
+    """First filling, in lexicographic order of the values listed cell by
+    cell, under which every translate reads an allowed tuple."""
+    allowed = {tuple(p.values) for p in allowed}
+    for values in itertools.product(sorted(alphabet), repeat=len(cells)):
+        fill = dict(zip(cells, values))
+        if all(tuple(fill[c] for c in t) in allowed for t in translates):
+            return fill
+    return None
+
+
+def brute_force_window_filling(spec, n):
+    """Enumerate every filling of the n x n window (rows of cells (x, y)
+    with y outer); return the first as rows, or None. A translate counts
+    when all of its cells fall inside the window."""
+    cells = [(x, y) for y in range(n) for x in range(n)]
+    inside = set(cells)
+    translates = []
+    for ty in range(-n, n + 1):
+        for tx in range(-n, n + 1):
+            t = [(tx + cx, ty + cy) for (cx, cy) in spec.shape.cells]
+            if all(c in inside for c in t):
+                translates.append(t)
+    fill = _first_filling(spec.alphabet, cells, translates, spec.allowed)
+    if fill is None:
+        return None
+    return [[fill[(x, y)] for x in range(n)] for y in range(n)]
+
+
+def brute_force_torus_filling(spec, k, l):
+    """Enumerate every filling of the k x l torus; return the first as
+    rows, or None. Every translate wraps around, one per cell."""
+    cells = [(x, y) for y in range(l) for x in range(k)]
+    translates = [
+        [((x + cx) % k, (y + cy) % l) for (cx, cy) in spec.shape.cells] for (x, y) in cells
+    ]
+    fill = _first_filling(spec.alphabet, cells, translates, spec.allowed)
+    if fill is None:
+        return None
+    return [[fill[(x, y)] for x in range(k)] for y in range(l)]
+
+
+# -- discrete convexity oracle ----------------------------------------------
+
+
+def _in_triangle_or_segment(q, a, b, c):
+    """q lies in the triangle abc, or on segment ab when a, b, c are
+    collinear; exact integer arithmetic."""
+
+    def cross(o, p, r):
+        return (p[0] - o[0]) * (r[1] - o[1]) - (p[1] - o[1]) * (r[0] - o[0])
+
+    if cross(a, b, c) == 0:
+        # degenerate: q on one of the three segments
+        return any(
+            cross(u, v, q) == 0
+            and (q[0] - u[0]) * (q[0] - v[0]) + (q[1] - u[1]) * (q[1] - v[1]) <= 0
+            for u, v in ((a, b), (b, c), (a, c))
+        )
+    signs = [cross(a, b, q), cross(b, c, q), cross(c, a, q)]
+    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
+
+
+def discrete_convex_oracle(cells):
+    """True iff every lattice point of the bounding box lying in a triangle
+    or segment spanned by cells is itself a cell (Caratheodory: the convex
+    hull is the union of those triangles)."""
+    cells = set(cells)
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if (x, y) in cells:
+                continue
+            if any(
+                _in_triangle_or_segment((x, y), a, b, c)
+                for a, b, c in itertools.combinations_with_replacement(sorted(cells), 3)
+            ):
+                return False
+    return True

@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line each.
 
 Every criterion builds a JSON-serializable payload from fixed seeds;
-criterion 9 re-runs the others (and varies the worker count where the
-library parallelizes) and demands bit-identical serialized payloads. All
-equality checks are exact. Run with ``pytest tests/test_acceptance.py -s``
-to see the per-criterion lines.
+criterion 9 re-runs the others and demands bit-identical serialized
+payloads. All equality checks are exact. Run with
+``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 """
 
 import json
@@ -175,14 +174,12 @@ def test_criterion_2_annihilator_construction_soundness():
 # -- criterion 3: single difference binomial on every torus -----------------
 
 
-def payload_criterion_3(workers=None):
+def payload_criterion_3():
     found = []
     failures = 0
     for torus in _torus_corpus():
         bound = max(torus.k, torus.l)
-        result = find_binomial_product_annihilator(
-            torus, bound, max_factors=1, workers=workers
-        )
+        result = find_binomial_product_annihilator(torus, bound, max_factors=1)
         if result is None or len(result) != 1:
             failures += 1
             found.append(None)
@@ -440,16 +437,11 @@ def test_criterion_9_determinism():
     for number, build in builders.items():
         if _dump(build()) != _dump(build()):
             mismatches.append(f"criterion {number} across runs")
-    # thread counts: the binomial search is the parallelizable kernel
-    baseline = _dump(payload_criterion_3())
-    for workers in (2, 4):
-        if _dump(payload_criterion_3(workers=workers)) != baseline:
-            mismatches.append(f"criterion 3 with {workers} workers")
     elapsed = time.monotonic() - t0
     _report(
         9,
         not mismatches,
         elapsed,
         120.0,
-        "criteria 1-8 payloads bit-identical across two runs and worker counts 1/2/4",
+        "criteria 1-8 payloads bit-identical across two runs",
     )

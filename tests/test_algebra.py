@@ -153,12 +153,15 @@ def test_newton_triangle():
 def test_newton_point():
     np_ = newton_polygon(P("x^3"))
     assert np_.kind == "point" and np_.vertices == ((3, 0),)
+    assert np_.edges() == []
 
 
 def test_newton_segment_collinear():
     np_ = newton_polygon(P("1 + x*y^2 + x^2*y^4"))
     assert np_.kind == "segment"
     assert set(np_.vertices) == {(0, 0), (2, 4)}
+    a, b = np_.vertices
+    assert np_.edges() == [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
 
 
 def test_newton_rejects_zero():
@@ -183,6 +186,9 @@ def test_direction_candidates_two_lines():
 
 def test_direction_candidates_segment():
     assert line_direction_candidates(P("x^2 - 1")) == {(1, 0)}
+    assert line_direction_candidates(P("y^-1 + 3*y^2")) == {(0, 1)}
+    assert line_direction_candidates(P("1 + x*y^2 + x^2*y^4")) == {(1, 2)}
+    assert line_direction_candidates(P("x^3*y^-3 - 2*x*y^-1 + 5*x^-1*y")) == {(1, -1)}
 
 
 def test_candidates_cover_planted_directions():

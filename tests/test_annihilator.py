@@ -207,16 +207,6 @@ def test_binomial_every_torus_is_periodic():
         assert result is not None and len(result) == 1
 
 
-def test_binomial_deterministic_across_workers():
-    rng = random.Random(67)
-    for _ in range(8):
-        torus = random_torus(rng, kmax=5, lmax=5)
-        bound = max(torus.k, torus.l)
-        seq = find_binomial_product_annihilator(torus, bound)
-        for workers in (2, 4):
-            assert find_binomial_product_annihilator(torus, bound, workers=workers) == seq
-
-
 # -- fraction-free echelon form ---------------------------------------------
 
 

@@ -188,15 +188,52 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["complexity", "{grid}", "--shape", "rect:0x1"], 64, "usage"),
         (["profile", "{grid}", "--nmax", "0", "--mmax", "1"], 64, "usage"),
         (["antenna", "classify", "--shape", "rect:2x2", "--a", "-1", "--b", "1"], 64, "usage"),
+        (["verify", "{tmp}/antenna.json"], 65, "input-format"),
+        (["verify", "{tmp}/sft_decision.json"], 65, "input-format"),
+        (["verify", "{tmp}/annihilator.json"], 65, "input-format"),
+        (["verify", "{tmp}/empty_no_window.json"], 65, "input-format"),
+        (["verify", "{tmp}/list.json"], 65, "input-format"),
+        (["verify", "{tmp}/window_text.json"], 65, "input-format"),
+        (["verify", "{tmp}/antenna_bad_a.json"], 65, "input-format"),
     ],
-    ids=["zero-denominator", "field-not-prime", "ragged-grid", "empty-rect", "profile-zero", "antenna-negative"],
+    ids=[
+        "zero-denominator",
+        "field-not-prime",
+        "ragged-grid",
+        "empty-rect",
+        "profile-zero",
+        "antenna-negative",
+        "cert-antenna-no-shape",
+        "cert-sft-no-spec",
+        "cert-annihilator-no-result",
+        "cert-empty-no-window",
+        "cert-top-level-list",
+        "cert-window-not-int",
+        "cert-antenna-bad-a",
+    ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("0 1\n1\n")
     grid = tmp_path / "grid.txt"
     grid.write_text("0 1\n1 0\n")
-    argv = [a.format(ragged=ragged, grid=grid) for a in argv]
+    spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": []}
+    certificates = {
+        "antenna": {"certificate": "antenna"},
+        "sft_decision": {"certificate": "sft_decision"},
+        "annihilator": {"certificate": "annihilator"},
+        "empty_no_window": {"certificate": "sft_decision", "spec": spec, "decision": "empty"},
+        "list": [{"certificate": "antenna"}],
+        "window_text": {
+            "certificate": "sft_decision", "spec": spec, "decision": "empty", "window": "3"
+        },
+        "antenna_bad_a": {
+            "certificate": "antenna", "shape": [[0, 0]], "a": "x", "b": 0, "config": None
+        },
+    }
+    for name, cert in certificates.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cert))
+    argv = [a.format(ragged=ragged, grid=grid, tmp=tmp_path) for a in argv]
     assert run(argv) == exit_code
     captured = capsys.readouterr()
     assert captured.out == ""

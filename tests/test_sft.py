@@ -1,8 +1,11 @@
 """Window filling, periodic points, the dovetailed decision procedure."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
     Budget,
@@ -20,6 +23,8 @@ from gridalgebra import (
 )
 from gridalgebra.errors import WindowSmallerThanShape
 from gridalgebra.sft import EMPTY, NONEMPTY, UNKNOWN
+
+from helpers import brute_force_torus_filling, brute_force_window_filling, discrete_convex_oracle
 
 DOMINO = Shape([(0, 0), (1, 0)])
 FULL_DOMINO = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, v) for v in [(0, 0), (0, 1), (1, 0), (1, 1)]})
@@ -188,3 +193,45 @@ def test_discrete_convex_l_tromino():
     # the stretched diagonal is not
     assert is_discrete_convex(Shape([(0, 0), (1, 1)]))
     assert not is_discrete_convex(Shape([(0, 0), (2, 2)]))
+
+
+def test_discrete_convex_matches_oracle_on_3x3_subsets():
+    box = [(x, y) for y in range(3) for x in range(3)]
+    for size in range(1, len(box) + 1):
+        for cells in itertools.combinations(box, size):
+            assert is_discrete_convex(Shape(cells)) == discrete_convex_oracle(cells), cells
+
+
+# -- search kernels against brute-force enumeration ---------------------------
+
+MAX_FILLINGS = 2**12
+
+
+@st.composite
+def small_specs(draw):
+    """Random spec on a shape inside the 2x2 box over 1-3 symbols."""
+    box = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    shape = Shape(draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True)))
+    alphabet = sorted(draw(st.sets(st.integers(-1, 2), min_size=1, max_size=3)))
+    patterns = [Pattern(shape, v) for v in itertools.product(alphabet, repeat=len(shape))]
+    allowed = draw(st.sets(st.sampled_from(patterns)))
+    return SftSpec(shape, alphabet, allowed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=small_specs(), data=st.data())
+def test_search_matches_brute_force(spec, data):
+    a = len(spec.alphabet)
+    for n in range(spec.shape.extent, 4):
+        if a ** (n * n) > MAX_FILLINGS:
+            break
+        expected = brute_force_window_filling(spec, n)
+        assert window_fillable(spec, n) == expected
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        assert reconfirm_empty(spec, n, seed=seed) == (expected is None)
+    k = data.draw(st.integers(1, 4), label="k")
+    l_max = max(l for l in range(1, 5) if a ** (k * l) <= MAX_FILLINGS)
+    l = data.draw(st.integers(1, l_max), label="l")
+    expected = brute_force_torus_filling(spec, k, l)
+    torus = find_periodic_point(spec, k, l)
+    assert torus == (None if expected is None else TorusConfig(expected))
