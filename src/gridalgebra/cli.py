@@ -399,7 +399,9 @@ def _field(cert: dict, key: str):
 
 def _verify_certificate(args, inputs, start) -> int:
     data = json.loads(_read_file(args.certificate, inputs))
-    cert = data.get("result", data) if isinstance(data, dict) else data  # report or bare result
+    cert = data
+    if isinstance(data, dict) and "certificate" not in data:
+        cert = data.get("result", data)  # a full report wraps the certificate
     if not isinstance(cert, dict):
         raise InputFormatError("certificate must be a JSON object")
     kind = cert.get("certificate")

@@ -92,25 +92,26 @@ class _NodeCounter:
         self.used = 0
         self.limit = limit
 
-    def spend(self):
-        if self.limit is not None and self.used >= self.limit:
-            raise _BudgetExhausted
-        self.used += 1
-
 
 def _search(
     spec: SftSpec, w: int, h: int, wrap: bool, counter: _NodeCounter, rng=None
 ) -> list[list[int]] | None:
-    """Backtracking fill of a w x h grid with forward checking.
+    """Backtracking fill of a w x h grid with bitmask forward checking.
 
     With ``wrap`` the grid is a torus and every translate of the shape is
     constrained (cells taken mod w and h); otherwise every translate lying
-    fully inside the window is. A translate stays viable while some allowed
-    pattern agrees with every assigned cell it covers. Deterministic: cells
-    in row-major order, values and patterns in sorted order, first solution
-    returned as rows. With ``rng`` the cell, value and pattern orders are
-    shuffled and the rows come back in shuffled cell coordinates, so only
-    whether the result ``is None`` is meaningful.
+    fully inside the window is. Each translate keeps the allowed patterns
+    that agree with every assigned cell it covers as one integer mask (bit
+    i stands for the i-th allowed pattern in sorted order). Assigning a
+    value to a cell ANDs the mask of each translate covering it with the
+    precomputed mask of patterns carrying that value at that position; a
+    zero mask rejects the value. A node is one value tried at one cell and
+    is charged to ``counter`` before the masks are touched. Deterministic:
+    cells in row-major order, values in sorted order, first solution
+    returned as rows. With ``rng`` the cell and value orders are shuffled
+    and the rows come back in shuffled cell coordinates, so only whether
+    the result ``is None`` is meaningful. Patterns are not shuffled: their
+    order only permutes mask bits and cannot change the tree.
     """
     num_cells = w * h
     if wrap:
@@ -136,41 +137,46 @@ def _search(
         # genuinely different tree, then solve the same constraints
         translates = [[position[c] for c in cells] for cells in translates]
         rng.shuffle(values)
-        rng.shuffle(allowed)
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(num_cells)]
-    for t, cells in enumerate(translates):
-        for pos, cell in enumerate(cells):
-            touching[cell].append((t, pos))
-    remaining: list[list[tuple[int, ...]]] = [list(allowed) for _ in translates]
     if translates and not allowed:
         return None
-    assignment: list[int | None] = [None] * num_cells
+    # support[pos][vi]: mask of the allowed patterns with values[vi] at pos
+    index = {v: vi for vi, v in enumerate(values)}
+    support = [[0] * len(values) for _ in spec.shape.cells]
+    for i, pattern in enumerate(allowed):
+        for masks, v in zip(support, pattern):
+            masks[index[v]] |= 1 << i
+    touching: list[list[tuple[int, list[int]]]] = [[] for _ in range(num_cells)]
+    for t, cells in enumerate(translates):
+        for masks, cell in zip(support, cells):
+            touching[cell].append((t, masks))
+    value_indices = range(len(values))
+    assignment = [0] * num_cells
+    limit = counter.limit
 
-    def fill(idx: int) -> bool:
+    def fill(idx: int, remaining: list[int]) -> bool:
         if idx == num_cells:
             return True
-        for v in values:
-            counter.spend()
-            assignment[idx] = v
-            changed = []
-            ok = True
-            for t, pos in touching[idx]:
-                kept = [p for p in remaining[t] if p[pos] == v]
-                changed.append((t, remaining[t]))
-                remaining[t] = kept
-                if not kept:
-                    ok = False
+        covering = touching[idx]
+        for vi in value_indices:
+            if limit is not None and counter.used >= limit:
+                raise _BudgetExhausted
+            counter.used += 1
+            # the child gets its own copy, so backtracking needs no undo
+            kept = remaining[:]
+            for t, masks in covering:
+                mask = kept[t] & masks[vi]
+                if not mask:
                     break
-            if ok and fill(idx + 1):
-                return True
-            for t, old in reversed(changed):
-                remaining[t] = old
-            assignment[idx] = None
+                kept[t] = mask
+            else:
+                if fill(idx + 1, kept):
+                    assignment[idx] = values[vi]
+                    return True
         return False
 
-    if not fill(0):
+    if not fill(0, [(1 << len(allowed)) - 1] * len(translates)):
         return None
-    return [assignment[j * w : (j + 1) * w] for j in range(h)]  # type: ignore[return-value]
+    return [assignment[j * w : (j + 1) * w] for j in range(h)]
 
 
 def window_fillable(

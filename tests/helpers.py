@@ -411,6 +411,79 @@ def brute_force_torus_filling(spec, k, l):
     return [[fill[(x, y)] for x in range(k)] for y in range(l)]
 
 
+def forward_checking_search(spec, w, h, wrap, rng=None, limit=None):
+    """Reference for the SFT search kernel: the same backtracking over the
+    cells of a w x h grid, with each translate's viable patterns kept as an
+    explicit list that every assignment filters.
+
+    Cells are taken row by row and values in sorted order; with ``rng`` the
+    cell order is shuffled first, then the values. Every value tried at a
+    cell is one node. Returns ``(rows, nodes)``: rows list the values in
+    search order (row-major when unshuffled), None when no filling exists,
+    and the string "exhausted" when a further node would pass ``limit``."""
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    order = list(range(len(cells)))
+    values = sorted(spec.alphabet)
+    if rng is not None:
+        rng.shuffle(order)
+        rng.shuffle(values)
+    if wrap:
+        translates = [
+            [((x + cx) % w, (y + cy) % h) for (cx, cy) in spec.shape.cells] for (x, y) in cells
+        ]
+    else:
+        inside = set(cells)
+        translates = []
+        for ty in range(-h, h + 1):
+            for tx in range(-w, w + 1):
+                t = [(tx + cx, ty + cy) for (cx, cy) in spec.shape.cells]
+                if all(c in inside for c in t):
+                    translates.append(t)
+    allowed = [tuple(p.values) for p in spec.allowed]
+    if translates and not allowed:
+        return None, 0  # refuted before any node is spent
+    touching = {c: [] for c in cells}
+    for t, tcells in enumerate(translates):
+        for pos, c in enumerate(tcells):
+            touching[c].append((t, pos))
+    viable = [list(allowed) for _ in translates]
+    chosen = []
+    nodes = 0
+
+    def step(k):
+        nonlocal nodes
+        if k == len(order):
+            return True
+        for v in values:
+            if limit is not None and nodes >= limit:
+                return None
+            nodes += 1
+            saved = []
+            ok = True
+            for t, pos in touching[cells[order[k]]]:
+                saved.append((t, viable[t]))
+                viable[t] = [p for p in viable[t] if p[pos] == v]
+                if not viable[t]:
+                    ok = False
+                    break
+            if ok:
+                chosen.append(v)
+                found = step(k + 1)
+                if found is not False:
+                    return found
+                chosen.pop()
+            for t, old in reversed(saved):
+                viable[t] = old
+        return False
+
+    found = step(0)
+    if found is None:
+        return "exhausted", nodes
+    if not found:
+        return None, nodes
+    return [chosen[j * w : (j + 1) * w] for j in range(h)], nodes
+
+
 # -- discrete convexity oracle ----------------------------------------------
 
 

@@ -49,9 +49,15 @@ def test_annihilate_and_verify_roundtrip(capsys, checker_grid, tmp_path):
     code = run(["annihilate", checker_grid, "--shape", "rect:2x1", "--torus", "--out", str(cert)])
     assert code == 0
     capsys.readouterr()
-    code, report = run_json(capsys, ["verify", str(cert), checker_grid, "--torus"])
-    assert code == 0
-    assert report["result"]["passed"] is True
+    # the full report, and its certificate object saved on its own (which
+    # has a "result" key of its own)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(cert.read_text())["result"]))
+    for path in (cert, bare):
+        for grid_args in ([checker_grid, "--torus"], []):
+            code, report = run_json(capsys, ["verify", str(path), *grid_args])
+            assert code == 0
+            assert report["result"]["passed"] is True
 
 
 def test_decide_sft_exit_codes(capsys, tmp_path):

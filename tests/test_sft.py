@@ -22,9 +22,14 @@ from gridalgebra import (
     window_fillable,
 )
 from gridalgebra.errors import WindowSmallerThanShape
-from gridalgebra.sft import EMPTY, NONEMPTY, UNKNOWN
+from gridalgebra.sft import EMPTY, NONEMPTY, UNKNOWN, _BudgetExhausted, _NodeCounter, _search
 
-from helpers import brute_force_torus_filling, brute_force_window_filling, discrete_convex_oracle
+from helpers import (
+    brute_force_torus_filling,
+    brute_force_window_filling,
+    discrete_convex_oracle,
+    forward_checking_search,
+)
 
 DOMINO = Shape([(0, 0), (1, 0)])
 FULL_DOMINO = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, v) for v in [(0, 0), (0, 1), (1, 0), (1, 1)]})
@@ -36,6 +41,12 @@ def domino_cotiler_spec():
     from gridalgebra import ClusterTile, cotiler_sft
 
     return cotiler_sft(ClusterTile(DOMINO))
+
+
+def plus_cotiler_spec():
+    from gridalgebra import ClusterTile, cotiler_sft
+
+    return cotiler_sft(ClusterTile(Shape.plus()))
 
 
 def test_window_full_spec_always_fillable():
@@ -98,13 +109,14 @@ def test_decide_domino_cotiler_nonempty():
     assert verify_witness(spec, decision.witness)
     # the first witness under the schedule is the 2x1 stripe
     assert decision.witness == TorusConfig([[0, 1]])
+    assert decision.budget_spent.nodes == 25
 
 
 def test_decide_plus_pentomino_cotiler():
-    from gridalgebra import ClusterTile, cotiler_sft, exact_cover_on_torus, period_lattice_index
+    from gridalgebra import ClusterTile, exact_cover_on_torus, period_lattice_index
 
     tile = ClusterTile(Shape.plus())
-    spec = cotiler_sft(tile)
+    spec = plus_cotiler_spec()
     decision = decide(spec, Budget(max_window=4, max_torus=6))
     assert decision.kind == NONEMPTY
     witness = decision.witness
@@ -112,6 +124,11 @@ def test_decide_plus_pentomino_cotiler():
     assert verify_witness(spec, witness)
     assert exact_cover_on_torus(tile, witness)
     assert period_lattice_index(witness) == 5
+    spent = decision.budget_spent
+    assert spent.nodes == 2450
+    assert spent.windows_tried == (3, 4)
+    assert len(spent.tori_tried) == 32
+    assert spent.tori_tried[-1] == (5, 5)
 
 
 def test_decide_unknown_when_budget_exhausted():
@@ -235,3 +252,70 @@ def test_search_matches_brute_force(spec, data):
     expected = brute_force_torus_filling(spec, k, l)
     torus = find_periodic_point(spec, k, l)
     assert torus == (None if expected is None else TorusConfig(expected))
+
+
+# -- node counts: a node is one value tried at one cell -----------------------
+
+
+def test_plus_cotiler_window_12_spends_pinned_nodes():
+    counter = _NodeCounter(None)
+    assert window_fillable(plus_cotiler_spec(), 12, _counter=counter) is not None
+    assert counter.used == 44_224
+
+
+PLUS_WITNESS = [
+    [0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0],
+    [1, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0],
+    [0, 1, 0, 0, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "make_spec, budget, nodes, witness",
+    [
+        (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 25, [[0, 1]]),
+        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 2450, PLUS_WITNESS),
+    ],
+    ids=["domino", "plus"],
+)
+def test_node_budget_boundary_is_exact(make_spec, budget, nodes, witness):
+    spec = make_spec()
+    short = decide(spec, Budget(budget.max_window, budget.max_torus, max_nodes=nodes - 1))
+    assert short.kind == UNKNOWN
+    assert short.budget_spent.nodes == nodes - 1
+    enough = decide(spec, Budget(budget.max_window, budget.max_torus, max_nodes=nodes))
+    assert enough.kind == NONEMPTY
+    assert enough.budget_spent.nodes == nodes
+    assert enough.witness == TorusConfig(witness)
+
+
+def _kernel(spec, w, h, wrap, seed=None, limit=None):
+    counter = _NodeCounter(limit)
+    rng = None if seed is None else random.Random(seed)
+    try:
+        rows = _search(spec, w, h, wrap, counter, rng)
+    except _BudgetExhausted:
+        rows = "exhausted"
+    return rows, counter.used
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=small_specs(), data=st.data())
+def test_search_matches_forward_checking_reference(spec, data):
+    """Same first filling and the same node count as the list-based
+    forward-checking reference, for windows, tori (narrower than the shape
+    included) and seeded shuffled orders, and the same exhaustion node."""
+    limit = data.draw(st.sampled_from([None, 20_000, 1, 7, 40]), label="limit")
+    for n in range(spec.shape.extent, 5):
+        expected = forward_checking_search(spec, n, n, False, limit=limit)
+        assert _kernel(spec, n, n, False, limit=limit) == expected
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        expected = forward_checking_search(spec, n, n, False, random.Random(seed), limit)
+        assert _kernel(spec, n, n, False, seed, limit) == expected
+    k = data.draw(st.integers(1, 4), label="k")
+    l = data.draw(st.integers(1, 4), label="l")
+    assert _kernel(spec, k, l, True, limit=limit) == forward_checking_search(
+        spec, k, l, True, limit=limit
+    )
