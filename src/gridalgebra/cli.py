@@ -397,6 +397,14 @@ def _field(cert: dict, key: str):
         raise InputFormatError(f"certificate lacks {key!r}") from None
 
 
+def _reconfirm_window(spec, cert: dict, seed: int) -> bool:
+    """Re-confirm an EMPTY claim at the certificate's window."""
+    window = _field(cert, "window")
+    if type(window) is not int:
+        raise InputFormatError(f"certificate window {window!r} is not an integer")
+    return reconfirm_empty(spec, window, seed=seed)
+
+
 def _verify_certificate(args, inputs, start) -> int:
     data = json.loads(_read_file(args.certificate, inputs))
     cert = data
@@ -425,24 +433,23 @@ def _verify_certificate(args, inputs, start) -> int:
                 spec, source_from_json(_field(cert, "witness"))
             )
         elif decision == EMPTY:
-            window = _field(cert, "window")
-            if type(window) is not int:
-                raise InputFormatError(f"certificate window {window!r} is not an integer")
-            checks["window_unfillable"] = reconfirm_empty(spec, window, seed=args.seed)
+            checks["window_unfillable"] = _reconfirm_window(spec, cert, args.seed)
         else:
             checks["unknown_makes_no_claim"] = True
     elif kind == "cotiler":
         tile = ClusterTile(shape_from_json(_field(cert, "tile")))
-        if "config" in cert and cert.get("config"):
-            witness = source_from_json(cert["config"])
-        elif cert.get("witness"):
-            witness = source_from_json(cert["witness"])
-        else:
-            checks["no_witness_to_check"] = cert.get("decision") != NONEMPTY
-            witness = None
-        if witness is not None:
+        decision = cert.get("decision")
+        witness = cert.get("config") or cert.get("witness")
+        if witness:
+            witness = source_from_json(witness)
             checks["exact_cover"] = exact_cover_on_torus(tile, witness)
             checks["sft_patterns_allowed"] = verify_witness(cotiler_sft(tile), witness)
+        elif decision == NONEMPTY:
+            checks["witness_present"] = False
+        if decision == EMPTY:
+            checks["window_unfillable"] = _reconfirm_window(cotiler_sft(tile), cert, args.seed)
+        elif not checks:
+            checks["unknown_makes_no_claim"] = True
     elif kind == "antenna":
         shape = shape_from_json(_field(cert, "shape"))
         try:

@@ -22,15 +22,19 @@ from .errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
 
 
 class Shape:
-    """Finite non-empty set of cells, stored in canonical (u2, u1) order."""
+    """Finite non-empty set of cells, stored in canonical (u2, u1) order
+    with their bounding box."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "_box")
 
     def __init__(self, cells):
         uniq = sorted({(int(c[0]), int(c[1])) for c in cells}, key=lambda c: (c[1], c[0]))
         if not uniq:
             raise ValueError("a shape needs at least one cell")
+        xs = [c[0] for c in uniq]
+        box = (min(xs), uniq[0][1], max(xs), uniq[-1][1])  # uniq is sorted by y first
         object.__setattr__(self, "cells", tuple(uniq))
+        object.__setattr__(self, "_box", box)
 
     def __setattr__(self, name, value):
         raise AttributeError("Shape is immutable")
@@ -65,13 +69,11 @@ class Shape:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) of the cell set."""
-        xs = [c[0] for c in self.cells]
-        ys = [c[1] for c in self.cells]
-        return min(xs), min(ys), max(xs), max(ys)
+        return self._box
 
     @property
     def extent(self) -> int:
-        x0, y0, x1, y1 = self.bounding_box()
+        x0, y0, x1, y1 = self._box
         return max(x1 - x0 + 1, y1 - y0 + 1)
 
     def translate(self, t: ExponentVector) -> "Shape":

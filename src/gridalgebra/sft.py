@@ -93,110 +93,185 @@ class _NodeCounter:
         self.limit = limit
 
 
+class _CompiledSpec:
+    """What every window and torus search of one spec shares.
+
+    ``clear[pos][vi]`` is the mask of the allowed patterns (bit i for the
+    i-th in sorted order) that do *not* carry ``values[vi]`` at shape cell
+    ``pos``. A translate's field in the search state is ``count + 1`` bits
+    wide: ``count`` pattern bits and a guard bit above them.
+    """
+
+    __slots__ = ("values", "count", "clear", "cells", "box")
+
+    def __init__(self, spec: SftSpec):
+        self.values = sorted(spec.alphabet)
+        allowed = sorted(p.values for p in spec.allowed)
+        self.count = len(allowed)
+        index = {v: vi for vi, v in enumerate(self.values)}
+        full = (1 << self.count) - 1
+        self.clear = [[full] * len(self.values) for _ in spec.shape.cells]
+        for i, pattern in enumerate(allowed):
+            for masks, v in zip(self.clear, pattern):
+                masks[index[v]] ^= 1 << i
+        self.cells = spec.shape.cells
+        self.box = spec.shape.bounding_box()
+
+    def window(self, w: int, h: int) -> tuple[list[list[int]], int]:
+        """Keep masks ``keeps[vi][cell]`` and the guard of a w x h window.
+
+        The translate whose bounding box starts at cell index a owns field
+        a + base, base = (y1 - y0) * w + (x1 - x0), so every cell's masks
+        are one per-value stencil shifted by the cell index. Fields of
+        translates leaving the window alias only each other and stay out of
+        the guard. Each stencil is stored as a run of ones with its clear
+        masks placed N = w * h fields up, so the keep mask of cell c is one
+        right shift by N - c fields. Needs w and h at least the extent.
+        """
+        f = self.count + 1
+        x0, y0, x1, y1 = self.box
+        base = (y1 - y0) * w + (x1 - x0)
+        top = w * h * f
+        stencils = [(1 << (top + (w * h + base) * f)) - 1] * len(self.values)
+        for (cx, cy), masks in zip(self.cells, self.clear):
+            shift = top + (base - (cy - y0) * w - (cx - x0)) * f
+            for vi, mask in enumerate(masks):
+                stencils[vi] &= ~(mask << shift)
+        keeps = [[s >> shift for shift in range(top, 0, -f)] for s in stencils]
+        guard = _repunit(w - x1 + x0, f) * _repunit(h - y1 + y0, w * f)
+        return keeps, guard << (base * f + self.count)
+
+    def torus(self, w: int, h: int) -> tuple[list[list[int]], int]:
+        """Keep masks ``keeps[vi][cell]`` and the guard of a w x h torus.
+
+        Translate t = (tx, ty) owns field ty * w + tx. The keep masks of
+        row 0 are built translate by translate and stored twice, one copy
+        a whole torus above the other, so row y is a single right shift.
+        """
+        f = self.count + 1
+        size = w * h * f
+        every = (1 << size) - 1
+        row0 = []
+        for x in range(w):
+            cell = [every] * len(self.values)
+            for (cx, cy), masks in zip(self.cells, self.clear):
+                shift = ((-cy % h) * w + (x - cx) % w) * f
+                for vi, mask in enumerate(masks):
+                    cell[vi] &= ~(mask << shift)
+            row0.append([k | (k << size) for k in cell])
+        shifts = range(size, 0, -w * f)
+        keeps = [[ks[vi] >> s for s in shifts for ks in row0] for vi in range(len(self.values))]
+        return keeps, _repunit(w * h, f) << self.count
+
+
+def _repunit(count: int, step: int) -> int:
+    """The sum of 1 << (i * step) over 0 <= i < count."""
+    return ((1 << (count * step)) - 1) // ((1 << step) - 1)
+
+
 def _search(
-    spec: SftSpec, w: int, h: int, wrap: bool, counter: _NodeCounter, rng=None
+    compiled: _CompiledSpec, w: int, h: int, wrap: bool, counter: _NodeCounter, rng=None
 ) -> list[list[int]] | None:
-    """Backtracking fill of a w x h grid with bitmask forward checking.
+    """Backtracking fill of a w x h grid, forward checking on one integer.
 
     With ``wrap`` the grid is a torus and every translate of the shape is
     constrained (cells taken mod w and h); otherwise every translate lying
-    fully inside the window is. Each translate keeps the allowed patterns
-    that agree with every assigned cell it covers as one integer mask (bit
-    i stands for the i-th allowed pattern in sorted order). Assigning a
-    value to a cell ANDs the mask of each translate covering it with the
-    precomputed mask of patterns carrying that value at that position; a
-    zero mask rejects the value. A node is one value tried at one cell and
-    is charged to ``counter`` before the masks are touched. Deterministic:
-    cells in row-major order, values in sorted order, first solution
-    returned as rows. With ``rng`` the cell and value orders are shuffled
-    and the rows come back in shuffled cell coordinates, so only whether
-    the result ``is None`` is meaningful. Patterns are not shuffled: their
-    order only permutes mask bits and cannot change the tree.
+    fully inside the window is. The whole state at one depth is one int:
+    each translate owns a field of B + 1 bits (B allowed patterns) whose
+    low B bits are the patterns that agree with every assigned cell it
+    covers, and whose top (guard) bit is 0. Assigning a value to a cell is
+    ``state & keep``, with ``keep`` precomputed per (cell, value). The value
+    is rejected iff some constrained field is now zero: adding ``ones``
+    (2^B - 1 in each such field) carries into a field's guard bit iff the
+    field is nonzero, and never into the next field. The tree is walked
+    with an explicit stack, so depth is bounded by memory, not by the
+    recursion limit. A node is one value tried at one cell and is charged
+    to ``counter`` before the state is touched. Deterministic: cells in
+    row-major order, values in sorted order, first solution returned as
+    rows. With ``rng`` the cell and value orders are shuffled and the rows
+    come back in shuffled cell coordinates, so only whether the result
+    ``is None`` is meaningful. Patterns are not shuffled: their order only
+    permutes mask bits and cannot change the tree.
     """
-    num_cells = w * h
-    if wrap:
-        translates = [
-            [((ty + cy) % h) * w + ((tx + cx) % w) for (cx, cy) in spec.shape.cells]
-            for ty in range(h)
-            for tx in range(w)
-        ]
-    else:
-        x0, y0, x1, y1 = spec.shape.bounding_box()
-        translates = [
-            [(ty + cy) * w + (tx + cx) for (cx, cy) in spec.shape.cells]
-            for ty in range(-y0, h - y1)
-            for tx in range(-x0, w - x1)
-        ]
-    values = sorted(spec.alphabet)
-    allowed = sorted(p.values for p in spec.allowed)
+    keeps, guard = compiled.torus(w, h) if wrap else compiled.window(w, h)
+    if not compiled.count:
+        return None  # every translate is refuted before any node
+    values = compiled.values
     if rng is not None:
-        order = list(range(num_cells))
+        order = list(range(w * h))
         rng.shuffle(order)
-        position = {cell: slot for slot, cell in enumerate(order)}
-        # remap cells through the shuffled order so the search explores a
-        # genuinely different tree, then solve the same constraints
-        translates = [[position[c] for c in cells] for cells in translates]
-        rng.shuffle(values)
-    if translates and not allowed:
-        return None
-    # support[pos][vi]: mask of the allowed patterns with values[vi] at pos
-    index = {v: vi for vi, v in enumerate(values)}
-    support = [[0] * len(values) for _ in spec.shape.cells]
-    for i, pattern in enumerate(allowed):
-        for masks, v in zip(support, pattern):
-            masks[index[v]] |= 1 << i
-    touching: list[list[tuple[int, list[int]]]] = [[] for _ in range(num_cells)]
-    for t, cells in enumerate(translates):
-        for masks, cell in zip(support, cells):
-            touching[cell].append((t, masks))
-    value_indices = range(len(values))
-    assignment = [0] * num_cells
-    limit = counter.limit
-
-    def fill(idx: int, remaining: list[int]) -> bool:
-        if idx == num_cells:
-            return True
-        covering = touching[idx]
-        for vi in value_indices:
-            if limit is not None and counter.used >= limit:
-                raise _BudgetExhausted
-            counter.used += 1
-            # the child gets its own copy, so backtracking needs no undo
-            kept = remaining[:]
-            for t, masks in covering:
-                mask = kept[t] & masks[vi]
-                if not mask:
-                    break
-                kept[t] = mask
+        value_order = list(range(len(values)))
+        rng.shuffle(value_order)
+        values = [values[vi] for vi in value_order]
+        keeps = [[keeps[vi][c] for c in order] for vi in value_order]
+    ones = (guard >> compiled.count) * ((1 << compiled.count) - 1)
+    last = w * h - 1
+    nvalues = len(values)
+    stop = counter.limit
+    if stop is None:
+        stop = float("inf")
+    used = counter.used
+    # the explicit stack: the state each depth was entered with, and how
+    # many of its values have been tried
+    states = [0] * (last + 1)
+    tried = [0] * (last + 1)
+    depth = vi = 0
+    state = ones
+    try:
+        while True:
+            if vi < nvalues:
+                if used >= stop:
+                    raise _BudgetExhausted
+                used += 1
+                kept = state & keeps[vi][depth]
+                vi += 1
+                if (kept + ones) & guard == guard:
+                    tried[depth] = vi
+                    if depth == last:
+                        break
+                    states[depth] = state
+                    depth += 1
+                    state = kept
+                    vi = 0
+            elif depth:
+                depth -= 1
+                state = states[depth]
+                vi = tried[depth]
             else:
-                if fill(idx + 1, kept):
-                    assignment[idx] = values[vi]
-                    return True
-        return False
-
-    if not fill(0, [(1 << len(allowed)) - 1] * len(translates)):
-        return None
+                return None
+    finally:
+        counter.used = used
+    assignment = [values[vi - 1] for vi in tried]
     return [assignment[j * w : (j + 1) * w] for j in range(h)]
 
 
 def window_fillable(
-    spec: SftSpec, n: int, _counter: _NodeCounter | None = None
+    spec: SftSpec,
+    n: int,
+    _counter: _NodeCounter | None = None,
+    _compiled: _CompiledSpec | None = None,
 ) -> list[list[int]] | None:
     """Fill an n x n window so every fully contained translate of the
     shape carries an allowed pattern; None certifies no filling exists."""
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
-    return _search(spec, n, n, False, _counter or _NodeCounter(None))
+    compiled = _compiled or _CompiledSpec(spec)
+    return _search(compiled, n, n, False, _counter or _NodeCounter(None))
 
 
 def find_periodic_point(
-    spec: SftSpec, k: int, l: int, _counter: _NodeCounter | None = None
+    spec: SftSpec,
+    k: int,
+    l: int,
+    _counter: _NodeCounter | None = None,
+    _compiled: _CompiledSpec | None = None,
 ) -> TorusConfig | None:
     """Exhaustive search for a k x l torus all of whose wraparound
     shape-patterns are allowed."""
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
-    rows = _search(spec, k, l, True, _counter or _NodeCounter(None))
+    compiled = _compiled or _CompiledSpec(spec)
+    rows = _search(compiled, k, l, True, _counter or _NodeCounter(None))
     return None if rows is None else TorusConfig(rows)
 
 
@@ -206,7 +281,9 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     Alternates one window size and one torus diagonal (k + l constant)
     per round and returns the first certificate under that fixed schedule,
     so the outcome is deterministic. Unknown reports the spent budget.
+    The spec is compiled once and shared by every window and torus.
     """
+    compiled = _CompiledSpec(spec)
     counter = _NodeCounter(budget.max_nodes)
     windows_tried: list[int] = []
     tori_tried: list[tuple[int, int]] = []
@@ -216,7 +293,7 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
         while n <= budget.max_window or s <= 2 * budget.max_torus:
             if n <= budget.max_window:
                 windows_tried.append(n)
-                if window_fillable(spec, n, _counter=counter) is None:
+                if window_fillable(spec, n, counter, compiled) is None:
                     return Decision(
                         kind=EMPTY,
                         window=n,
@@ -227,7 +304,7 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
                 for k in range(max(1, s - budget.max_torus), min(s - 1, budget.max_torus) + 1):
                     l = s - k
                     tori_tried.append((k, l))
-                    witness = find_periodic_point(spec, k, l, _counter=counter)
+                    witness = find_periodic_point(spec, k, l, counter, compiled)
                     if witness is not None:
                         return Decision(
                             kind=NONEMPTY,
@@ -261,7 +338,8 @@ def reconfirm_empty(spec: SftSpec, n: int, seed: int = 0) -> bool:
 
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
-    return _search(spec, n, n, False, _NodeCounter(None), random.Random(seed)) is None
+    compiled = _CompiledSpec(spec)
+    return _search(compiled, n, n, False, _NodeCounter(None), random.Random(seed)) is None
 
 
 def is_discrete_convex(shape: Shape) -> bool:

@@ -153,6 +153,58 @@ def test_cotiler_subcommands(capsys, lee_grid, tmp_path):
     assert report["result"]["exact_cover_verified"] is True
 
 
+U_PENTOMINO = [[0, 0], [1, 0], [2, 0], [0, 1], [2, 1]]
+
+
+def test_cotiler_emptiness_certificate_verifies(capsys, tmp_path):
+    # the U-pentomino tiles the plane only with rotations, never by translates
+    tile = tmp_path / "u.json"
+    tile.write_text(json.dumps(U_PENTOMINO))
+    cert = tmp_path / "u_cert.json"
+    argv = ["cotiler", "find", "--tile", str(tile), "--max-window", "8", "--max-torus", "6"]
+    assert run(argv + ["--out", str(cert)]) == 1
+    result = json.loads(cert.read_text())["result"]
+    assert (result["decision"], result["window"]) == ("empty", 6)
+    assert result["budget_spent"]["nodes"] == 1_084
+    capsys.readouterr()
+    code, report = run_json(capsys, ["verify", str(cert)])
+    assert code == 0
+    assert report["result"]["checks"] == {"window_unfillable": True}
+
+
+@pytest.mark.parametrize(
+    "claim, exit_code",
+    [
+        ({"decision": "empty", "window": 3}, 1),  # the domino tiles the plane
+        ({"decision": "nonempty"}, 1),  # no witness to back the claim
+        ({"decision": "unknown"}, 0),  # no claim
+    ],
+    ids=["forged-empty", "nonempty-without-witness", "unknown"],
+)
+def test_verify_checks_cotiler_claims(capsys, tmp_path, claim, exit_code):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"certificate": "cotiler", "tile": [[0, 0], [1, 0]], **claim}))
+    code, report = run_json(capsys, ["verify", str(cert)])
+    assert code == exit_code
+    assert report["result"]["passed"] is (exit_code == 0)
+
+
+def test_decide_sft_beyond_recursion_depth(capsys, tmp_path):
+    # windows 2..40 are all fillable; the 40 x 40 one is 1,600 cells deep
+    spec = tmp_path / "checker.json"
+    spec.write_text(
+        json.dumps({"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]})
+    )
+    code = run(["decide-sft", str(spec), "--max-window", "40", "--max-torus", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["result"]["decision"] == "unknown"
+    assert report["budget_spent"]["nodes"] == 33_009
+    assert report["budget_spent"]["windows_tried"] == list(range(2, 41))
+
+
 def test_output_determinism(capsys, checker_grid):
     runs = []
     for _ in range(2):
@@ -201,6 +253,7 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["verify", "{tmp}/list.json"], 65, "input-format"),
         (["verify", "{tmp}/window_text.json"], 65, "input-format"),
         (["verify", "{tmp}/antenna_bad_a.json"], 65, "input-format"),
+        (["verify", "{tmp}/cotiler_window_text.json"], 65, "input-format"),
     ],
     ids=[
         "zero-denominator",
@@ -216,6 +269,7 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "cert-top-level-list",
         "cert-window-not-int",
         "cert-antenna-bad-a",
+        "cert-cotiler-window-not-int",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -235,6 +289,9 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
         },
         "antenna_bad_a": {
             "certificate": "antenna", "shape": [[0, 0]], "a": "x", "b": 0, "config": None
+        },
+        "cotiler_window_text": {
+            "certificate": "cotiler", "tile": [[0, 0]], "decision": "empty", "window": "3"
         },
     }
     for name, cert in certificates.items():

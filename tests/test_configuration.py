@@ -51,6 +51,18 @@ def test_shape_canonical_order():
     assert s.cells == ((0, 0), (1, 0), (0, 1))  # sorted by (u2, u1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8))
+def test_shape_bounding_box_stored_at_construction(cells):
+    shape = Shape(cells)
+    xs, ys = [c[0] for c in cells], [c[1] for c in cells]
+    assert shape.bounding_box() == (min(xs), min(ys), max(xs), max(ys))
+    assert shape.extent == max(max(xs) - min(xs), max(ys) - min(ys)) + 1
+    assert shape.negate().bounding_box() == (-max(xs), -max(ys), -min(xs), -min(ys))
+    with pytest.raises(AttributeError):
+        shape._box = (0, 0, 0, 0)
+
+
 def test_extract_checkerboard_two_phases():
     pats = extract_patterns(CHECKER, Shape.rectangle(2, 2))
     assert len(pats) == 2

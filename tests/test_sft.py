@@ -22,7 +22,15 @@ from gridalgebra import (
     window_fillable,
 )
 from gridalgebra.errors import WindowSmallerThanShape
-from gridalgebra.sft import EMPTY, NONEMPTY, UNKNOWN, _BudgetExhausted, _NodeCounter, _search
+from gridalgebra.sft import (
+    EMPTY,
+    NONEMPTY,
+    UNKNOWN,
+    _BudgetExhausted,
+    _CompiledSpec,
+    _NodeCounter,
+    _search,
+)
 
 from helpers import (
     brute_force_torus_filling,
@@ -225,9 +233,10 @@ MAX_FILLINGS = 2**12
 
 
 @st.composite
-def small_specs(draw):
-    """Random spec on a shape inside the 2x2 box over 1-3 symbols."""
-    box = [(0, 0), (1, 0), (0, 1), (1, 1)]
+def small_specs(draw, coords=range(2)):
+    """Random spec on a shape of at most 4 cells inside the box coords x
+    coords over 1-3 symbols."""
+    box = [(x, y) for y in coords for x in coords]
     shape = Shape(draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True)))
     alphabet = sorted(draw(st.sets(st.integers(-1, 2), min_size=1, max_size=3)))
     patterns = [Pattern(shape, v) for v in itertools.product(alphabet, repeat=len(shape))]
@@ -263,6 +272,14 @@ def test_plus_cotiler_window_12_spends_pinned_nodes():
     assert counter.used == 44_224
 
 
+def test_checkerboard_window_40_has_no_depth_limit():
+    # 1,600 cells deep, past the interpreter's default recursion limit
+    counter = _NodeCounter(None)
+    filling = window_fillable(CHECKER_SPEC, 40, _counter=counter)
+    assert counter.used == 2_400
+    assert all(row[i] != row[i + 1] for row in filling for i in range(39))
+
+
 PLUS_WITNESS = [
     [0, 0, 0, 0, 1],
     [0, 0, 1, 0, 0],
@@ -295,18 +312,22 @@ def _kernel(spec, w, h, wrap, seed=None, limit=None):
     counter = _NodeCounter(limit)
     rng = None if seed is None else random.Random(seed)
     try:
-        rows = _search(spec, w, h, wrap, counter, rng)
+        rows = _search(_CompiledSpec(spec), w, h, wrap, counter, rng)
     except _BudgetExhausted:
         rows = "exhausted"
     return rows, counter.used
 
 
+# Shapes up to 3 wide and off the origin on either side. The reference
+# looks for translates only within the window side of the origin, so the
+# box stays within one cell of it.
 @settings(max_examples=150, deadline=None)
-@given(spec=small_specs(), data=st.data())
+@given(spec=small_specs(coords=range(-1, 2)), data=st.data())
 def test_search_matches_forward_checking_reference(spec, data):
     """Same first filling and the same node count as the list-based
-    forward-checking reference, for windows, tori (narrower than the shape
-    included) and seeded shuffled orders, and the same exhaustion node."""
+    forward-checking reference, for windows (as wide as the shape
+    included), tori (narrower than the shape included) and seeded shuffled
+    orders, and the same exhaustion node."""
     limit = data.draw(st.sampled_from([None, 20_000, 1, 7, 40]), label="limit")
     for n in range(spec.shape.extent, 5):
         expected = forward_checking_search(spec, n, n, False, limit=limit)
