@@ -109,12 +109,6 @@ class Domain:
             return value % self.p
         raise TypeError(f"cannot coerce {value!r} into F{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
     def format_coeff(self, a) -> str:
         if self.kind == "Q" and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"
@@ -629,11 +623,10 @@ def _gcd_primitive_prs(a: list[int], b: list[int]) -> list[int]:
 
 
 def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p by Euclid's algorithm."""
+    """A gcd over F_p by Euclid's algorithm, not normalized."""
     while b:
         a, b = b, _dense_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+    return a
 
 
 def _dense_mul_sub(a: list, b: list, c: list, d: list, p: int | None) -> list:
@@ -735,11 +728,13 @@ def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
         if len(content) == 1:
             return LaurentPoly.one(dom)
 
-    if p is None:
-        if content[-1] < 0:
-            content = [-v for v in content]
-        if dom.kind == "Q":
-            content = [Fraction(v) for v in content]
+    if p is not None:
+        inv = pow(content[-1], -1, p)  # monic, for a single column as well
+        content = [v * inv % p for v in content]
+    elif content[-1] < 0:
+        content = [-v for v in content]
+    if dom.kind == "Q":
+        content = [Fraction(v) for v in content]
     # every column has a nonzero constant term, so the content has one too
     # and is a line polynomial; x^(i,0) maps back to x^(i*u)
     return LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})

@@ -60,13 +60,13 @@ def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:
     sum at every cell equals (b - a) * c + a."""
     if not config.alphabet <= {0, 1}:
         raise InvalidAlphabet("antenna configurations are over {0, 1}")
+    # the range sum, not antenna_polynomial: that is zero when D = {0}, b - a = 1
     range_sum = LaurentPoly(ZZ, {cell: 1 for cell in problem.shape.cells})
     product = apply_poly(range_sum, config)
-    d = problem.b - problem.a
-    for cell in config.fundamental_cells():
-        if product.value_at(cell) != d * config.value_at(cell) + problem.a:
-            return False
-    return True
+    d, a = problem.b - problem.a, problem.a
+    return all(
+        s == d * c + a for prow, row in zip(product.rows, config.rows) for s, c in zip(prow, row)
+    )
 
 
 def cotiler_sft(tile: ClusterTile, alphabet=(0, 1)) -> SftSpec:
@@ -83,16 +83,11 @@ def cotiler_sft(tile: ClusterTile, alphabet=(0, 1)) -> SftSpec:
 
 def exact_cover_on_torus(tile: ClusterTile, config: TorusConfig) -> bool:
     """Every cell covered exactly once by tile translates placed at the
-    1-cells of the torus configuration."""
+    1-cells of the torus configuration: the antenna condition with range
+    the tile and a = b = 1."""
     if not config.alphabet <= {0, 1}:
         raise InvalidAlphabet("co-tiler configurations are over {0, 1}")
-    for u in config.fundamental_cells():
-        covers = sum(
-            1 for d in tile.shape.cells if config.value_at((u[0] - d[0], u[1] - d[1])) == 1
-        )
-        if covers != 1:
-            return False
-    return True
+    return antenna_verify(config, AntennaProblem(tile.shape, 1, 1))
 
 
 def find_periodic_cotiler(tile: ClusterTile, budget: Budget = Budget()) -> TorusConfig | None:

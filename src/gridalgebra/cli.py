@@ -439,11 +439,16 @@ def _verify_certificate(args, inputs, start) -> int:
     elif kind == "cotiler":
         tile = ClusterTile(shape_from_json(_field(cert, "tile")))
         decision = cert.get("decision")
+        claim = cert.get("exact_cover_verified")
         witness = cert.get("config") or cert.get("witness")
         if witness:
             witness = source_from_json(witness)
-            checks["exact_cover"] = exact_cover_on_torus(tile, witness)
-            checks["sft_patterns_allowed"] = verify_witness(cotiler_sft(tile), witness)
+            cover = exact_cover_on_torus(tile, witness)
+            if type(claim) is bool:
+                checks["exact_cover_claim"] = cover == claim
+            if decision == NONEMPTY or type(claim) is not bool:
+                checks["exact_cover"] = cover
+                checks["sft_patterns_allowed"] = verify_witness(cotiler_sft(tile), witness)
         elif decision == NONEMPTY:
             checks["witness_present"] = False
         if decision == EMPTY:

@@ -9,6 +9,11 @@ statements about the corresponding infinite configuration.
 The convolution convention is (f c)_u = sum_v f_v c_{u-v}, matching the
 translation convention tau^t(c)_u = c_{u-t}; pattern-vector inner products
 therefore pair cell d with coefficient f_{-d}.
+
+One product kernel serves ``is_annihilated``, ``apply_poly``, the periodizer
+check, ``antenna_verify`` and ``exact_cover_on_torus`` (the antenna
+condition with a = b = 1); its cells come in fundamental order on a torus
+and row-major over the valid region on a patch, the witness order.
 """
 
 from __future__ import annotations
@@ -292,24 +297,48 @@ def rectangle_complexity_profile(
 # -- polynomial action ----------------------------------------------------
 
 
-def _valid_region(f: LaurentPoly, patch: Patch) -> tuple[int, int, int, int]:
-    """(x0, y0, x1, y1) of the cells u where every c_{u-v}, v in the
-    support of f, lies inside the patch."""
-    xs, ys = zip(*f.terms)
-    ox, oy = patch.origin
-    rx_lo, rx_hi = ox + max(xs), ox + patch.width - 1 + min(xs)
-    ry_lo, ry_hi = oy + max(ys), oy + patch.height - 1 + min(ys)
-    if rx_lo > rx_hi or ry_lo > ry_hi:
-        raise EmptyValidRegion("support of the polynomial exceeds the patch")
-    return rx_lo, ry_lo, rx_hi, ry_hi
+def _product(f: LaurentPoly, source: Source):
+    """The product f c from the raw rows: (region, den, cells).
 
-
-def _convolve_at(f: LaurentPoly, source: Source, u: ExponentVector):
+    ``cells`` yields (x, y, num) with den * (f c) at (x, y) equal to num,
+    in fundamental order on a torus and row-major over the valid region
+    ``region`` on a patch (None on a torus); over F_p num is reduced to
+    [0, p). Raises EmptyValidRegion when the support of f does not fit
+    inside a patch, before any symbol is read.
+    """
     dom = f.domain
-    acc = dom.coerce(0)
-    for v, c in f.terms.items():
-        acc = dom.add(acc, dom.mul(c, dom.coerce(source.value_at((u[0] - v[0], u[1] - v[1])))))
-    return acc
+    terms = f.terms.items()
+    den = 1
+    if dom.kind == "Q":
+        # den * f vanishes exactly where f does, and int sums beat Fraction sums
+        den = math.lcm(*(c.denominator for _, c in terms))
+        terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
+    if isinstance(source, TorusConfig):
+        region = None
+        k, l = source.k, source.l
+        # offsets in (-k, 0] and (-l, 0]: negative indexing does the wrap
+        terms = [(c, -(vx % k), -(vy % l)) for (vx, vy), c in terms]
+        xr, yr = range(k), range(l)
+    else:
+        ox, oy = source.origin
+        xs, ys = zip(*f.terms)
+        x0, x1 = ox + max(xs), ox + source.width - 1 + min(xs)
+        y0, y1 = oy + max(ys), oy + source.height - 1 + min(ys)
+        if x0 > x1 or y0 > y1:
+            raise EmptyValidRegion("support of the polynomial exceeds the patch")
+        region = (x0, y0, x1, y1)
+        terms = [(c, -vx - ox, -vy - oy) for (vx, vy), c in terms]
+        xr, yr = range(x0, x1 + 1), range(y0, y1 + 1)
+    return region, den, _cells(_domain_rows(source, dom), terms, xr, yr, dom.p)
+
+
+def _cells(rows, terms, xr, yr, p):
+    """(x, y, sum of c * rows[y + dy][x + dx] over the terms (c, dx, dy))
+    for y in yr and x in xr, reduced mod p when p is given."""
+    for y in yr:
+        for x in xr:
+            acc = sum([c * rows[y + dy][x + dx] for c, dx, dy in terms])
+            yield x, y, (acc % p if p else acc)
 
 
 def apply_poly(f: LaurentPoly, source: Source) -> Source:
@@ -321,17 +350,11 @@ def apply_poly(f: LaurentPoly, source: Source) -> Source:
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot apply the zero polynomial")
-    if isinstance(source, TorusConfig):
-        rows = [
-            [_convolve_at(f, source, (i, j)) for i in range(source.k)] for j in range(source.l)
-        ]
-        return TorusConfig(rows)
-    rx_lo, ry_lo, rx_hi, ry_hi = _valid_region(f, source)
-    rows = [
-        [_convolve_at(f, source, (x, y)) for x in range(rx_lo, rx_hi + 1)]
-        for y in range(ry_lo, ry_hi + 1)
-    ]
-    return Patch((rx_lo, ry_lo), rows)
+    region, den, cells = _product(f, source)
+    values = [num if den == 1 else Fraction(num, den) for _, _, num in cells]
+    w = source.k if region is None else region[2] - region[0] + 1
+    rows = [values[j : j + w] for j in range(0, len(values), w)]
+    return TorusConfig(rows) if region is None else Patch(region[:2], rows)
 
 
 @dataclass(frozen=True)
@@ -377,34 +400,12 @@ def is_annihilated(source: Source, f: LaurentPoly) -> AnnihilationCheck:
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial annihilates everything")
-    torus = isinstance(source, TorusConfig)
-    if not torus:
-        # before the symbols, so EmptyValidRegion wins as in apply_poly
-        region = _valid_region(f, source)
-    dom = f.domain
-    p = dom.p
-    rows = _domain_rows(source, dom)
-    terms = f.terms.items()
-    if dom.kind == "Q":
-        # den * f vanishes exactly where f does, and int sums beat Fraction sums
-        den = math.lcm(*(c.denominator for _, c in terms))
-        terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
-    if torus:
-        k, l = source.k, source.l
-        for j in range(l):
-            for i in range(k):
-                acc = sum([c * rows[(j - vy) % l][(i - vx) % k] for (vx, vy), c in terms])
-                if (acc % p if p else acc) != 0:
-                    return AnnihilationCheck("no", witness=(i, j))
+    region, _, cells = _product(f, source)
+    for x, y, num in cells:
+        if num:
+            return AnnihilationCheck("no", witness=(x, y))
+    if region is None:
         return AnnihilationCheck("yes")
-    x0, y0, x1, y1 = region
-    ox, oy = source.origin
-    terms = [(vx + ox, vy + oy, c) for (vx, vy), c in terms]
-    for y in range(y0, y1 + 1):
-        for x in range(x0, x1 + 1):
-            acc = sum([c * rows[y - dy][x - dx] for dx, dy, c in terms])
-            if (acc % p if p else acc) != 0:
-                return AnnihilationCheck("no", witness=(x, y))
     return AnnihilationCheck("yes_on_region", region=region)
 
 

@@ -12,12 +12,14 @@ from fractions import Fraction
 from gridalgebra import (
     GF,
     LaurentPoly,
+    Patch,
     TorusConfig,
     UnimodularMatrix,
     ZZ,
     unimodular_completion,
     unimodular_substitute,
 )
+from gridalgebra.errors import EmptyValidRegion
 
 
 def random_torus(rng, kmax=6, lmax=6, max_symbols=4, symbols=None):
@@ -254,8 +256,8 @@ def random_fp_poly_with_both_vars(rng, p, span=2, max_terms=5):
 def direction_content_oracle(f, u):
     """Line-polynomial content of f in direction u: change coordinates so u
     becomes (1, 0) and take the monic gcd of the x-columns by Euclid over
-    Q, or over F_p for a prime field, where a single column is kept as it
-    is. A rational result is cleared to coprime integers, lead positive."""
+    Q, or over F_p for a prime field. A rational result is cleared to
+    coprime integers, lead positive."""
     dom = f.domain
     p = dom.p
 
@@ -293,7 +295,8 @@ def direction_content_oracle(f, u):
         a, b = content, dense
         while b:
             a, b = b, rem(a, b)
-        content = [div(c, a[-1]) for c in a]
+        content = a
+    content = [div(c, content[-1]) for c in content]
     if len(content) == 1:
         return LaurentPoly.one(dom)
     if not p:
@@ -303,6 +306,65 @@ def direction_content_oracle(f, u):
         content = [sign * c // math.gcd(*ints) for c in ints]
     line = LaurentPoly(dom, {(i, 0): c for i, c in enumerate(content)})
     return unimodular_substitute(line, m)
+
+
+# -- the polynomial action, one cell at a time -------------------------------
+
+
+def apply_poly_oracle(f, source):
+    """f c cell by cell: (f c)_u = sum_v f_v c_{u-v}, each symbol read
+    through value_at and Domain.coerce, then plain + and *, reduced mod p
+    over F_p. On a patch the cells u are those whose every c_{u-v} lies
+    inside, found by trying each one; no such cell raises EmptyValidRegion
+    before any symbol is read. Every symbol of the source is then coerced,
+    so one outside the domain raises ValueError even where f c does not
+    read it."""
+    dom = f.domain
+    p = dom.p
+    if isinstance(source, TorusConfig):
+        origin = (0, 0)
+        cells = [[(i, j) for i in range(source.k)] for j in range(source.l)]
+    else:
+        ox, oy = source.origin
+        r = max(abs(e) for v in f.terms for e in v)
+        valid = [
+            (x, y)
+            for y in range(oy - r, oy + source.height + r)
+            for x in range(ox - r, ox + source.width + r)
+            if all((x - vx, y - vy) in source for vx, vy in f.terms)
+        ]
+        if not valid:
+            raise EmptyValidRegion("no cell sees the whole support inside the patch")
+        origin = valid[0]
+        cells = [[c for c in valid if c[1] == y] for y in sorted({c[1] for c in valid})]
+    for row in source.rows:
+        for v in row:
+            dom.coerce(v)
+    out = []
+    for row in cells:
+        out.append([])
+        for ux, uy in row:
+            acc = dom.coerce(0)
+            for (vx, vy), c in f.terms.items():
+                acc = acc + c * dom.coerce(source.value_at((ux - vx, uy - vy)))
+                if p:
+                    acc = acc % p
+            out[-1].append(acc)
+    if isinstance(source, TorusConfig):
+        return TorusConfig(out)
+    return Patch(origin, out)
+
+
+def brute_force_exact_cover(cells, torus):
+    """Place a tile copy at every 1-cell and count the copies on each cell
+    of the torus; an exact cover puts exactly one on each."""
+    count = [[0] * torus.k for _ in range(torus.l)]
+    for ty in range(torus.l):
+        for tx in range(torus.k):
+            if torus.rows[ty][tx] == 1:
+                for cx, cy in cells:
+                    count[(ty + cy) % torus.l][(tx + cx) % torus.k] += 1
+    return all(n == 1 for row in count for n in row)
 
 
 def brute_force_torus_patterns(torus, shape):
@@ -387,8 +449,9 @@ def brute_force_window_filling(spec, n):
     cells = [(x, y) for y in range(n) for x in range(n)]
     inside = set(cells)
     translates = []
-    for ty in range(-n, n + 1):
-        for tx in range(-n, n + 1):
+    x0, y0, x1, y1 = spec.shape.bounding_box()
+    for ty in range(-y1, n - y0):
+        for tx in range(-x1, n - x0):
             t = [(tx + cx, ty + cy) for (cx, cy) in spec.shape.cells]
             if all(c in inside for c in t):
                 translates.append(t)
@@ -434,8 +497,10 @@ def forward_checking_search(spec, w, h, wrap, rng=None, limit=None):
     else:
         inside = set(cells)
         translates = []
-        for ty in range(-h, h + 1):
-            for tx in range(-w, w + 1):
+        # every anchor whose translate of the bounding box meets the grid
+        x0, y0, x1, y1 = spec.shape.bounding_box()
+        for ty in range(-y1, h - y0):
+            for tx in range(-x1, w - x0):
                 t = [(tx + cx, ty + cy) for (cx, cy) in spec.shape.cells]
                 if all(c in inside for c in t):
                     translates.append(t)

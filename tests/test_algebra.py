@@ -261,6 +261,13 @@ def test_content_trivial():
     assert direction_content(P("1 + x + y"), (1, 0)) == ONE
 
 
+def test_content_fp_monic_for_one_column():
+    # one line factor reads one way whether or not columns are combined
+    line = P("2 + 2*x", GF(3))
+    assert direction_content(line, (1, 0)) == P("1 + x", GF(3))
+    assert direction_content(line * P("1 + y", GF(3)), (1, 0)) == P("1 + x", GF(3))
+
+
 def test_content_full_line_polynomial():
     f = P("1 - 2*x*y^2 + x^2*y^4")  # (x*y^2 - 1)^2
     assert f == (P("x*y^2") - ONE) * (P("x*y^2") - ONE)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
     AntennaProblem,
@@ -24,6 +26,8 @@ from gridalgebra import (
 from gridalgebra.errors import InvalidAlphabet, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
 from gridalgebra.linestructure import PERIODIC_IN_DIRECTION, TWO_PERIODIC, UNDETERMINED
+
+from helpers import brute_force_exact_cover
 
 PLUS = Shape.plus()
 
@@ -91,6 +95,13 @@ def test_antenna_verify_all_ones_singleton():
     assert antenna_verify(config, AntennaProblem(Shape([(0, 0)]), a=0, b=1))
 
 
+def test_antenna_verify_target_depends_on_the_cell():
+    # range {(1, 0)}, a = 1, b = 0: c_{u-(1,0)} = 1 - c_u, so rows alternate
+    problem = AntennaProblem(Shape([(1, 0)]), a=1, b=0)
+    assert antenna_verify(TorusConfig([[0, 1]]), problem)
+    assert not antenna_verify(TorusConfig([[1, 1]]), problem)
+
+
 def test_antenna_verify_empty_config_fails():
     config = TorusConfig.constant(0, 3, 3)
     assert not antenna_verify(config, AntennaProblem(PLUS, a=1, b=1))
@@ -156,6 +167,21 @@ def test_find_periodic_cotiler_l_tromino():
     witness = find_periodic_cotiler(tile, Budget(max_window=4, max_torus=6))
     assert witness is not None
     assert exact_cover_on_torus(tile, witness)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+    k=st.integers(1, 4),
+    l=st.integers(1, 4),
+    data=st.data(),
+)
+def test_exact_cover_matches_placement_count(cells, k, l, data):
+    # tiles reach 2 each way, so tori of side 4 or less are often narrower
+    rows = [[data.draw(st.integers(0, 1)) for _ in range(k)] for _ in range(l)]
+    torus = TorusConfig(rows)
+    tile = ClusterTile(Shape(cells))
+    assert exact_cover_on_torus(tile, torus) == brute_force_exact_cover(tile.shape.cells, torus)
 
 
 def test_equivalent_formulations_agree():

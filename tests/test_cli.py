@@ -189,6 +189,30 @@ def test_verify_checks_cotiler_claims(capsys, tmp_path, claim, exit_code):
     assert report["result"]["passed"] is (exit_code == 0)
 
 
+@pytest.mark.parametrize(
+    "argv, flip, exit_code",
+    [
+        (["cotiler", "verify", "{grid}", "--tile", "{tile}"], False, 0),  # a true `false`
+        (["cotiler", "verify", "{grid}", "--tile", "{tile}"], True, 1),  # non-cover claimed
+        (["cotiler", "find", "--tile", "{tile}", "--max-torus", "4"], True, 1),  # cover denied
+    ],
+    ids=["non-cover-report", "non-cover-claimed-cover", "find-claim-denied"],
+)
+def test_verify_checks_exact_cover_claim(capsys, tmp_path, argv, flip, exit_code):
+    tile, grid, cert = tmp_path / "domino.json", tmp_path / "grid.txt", tmp_path / "cert.json"
+    tile.write_text("[[0, 0], [1, 0]]")
+    grid.write_text("1 1\n")  # every cell covered twice
+    run([a.format(tile=tile, grid=grid) for a in argv] + ["--out", str(cert)])
+    capsys.readouterr()
+    data = json.loads(cert.read_text())
+    if flip:
+        data["result"]["exact_cover_verified"] = not data["result"]["exact_cover_verified"]
+    cert.write_text(json.dumps(data))
+    code, report = run_json(capsys, ["verify", str(cert)])
+    assert code == exit_code
+    assert report["result"]["checks"]["exact_cover_claim"] is (exit_code == 0)
+
+
 def test_decide_sft_beyond_recursion_depth(capsys, tmp_path):
     # windows 2..40 are all fillable; the 40 x 40 one is 1,600 cells deep
     spec = tmp_path / "checker.json"

@@ -30,6 +30,7 @@ from gridalgebra.formats import poly_from_text
 from gridalgebra.linestructure import period_from_line_annihilator
 
 from helpers import (
+    apply_poly_oracle,
     brute_force_least_period,
     brute_force_patch_patterns,
     brute_force_torus_patterns,
@@ -298,9 +299,9 @@ def polys(draw, domain, periods):
 
 
 def _reference_check(source, f):
-    """The annihilation test built on apply_poly: compute the whole
-    product, then scan it in fundamental / row-major order."""
-    product = apply_poly(f, source)
+    """The annihilation test built on the per-cell product: compute all of
+    it, then scan it in fundamental / row-major order."""
+    product = apply_poly_oracle(f, source)
     if isinstance(product, TorusConfig):
         for cell in product.fundamental_cells():
             if product.value_at(cell) != 0:
@@ -315,13 +316,18 @@ def _reference_check(source, f):
     return AnnihilationCheck("yes_on_region", region=region)
 
 
-def _outcome(check, source, f):
+def _outcome(fn, *args):
     # with several symbols outside the domain, the message may name another
     # one, so only the exception type is compared
     try:
-        return check(source, f)
+        return fn(*args)
     except (EmptyValidRegion, ValueError) as exc:
         return type(exc)
+
+
+# non-integer symbols: ValueError over Z, and over F_p when the denominator
+# vanishes mod p; exact values over Q and the other F_p
+FRACTION_SYMBOLS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5)])
 
 
 def _assert_matches_reference(data, symbols):
@@ -342,10 +348,20 @@ def test_is_annihilated_matches_apply_poly_reference(data):
 @PROPERTY
 @given(st.data())
 def test_is_annihilated_fraction_symbols_match_reference(data):
-    # non-integer symbols: ValueError over Z, and over F_p when the
-    # denominator vanishes mod p; exact values over Q and the other F_p
-    symbols = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5)])
-    _assert_matches_reference(data, symbols)
+    _assert_matches_reference(data, FRACTION_SYMBOLS)
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_poly_matches_per_cell_oracle(data):
+    # supports reach 2 each way, so tori of side 4 or less wrap terms
+    symbols = data.draw(st.sampled_from([st.integers(-3, 3), FRACTION_SYMBOLS]))
+    domain = data.draw(st.sampled_from(DOMAINS))
+    source, periods = data.draw(sources(symbols))
+    f = data.draw(polys(domain, periods))
+    if f.is_zero:
+        return
+    assert _outcome(apply_poly, f, source) == _outcome(apply_poly_oracle, f, source)
 
 
 def test_is_annihilated_fraction_symbol_values():

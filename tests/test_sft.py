@@ -233,11 +233,13 @@ MAX_FILLINGS = 2**12
 
 
 @st.composite
-def small_specs(draw, coords=range(2)):
+def small_specs(draw, coords=range(2), offsets=st.just(0)):
     """Random spec on a shape of at most 4 cells inside the box coords x
-    coords over 1-3 symbols."""
+    coords, moved by an offset drawn per axis, over 1-3 symbols."""
     box = [(x, y) for y in coords for x in coords]
-    shape = Shape(draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True)))
+    cells = draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True))
+    dx, dy = draw(offsets), draw(offsets)
+    shape = Shape((x + dx, y + dy) for x, y in cells)
     alphabet = sorted(draw(st.sets(st.integers(-1, 2), min_size=1, max_size=3)))
     patterns = [Pattern(shape, v) for v in itertools.product(alphabet, repeat=len(shape))]
     allowed = draw(st.sets(st.sampled_from(patterns)))
@@ -318,11 +320,16 @@ def _kernel(spec, w, h, wrap, seed=None, limit=None):
     return rows, counter.used
 
 
-# Shapes up to 3 wide and off the origin on either side. The reference
-# looks for translates only within the window side of the origin, so the
-# box stays within one cell of it.
+def test_forward_checking_reference_finds_far_translates():
+    # the one cell of the 1 x 1 window is a translate of the shape at (2, 2)
+    spec = SftSpec(Shape([(2, 2)]), {0}, set())
+    assert forward_checking_search(spec, 1, 1, False) == (None, 0)
+    assert _kernel(spec, 1, 1, False) == (None, 0)
+
+
+# Shapes up to 3 wide, moved off the origin by more than the window side.
 @settings(max_examples=150, deadline=None)
-@given(spec=small_specs(coords=range(-1, 2)), data=st.data())
+@given(spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6)), data=st.data())
 def test_search_matches_forward_checking_reference(spec, data):
     """Same first filling and the same node count as the list-based
     forward-checking reference, for windows (as wide as the shape
