@@ -57,6 +57,7 @@ from .configuration import (
     detect_periods,
     extract_patterns,
     is_annihilated,
+    period_from_line_annihilator,
     period_lattice_index,
     rectangle_complexity_profile,
 )
@@ -67,7 +68,6 @@ from .linestructure import (
     classify,
     eliminate_and_classify_fp,
     line_factor_decomposition,
-    period_from_line_annihilator,
 )
 from .sft import (
     Budget,

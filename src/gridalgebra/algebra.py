@@ -494,6 +494,13 @@ def normalize_direction(v: ExponentVector) -> ExponentVector:
     return (a, b)
 
 
+def _half_plane(bound: int) -> list[ExponentVector]:
+    """Vectors with a > 0, or a = 0 < b, of max-norm <= bound, by (max-norm, a, b)."""
+    out = [(a, b) for a in range(bound + 1) for b in range(-bound, bound + 1) if a > 0 or b > 0]
+    out.sort(key=lambda t: (max(t[0], abs(t[1])), t))
+    return out
+
+
 def is_primitive(v: ExponentVector) -> bool:
     return v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1
 

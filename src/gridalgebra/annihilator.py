@@ -13,8 +13,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .algebra import ExponentVector, LaurentPoly, QQ, ZZ, normalize_direction
+from .algebra import ExponentVector, LaurentPoly, QQ, ZZ, _half_plane, normalize_direction
 from .configuration import (
     AnnihilationCheck,
     Pattern,
@@ -178,26 +179,6 @@ def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> Verificati
     )
 
 
-def _binomial_candidates(max_norm: int) -> list[ExponentVector]:
-    """Nonzero vectors in the canonical half-plane (a > 0, or a = 0 and
-    b > 0), ordered by (max-norm, a, b)."""
-    out = []
-    for a in range(0, max_norm + 1):
-        for b in range(-max_norm, max_norm + 1):
-            if (a, b) == (0, 0) or (a == 0 and b < 0):
-                continue
-            out.append((a, b))
-    out.sort(key=lambda t: (max(abs(t[0]), abs(t[1])), t[0], t[1]))
-    return out
-
-
-def _binomial_product(ts) -> LaurentPoly:
-    f = LaurentPoly.one(ZZ)
-    for t in ts:
-        f = f * LaurentPoly.difference_binomial(ZZ, t)
-    return f
-
-
 def find_binomial_product_annihilator(
     source: Patch | TorusConfig,
     max_norm: int,
@@ -209,19 +190,31 @@ def find_binomial_product_annihilator(
     order over the canonical vector order; vectors are pairwise linearly
     independent with max-norm at most max_norm. The first hit in that
     order is returned, so the result is deterministic.
+
+    No product is multiplied out: it annihilates c iff x^tm - 1 annihilates
+    the prefix difference (x^t1 - 1)...(x^t(m-1) - 1) c, and lexicographic
+    order builds each prefix difference once, from its own prefix's. Tuples
+    that outgrow a patch are skipped; EmptyValidRegion only if all do.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
     if not 1 <= max_factors <= 3:
         raise ValueError("max_factors must be between 1 and 3")
-    candidates = _binomial_candidates(max_norm)
+    candidates = _half_plane(max_norm)
+    binomial = partial(LaurentPoly.difference_binomial, ZZ)
     skipped_all = True
     for m in range(1, max_factors + 1):
+        # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c) for the current prefix
+        chain = [(None, source)]
         for ts in itertools.combinations(candidates, m):
             if len({normalize_direction(t) for t in ts}) < m:
                 continue
+            keep = next((i for i, (t, _) in enumerate(chain[1:]) if t != ts[i]), len(chain) - 1)
+            del chain[keep + 1 :]
             try:
-                hit = is_annihilated(source, _binomial_product(ts)).annihilated
+                for t in ts[keep:-1]:
+                    chain.append((t, apply_poly(binomial(t), chain[-1][1])))
+                hit = is_annihilated(chain[-1][1], binomial(ts[-1])).annihilated
             except EmptyValidRegion:
                 continue
             skipped_all = False

@@ -22,8 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExponentVector, LaurentPoly
-from .errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
+from .algebra import ExponentVector, LaurentPoly, _half_plane, is_primitive, line_direction_of
+from .errors import (
+    EmptyValidRegion,
+    NotALinePolynomial,
+    NotAnnihilated,
+    ShapeTooLarge,
+    ZeroPolynomial,
+)
 
 
 class Shape:
@@ -435,16 +441,20 @@ def _least_period_multiple(torus: TorusConfig, periods, u: ExponentVector) -> in
 def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:
     """Minimal multiple n per primitive direction u such that n*u is a
     period, for every direction with max-norm at most max(k, l)."""
-    bound = max(torus.k, torus.l)
-    dirs = set()
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
-            if (a, b) == (0, 0) or (a == 0 and b < 0):
-                continue
-            if math.gcd(a, abs(b)) == 1:
-                dirs.add((a, b))
     periods = _periods(torus)
-    return {u: _least_period_multiple(torus, periods, u) for u in sorted(dirs)}
+    dirs = sorted(u for u in _half_plane(max(torus.k, torus.l)) if is_primitive(u))
+    return {u: _least_period_multiple(torus, periods, u) for u in dirs}
+
+
+def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
+    """Minimal n >= 1 such that n*u is a period of the torus, where u is
+    the direction of the annihilating line polynomial f."""
+    u = line_direction_of(f)
+    if u is None:
+        raise NotALinePolynomial(f"{f} is not a line polynomial")
+    if not is_annihilated(source, f).annihilated:
+        raise NotAnnihilated(f"{f} does not annihilate the torus")
+    return _least_period_multiple(source, _periods(source), u)
 
 
 def period_lattice_index(torus: TorusConfig) -> int:
@@ -464,5 +474,6 @@ __all__ = [
     "apply_poly",
     "is_annihilated",
     "detect_periods",
+    "period_from_line_annihilator",
     "period_lattice_index",
 ]

@@ -8,9 +8,10 @@ strings (``n`` or ``n/d``) so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .algebra import Domain, LaurentPoly, domain_from_name, ZZ
-from .annihilator import AnnihilatorResult
+from .annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, AnnihilatorResult
 from .configuration import Patch, Pattern, Shape, TorusConfig
 from .errors import InputFormatError
 from .linestructure import EliminationReport, LineDecomposition, PeriodicityVerdict
@@ -26,6 +27,13 @@ _TERM_RE = re.compile(
 )
 
 
+def _typed(value, kind: type):
+    """value, if its JSON type is kind (a bool is no int); else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 def poly_to_text(f: LaurentPoly) -> str:
     return str(f)
 
@@ -37,16 +45,9 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
         raise InputFormatError("empty polynomial text")
     if s == "0":
         return LaurentPoly.zero(domain)
-    chunks = re.split(r"([+-])", s)
-    if chunks[0] == "":
-        chunks = chunks[1:]
-    else:
-        chunks = ["+"] + chunks
-    if len(chunks) % 2 != 0:
-        raise InputFormatError(f"cannot parse polynomial {text!r}")
+    # a leading sign makes the split alternate sign, body, sign, body, ...
+    chunks = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)[1:]
     terms: dict[tuple[int, int], object] = {}
-    from fractions import Fraction
-
     for sign, body in zip(chunks[::2], chunks[1::2]):
         m = _TERM_RE.match(body)
         if not m or not body:
@@ -56,20 +57,16 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
             if not (m.group("xpart") or m.group("ypart")):
                 raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
             c = Fraction(1)
-        elif "/" in coeff:
-            num, den = coeff.split("/")
-            if int(den) == 0:
-                raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
-            c = Fraction(int(num), int(den))
         else:
-            c = Fraction(int(coeff))
+            num, _, den = coeff.partition("/")
+            if den and int(den) == 0:
+                raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
+            c = Fraction(int(num), int(den or 1))
         if sign == "-":
             c = -c
 
         def exp(raw):
-            if raw is None:
-                return 1
-            return -int(raw[1:]) if raw.startswith("~") else int(raw)
+            return 1 if raw is None else int(raw.replace("~", "-"))
 
         a = exp(m.group("xe")) if m.group("xpart") else 0
         b = exp(m.group("ye")) if m.group("ypart") else 0
@@ -89,8 +86,10 @@ def poly_to_json(f: LaurentPoly) -> dict:
 
 def poly_from_json(data: dict) -> LaurentPoly:
     try:
-        domain = domain_from_name(data["domain"])
-        terms = {(int(a), int(b)): domain.parse_coeff(c) for a, b, c in data["terms"]}
+        domain = domain_from_name(_typed(data["domain"], str))
+        terms = {}
+        for a, b, c in data["terms"]:
+            terms[_typed(a, int), _typed(b, int)] = domain.parse_coeff(_typed(c, str))
         return LaurentPoly(domain, terms)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise InputFormatError(f"bad polynomial JSON: {e}") from e
@@ -105,7 +104,7 @@ def shape_to_json(shape: Shape) -> list:
 
 def shape_from_json(data) -> Shape:
     try:
-        return Shape((int(a), int(b)) for a, b in data)
+        return Shape((_typed(a, int), _typed(b, int)) for a, b in data)
     except (ValueError, TypeError) as e:
         raise InputFormatError(f"bad shape JSON: {e}") from e
 
@@ -162,14 +161,16 @@ def source_to_json(source) -> dict:
 
 def source_from_json(data) -> Patch | TorusConfig:
     try:
-        if data["kind"] == "torus":
-            return TorusConfig(data["values"])
-        if data["kind"] == "patch":
-            origin = data.get("origin", [0, 0])
-            return Patch((origin[0], origin[1]), data["values"])
+        kind = data["kind"]
+        if kind not in ("torus", "patch"):
+            raise InputFormatError(f"unknown grid kind {kind!r}")
+        rows = [[_typed(v, int) for v in row] for row in data["values"]]
+        if kind == "torus":
+            return TorusConfig(rows)
+        ox, oy = data.get("origin", [0, 0])
+        return Patch((_typed(ox, int), _typed(oy, int)), rows)
     except (KeyError, ValueError, TypeError) as e:
         raise InputFormatError(f"bad grid JSON: {e}") from e
-    raise InputFormatError(f"unknown grid kind {data.get('kind')!r}")
 
 
 # -- sft specs and decisions ----------------------------------------------
@@ -186,8 +187,8 @@ def sft_spec_to_json(spec: SftSpec) -> dict:
 def sft_spec_from_json(data) -> SftSpec:
     try:
         shape = shape_from_json(data["shape"])
-        alphabet = data["alphabet"]
-        allowed = {Pattern(shape, tuple(values)) for values in data["allowed"]}
+        alphabet = [_typed(a, int) for a in data["alphabet"]]
+        allowed = {Pattern(shape, tuple(_typed(v, int) for v in vs)) for vs in data["allowed"]}
         return SftSpec(shape, alphabet, allowed)
     except (KeyError, ValueError, TypeError) as e:
         raise InputFormatError(f"bad SFT spec JSON: {e}") from e
@@ -226,12 +227,14 @@ def annihilator_result_to_json(result: AnnihilatorResult) -> dict:
 
 def annihilator_result_from_json(data) -> AnnihilatorResult:
     try:
-        constant = data.get("constant")
+        kind, constant = data["kind"], data.get("constant")
+        if kind not in (DIRECT, PERIODIZER_TIMES_BINOMIAL):
+            raise ValueError(f"unknown annihilator kind {kind!r}")
         return AnnihilatorResult(
-            kind=data["kind"],
+            kind=kind,
             poly=poly_from_json(data["poly"]),
-            periodizer=poly_from_json(data["periodizer"]) if data.get("periodizer") else None,
-            constant=int(constant) if constant is not None else None,
+            periodizer=None if kind == DIRECT else poly_from_json(data["periodizer"]),
+            constant=int(_typed(constant, str)) if constant is not None else None,
         )
     except (KeyError, ValueError, TypeError) as e:
         raise InputFormatError(f"bad annihilator JSON: {e}") from e

@@ -18,17 +18,11 @@ from .algebra import (
     LaurentPoly,
     direction_content,
     line_direction_candidates,
-    line_direction_of,
     poly_divexact,
     univariate_resultant,
 )
-from .configuration import TorusConfig, _least_period_multiple, _periods, is_annihilated
-from .errors import (
-    DomainMismatch,
-    NotALinePolynomial,
-    NotAnnihilated,
-    ZeroPolynomial,
-)
+from .configuration import period_from_line_annihilator  # noqa: F401  (public re-export)
+from .errors import DomainMismatch, ZeroPolynomial
 
 TWO_PERIODIC = "two_periodic"
 PERIODIC_IN_DIRECTION = "periodic_in_direction"
@@ -162,14 +156,3 @@ def eliminate_and_classify_fp(f: LaurentPoly, g: LaurentPoly) -> EliminationRepo
             entries=tuple(entries), verdict=PERIODIC_IN_DIRECTION, direction=nonzero[0].axis
         )
     return EliminationReport(entries=tuple(entries), verdict=INCONCLUSIVE)
-
-
-def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
-    """Minimal n >= 1 such that n*u is a period of the torus, where u is
-    the direction of the annihilating line polynomial f."""
-    u = line_direction_of(f)
-    if u is None:
-        raise NotALinePolynomial(f"{f} is not a line polynomial")
-    if not is_annihilated(source, f).annihilated:
-        raise NotAnnihilated(f"{f} does not annihilate the torus")
-    return _least_period_multiple(source, _periods(source), u)

@@ -355,6 +355,43 @@ def apply_poly_oracle(f, source):
     return Patch(origin, out)
 
 
+def binomial_product_annihilator_oracle(source, max_norm, max_factors):
+    """First tuple of canonical vectors (a > 0, or a = 0 and b > 0) of
+    max-norm at most max_norm, by factor count, then lexicographically in
+    (max-norm, a, b) order, with no two parallel (zero cross product),
+    whose product of x^t - 1, multiplied out as a plain dict, annihilates
+    the source under apply_poly_oracle. Products that outgrow a patch are
+    skipped; EmptyValidRegion when all of them do."""
+    ring = {n: [] for n in range(1, max_norm + 1)}
+    for a in range(max_norm + 1):
+        for b in range(-max_norm, max_norm + 1):
+            if a > 0 or b > 0:
+                ring[max(a, abs(b))].append((a, b))
+    vectors = [v for n in sorted(ring) for v in sorted(ring[n])]
+    fitted = False
+    for m in range(1, max_factors + 1):
+        for ts in itertools.combinations(vectors, m):
+            if any(s[0] * t[1] == s[1] * t[0] for s, t in itertools.combinations(ts, 2)):
+                continue
+            product = {(0, 0): 1}
+            for tx, ty in ts:
+                out = {}
+                for (x, y), c in product.items():
+                    out[(x + tx, y + ty)] = out.get((x + tx, y + ty), 0) + c
+                    out[(x, y)] = out.get((x, y), 0) - c
+                product = {e: c for e, c in out.items() if c}
+            try:
+                image = apply_poly_oracle(LaurentPoly(ZZ, product), source)
+            except EmptyValidRegion:
+                continue
+            fitted = True
+            if all(v == 0 for row in image.rows for v in row):
+                return ts
+    if not fitted:
+        raise EmptyValidRegion("every candidate product outgrows the patch")
+    return None
+
+
 def brute_force_exact_cover(cells, torus):
     """Place a tile copy at every 1-cell and count the copies on each cell
     of the torus; an exact cover puts exactly one on each."""

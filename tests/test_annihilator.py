@@ -22,10 +22,10 @@ from gridalgebra import (
     verify,
 )
 from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, _row_echelon_fraction_free
-from gridalgebra.errors import NotLowComplexity
+from gridalgebra.errors import EmptyValidRegion, NotLowComplexity
 from gridalgebra.formats import poly_from_text
 
-from helpers import fraction_rank, random_torus
+from helpers import binomial_product_annihilator_oracle, fraction_rank, random_torus
 
 CHECKER = TorusConfig.checkerboard()
 DOMINO = Shape([(0, 0), (1, 0)])
@@ -205,6 +205,67 @@ def test_binomial_every_torus_is_periodic():
         torus = random_torus(rng, kmax=5, lmax=5)
         result = find_binomial_product_annihilator(torus, max_norm=max(torus.k, torus.l))
         assert result is not None and len(result) == 1
+
+
+def test_binomial_three_layers_on_a_patch():
+    # a function of y, one of x and one of x - y: constant along (1, 0),
+    # (0, 1) and (1, 1) in turn, so no fewer than three binomials annihilate
+    rng = random.Random(67)
+    f, g, h = ([rng.randint(0, 3) for _ in range(20)] for _ in range(3))
+    rows = [[f[y] + g[x] + 5 * h[x - y] for x in range(-2, 4)] for y in range(1, 7)]
+    patch = Patch((-2, 1), rows)
+    assert find_binomial_product_annihilator(patch, max_norm=1, max_factors=2) is None
+    result = find_binomial_product_annihilator(patch, max_norm=1)
+    assert result == ((0, 1), (1, 0), (1, 1))
+    with pytest.raises(EmptyValidRegion):
+        find_binomial_product_annihilator(Patch((0, 0), [[1]]), max_norm=1)
+
+
+@st.composite
+def binomial_searches(draw):
+    """(source, max_norm, max_factors), the source a sum of one to three
+    layers, each a function of x*d1 - y*d0 for its own vector d of max-norm
+    at most max_norm, so constant along d. A patch's layers take seeded
+    random values, so as many binomials as layers are needed; a torus's
+    depend on x*d1 - y*d0 mod n, with n dividing both sides."""
+    max_norm, max_factors = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    box = range(-max_norm, max_norm + 1)
+    vectors = st.sampled_from([(a, b) for a in box for b in box if (a, b) != (0, 0)])
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n = draw(st.sampled_from((4, 3, 2)))
+    torus = draw(st.booleans())
+    layers = []
+    for w in (1, 5, 25)[: draw(st.sampled_from((3, 2, 1)))]:
+        table = [w * rng.randrange(4) for _ in range(n if torus else 80)]
+        layers.append((draw(vectors), table))
+
+    def value(x, y):
+        return sum(t[(x * d[1] - y * d[0]) % len(t)] for d, t in layers)
+
+    if torus:
+        k, l = n * draw(st.sampled_from((2, 1))), n * draw(st.sampled_from((2, 1)))
+        source = TorusConfig([[value(i, j) for i in range(k)] for j in range(l)])
+    else:
+        w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        ox, oy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        source = Patch((ox, oy), [[value(ox + i, oy + j) for i in range(w)] for j in range(h)])
+    return source, max_norm, max_factors
+
+
+def _outcome(search, source, max_norm, max_factors):
+    try:
+        return search(source, max_norm, max_factors)
+    except EmptyValidRegion:
+        return EmptyValidRegion
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(binomial_searches())
+def test_binomial_search_matches_oracle(search):
+    source, max_norm, max_factors = search
+    expected = _outcome(binomial_product_annihilator_oracle, source, max_norm, max_factors)
+    got = _outcome(find_binomial_product_annihilator, source, max_norm, max_factors)
+    assert got == expected
 
 
 # -- fraction-free echelon form ---------------------------------------------

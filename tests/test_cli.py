@@ -278,6 +278,12 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["verify", "{tmp}/window_text.json"], 65, "input-format"),
         (["verify", "{tmp}/antenna_bad_a.json"], 65, "input-format"),
         (["verify", "{tmp}/cotiler_window_text.json"], 65, "input-format"),
+        (["verify", "{tmp}/coefficient_number.json"], 65, "input-format"),
+        (["verify", "{tmp}/result_list.json"], 65, "input-format"),
+        (["verify", "{tmp}/values_text.json"], 65, "input-format"),
+        (["verify", "{tmp}/values_float.json"], 65, "input-format"),
+        (["verify", "{tmp}/values_null.json"], 65, "input-format"),
+        (["verify", "{tmp}/periodizer_missing.json"], 65, "input-format"),
     ],
     ids=[
         "zero-denominator",
@@ -294,6 +300,12 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "cert-window-not-int",
         "cert-antenna-bad-a",
         "cert-cotiler-window-not-int",
+        "cert-coefficient-number",
+        "cert-result-list",
+        "cert-values-string",
+        "cert-values-float",
+        "cert-values-null",
+        "cert-periodizer-missing",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -302,6 +314,13 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
     grid = tmp_path / "grid.txt"
     grid.write_text("0 1\n1 0\n")
     spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": []}
+    x_minus_1 = {"domain": "Z", "terms": [[0, 0, "-1"], [1, 0, "1"]]}
+    direct = {"kind": "direct", "poly": x_minus_1}
+    torus = {"kind": "torus", "values": [[1, 1]]}
+
+    def annihilator(result=direct, source=torus):
+        return {"certificate": "annihilator", "result": result, "source": source}
+
     certificates = {
         "antenna": {"certificate": "antenna"},
         "sft_decision": {"certificate": "sft_decision"},
@@ -317,6 +336,14 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
         "cotiler_window_text": {
             "certificate": "cotiler", "tile": [[0, 0]], "decision": "empty", "window": "3"
         },
+        "coefficient_number": annihilator(
+            {"kind": "direct", "poly": {"domain": "Z", "terms": [[0, 0, 5]]}}
+        ),
+        "result_list": annihilator([]),
+        "values_text": annihilator(source={"kind": "torus", "values": "ab"}),
+        "values_float": annihilator(source={"kind": "torus", "values": [[1.5, 1]]}),
+        "values_null": annihilator(source={"kind": "patch", "values": [[1, None]]}),
+        "periodizer_missing": annihilator({"kind": "periodizer_times_binomial", "poly": x_minus_1}),
     }
     for name, cert in certificates.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cert))

@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridalgebra import formats
 from gridalgebra import GF, LaurentPoly, Patch, QQ, Shape, TorusConfig, ZZ
 from gridalgebra.errors import InputFormatError
 from gridalgebra.formats import (
+    annihilator_result_from_json,
     grid_from_text,
     grid_to_text,
     parse_shape_spec,
@@ -128,3 +132,64 @@ def test_annihilator_result_json_roundtrip():
         data = annihilator_result_to_json(result)
         back = annihilator_result_from_json(data)
         assert back == result
+
+
+# keys and values the parsers look for, so fuzzed objects reach past the
+# first lookup
+WORDS = (
+    "domain", "terms", "kind", "values", "origin", "shape", "alphabet", "allowed", "poly",
+    "periodizer", "constant", "torus", "patch", "Z", "Q", "F5", "1/2", "direct",
+    "periodizer_times_binomial",
+)
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from(WORDS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+PARSERS = sorted(name for name in dir(formats) if name.endswith("_from_json"))
+
+
+def test_every_json_parser_is_fuzzed():
+    assert PARSERS == [
+        "annihilator_result_from_json",
+        "poly_from_json",
+        "sft_spec_from_json",
+        "shape_from_json",
+        "source_from_json",
+    ]
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=JSON)
+def test_json_parsers_raise_only_input_format_error(name, data):
+    try:
+        getattr(formats, name)(data)
+    except InputFormatError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (poly_from_json, {"domain": "Z", "terms": [[0, 0, 5]]}),
+        (poly_from_json, {"domain": 5, "terms": []}),
+        (poly_from_json, {"domain": "Z", "terms": [["1", 0, "5"]]}),
+        (source_from_json, {"kind": "torus", "values": "ab"}),
+        (source_from_json, {"kind": "torus", "values": [[1.5, 1]]}),
+        (source_from_json, {"kind": "patch", "values": [[1, None]]}),
+        (source_from_json, {"kind": "patch", "origin": [0.5, 0], "values": [[1]]}),
+        (source_from_json, {"kind": "torus", "values": [[True]]}),
+        (shape_from_json, [[0.5, 0]]),
+        (annihilator_result_from_json, []),
+    ],
+)
+def test_json_parsers_reject_non_integers(parse, data):
+    with pytest.raises(InputFormatError):
+        parse(data)
