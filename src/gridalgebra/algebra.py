@@ -38,18 +38,33 @@ from .errors import (
 ExponentVector = tuple[int, int]
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# _PRIME_TEST_BOUND, the least strong pseudoprime to all of them (Sorenson
+# and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < _PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -64,6 +79,8 @@ class Domain:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == "Fp":
+            if self.p is not None and self.p >= _PRIME_TEST_BOUND:
+                raise ValueError(f"modulus {self.p} is beyond the exact primality test")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"modulus {self.p!r} is not prime")
         elif self.p is not None:
@@ -438,11 +455,8 @@ def convex_hull(points) -> list[ExponentVector]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:
-        # all points collinear: keep the two endpoints
-        return [pts[0], pts[-1]]
-    return hull
+    # never empty: collinear points leave the two endpoints
+    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -474,12 +488,9 @@ class NewtonPolygon:
 def newton_polygon(f: LaurentPoly) -> NewtonPolygon:
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no Newton polygon")
-    hull = convex_hull(f.terms.keys())
-    if len(hull) > 2:
-        # rotate so the lexicographically smallest vertex comes first
-        i = hull.index(min(hull))
-        hull = hull[i:] + hull[:i]
-    return NewtonPolygon(tuple(hull))
+    # the monotone chain never pops its first point, so the lexicographically
+    # smallest vertex comes first
+    return NewtonPolygon(tuple(convex_hull(f.terms.keys())))
 
 
 def normalize_direction(v: ExponentVector) -> ExponentVector:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .algebra import ExponentVector, LaurentPoly, QQ, ZZ, _half_plane, normalize_direction
@@ -25,7 +24,7 @@ from .configuration import (
     apply_poly,
     is_annihilated,
 )
-from .errors import DegeneratePatterns, EmptyValidRegion, NotLowComplexity
+from .errors import EmptyValidRegion, NotLowComplexity
 
 DIRECT = "direct"
 PERIODIZER_TIMES_BINOMIAL = "periodizer_times_binomial"
@@ -42,63 +41,31 @@ class AnnihilatorResult:
     constant: int | None = None
 
 
-def _row_echelon_fraction_free(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss row echelon form of an integer matrix; returns the reduced
-    rows and the pivot column indices. Every division by the previous
-    pivot is exact (each entry is a minor of the input); a remainder
-    raises AssertionError."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            for j in range(c + 1, ncols):
-                q, rem = divmod(rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j], prev)
-                if rem:
-                    raise AssertionError("inexact division in fraction-free elimination")
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _kernel_vector(rows: list[list[int]]) -> list[int]:
+    """Canonical kernel vector of an integer matrix with more columns than
+    rows: for the first column j without a pivot, the vector with v_j = 1
+    that is zero beyond j, cleared to coprime integers with positive first
+    nonzero entry.
 
-
-def _kernel_vector(matrix: list[list[int]], ncols: int) -> list[int] | None:
-    """Canonical kernel vector of an integer matrix: the basis vector of
-    the first free column, cleared to coprime integers with positive first
-    nonzero entry. None when the kernel is trivial."""
-    echelon, pivots = _row_echelon_fraction_free(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    v = [Fraction(0)] * ncols
-    v[j] = Fraction(1)
-    for row, pc in reversed(list(zip(echelon, pivots))):
-        s = sum((Fraction(row[c]) * v[c] for c in range(pc + 1, ncols)), Fraction(0))
-        v[pc] = -s / row[pc]
-    den = 1
-    for c in v:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    first = next(c for c in ints if c != 0)
-    if first < 0:
-        ints = [-c for c in ints]
-    return ints
+    One fraction-free Gauss-Jordan pass, column by column, stops at j. Each
+    step divides by the previous pivot exactly (every entry is a minor of
+    the input), and every column before j has a pivot, so rows 0..j-1 hold
+    d times the identity in columns 0..j-1, d the last pivot; the vector is
+    (-R[0][j], ..., -R[j-1][j], d, 0, ..., 0) up to scale."""
+    m = [list(row) for row in rows]
+    j, d = 0, 1
+    while (piv := next((i for i in range(j, len(m)) if m[i][j]), None)) is not None:
+        m[j], m[piv] = m[piv], m[j]
+        top = m[j][j:]
+        for i, row in enumerate(m):
+            if i != j:
+                f = row[j]
+                row[j:] = [(top[0] * a - f * b) // d for a, b in zip(row[j:], top)]
+        d = top[0]
+        j += 1
+    v = [-row[j] for row in m[:j]] + [d] + [0] * (len(m[0]) - j - 1)
+    g = math.gcd(*v) * (1 if next(c for c in v if c) > 0 else -1)
+    return [c // g for c in v]
 
 
 def _poly_from_cell_vector(shape: Shape, v: list[int]) -> LaurentPoly:
@@ -110,11 +77,11 @@ def _poly_from_cell_vector(shape: Shape, v: list[int]) -> LaurentPoly:
 def find_annihilator(patterns: set[Pattern]) -> AnnihilatorResult:
     """Construct a nonzero annihilator from a low-complexity pattern set.
 
-    Case 1: the pattern vectors do not span Q^D; any kernel vector of the
-    pattern matrix gives a polynomial with zero inner product against every
-    supplied pattern. Case 2: they span (then there are exactly |D| of
-    them); a vector orthogonal to all pattern differences periodizes the
-    data to a constant, and (x - 1) times it annihilates.
+    With P the sorted pattern vectors, a kernel vector (w, c) of [P | -1]
+    has p . w = c for every pattern p; m <= |D| rows in |D| + 1 columns
+    always leave one. The constant is 0 exactly when P itself has a kernel
+    vector: then w is a direct annihilator. Otherwise w periodizes the data
+    to the constant c, and (x - 1) times it annihilates.
     """
     pats = sorted(patterns, key=lambda p: p.values)
     if not pats:
@@ -125,27 +92,14 @@ def find_annihilator(patterns: set[Pattern]) -> AnnihilatorResult:
     if len(pats) > len(shape):
         raise NotLowComplexity(f"{len(pats)} patterns on {len(shape)} cells")
 
-    matrix = [list(p.values) for p in pats]
-    v = _kernel_vector(matrix, len(shape))
-    if v is not None:
-        return AnnihilatorResult(kind=DIRECT, poly=_poly_from_cell_vector(shape, v))
-
-    # spanning case: |patterns| == |D|; differences leave a nonzero
-    # orthogonal vector
-    base = matrix[0]
-    diffs = [[a - b for a, b in zip(row, base)] for row in matrix[1:]]
-    if not diffs:
-        diffs = [[0] * len(shape)]
-    w = _kernel_vector(diffs, len(shape))
-    if w is None:
-        raise DegeneratePatterns("differences of <= |D| patterns cannot span Q^D")
-    periodizer = _poly_from_cell_vector(shape, w)
-    constant = sum(a * b for a, b in zip(w, base))
-    binomial = LaurentPoly.difference_binomial(QQ, (1, 0))
+    *w, constant = _kernel_vector([[*p.values, -1] for p in pats])
+    g = _poly_from_cell_vector(shape, w)
+    if constant == 0:
+        return AnnihilatorResult(kind=DIRECT, poly=g)
     return AnnihilatorResult(
         kind=PERIODIZER_TIMES_BINOMIAL,
-        poly=binomial * periodizer,
-        periodizer=periodizer,
+        poly=LaurentPoly.difference_binomial(QQ, (1, 0)) * g,
+        periodizer=g,
         constant=constant,
     )
 
@@ -156,6 +110,7 @@ class VerificationReport:
     annihilation: AnnihilationCheck
     constant_ok: bool | None = None
     observed_constant: int | None = None
+    identity_ok: bool | None = None
 
     @property
     def witness(self) -> ExponentVector | None:
@@ -163,19 +118,24 @@ class VerificationReport:
 
 
 def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> VerificationReport:
-    """Re-check an annihilator result against configuration data."""
+    """Re-check an annihilator result against configuration data. For the
+    periodizer kind, also that poly = (x - 1) * periodizer and that the
+    periodizer maps the data to the stored constant."""
     check = is_annihilated(source, result.poly)
     if result.kind == DIRECT:
         return VerificationReport(passed=check.annihilated, annihilation=check)
-    product = apply_poly(result.periodizer, source)
+    g = result.periodizer
+    identity_ok = result.poly == LaurentPoly.difference_binomial(g.domain, (1, 0)) * g
+    product = apply_poly(g, source)
     values = {v for row in product.rows for v in row}
     observed = values.pop() if len(values) == 1 else None
     constant_ok = observed is not None and observed == result.constant
     return VerificationReport(
-        passed=check.annihilated and constant_ok,
+        passed=check.annihilated and constant_ok and identity_ok,
         annihilation=check,
         constant_ok=constant_ok,
         observed_constant=observed,
+        identity_ok=identity_ok,
     )
 
 

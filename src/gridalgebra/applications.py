@@ -69,7 +69,7 @@ def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:
     )
 
 
-def cotiler_sft(tile: ClusterTile, alphabet=(0, 1)) -> SftSpec:
+def cotiler_sft(tile: ClusterTile) -> SftSpec:
     """Co-tiler SFT of a cluster tile: over the reflected shape, the
     allowed patterns are exactly those containing a single 1."""
     shape = tile.shape.negate()
@@ -78,7 +78,7 @@ def cotiler_sft(tile: ClusterTile, alphabet=(0, 1)) -> SftSpec:
         values = [0] * len(shape)
         values[i] = 1
         allowed.add(Pattern(shape, tuple(values)))
-    return SftSpec(shape, alphabet, allowed)
+    return SftSpec(shape, (0, 1), allowed)
 
 
 def exact_cover_on_torus(tile: ClusterTile, config: TorusConfig) -> bool:

@@ -425,6 +425,7 @@ def _verify_certificate(args, inputs, start) -> int:
         checks["annihilates"] = report.annihilation.annihilated
         if report.constant_ok is not None:
             checks["periodizer_constant"] = report.constant_ok
+            checks["periodizer_identity"] = report.identity_ok
     elif kind == "sft_decision":
         spec = sft_spec_from_json(_field(cert, "spec"))
         decision = _field(cert, "decision")

@@ -42,10 +42,6 @@ class NotLowComplexity(GridAlgebraError):
     code = "not-low-complexity"
 
 
-class DegeneratePatterns(GridAlgebraError):
-    code = "degenerate-patterns"
-
-
 class NotALinePolynomial(GridAlgebraError):
     code = "not-a-line-polynomial"
 

@@ -101,6 +101,11 @@ def fraction_rank(matrix):
     return rank
 
 
+def is_prime_by_trial_division(n):
+    """Primality by trial division up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def fp_nullspace(rows, ncols, p):
     """Kernel basis of an F_p matrix by Gauss-Jordan elimination."""
     rows = [r[:] for r in rows if any(r)]

@@ -24,6 +24,7 @@ from gridalgebra import (
     unimodular_substitute,
     univariate_resultant,
 )
+from gridalgebra.algebra import _is_prime, domain_from_name
 from gridalgebra.errors import (
     DivisionByZero,
     DomainMismatch,
@@ -35,6 +36,7 @@ from gridalgebra.errors import (
 from helpers import (
     direction_content_oracle,
     fp_torus_annihilated_by,
+    is_prime_by_trial_division,
     poly_fp_as_uni_dict,
     random_fp_poly_with_both_vars,
     random_line_poly,
@@ -54,6 +56,27 @@ def P(text, domain=ZZ):
     from gridalgebra.formats import poly_from_text
 
     return poly_from_text(text, domain)
+
+
+# -- prime fields ---------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if is_prime_by_trial_division(n)
+    ]
+
+
+def test_prime_field_moduli():
+    assert GF(2**61 - 1).p == 2**61 - 1
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(3215031751)
+    assert domain_from_name("F10000000000000061").p == 10000000000000061
+    # beyond the bound below which the Miller-Rabin bases are exact
+    with pytest.raises(ValueError, match="beyond"):
+        domain_from_name("F" + "1" * 30)
 
 
 # -- add / mul / divexact -------------------------------------------------
@@ -494,6 +517,13 @@ def test_resultant_fp_matches_laplace_oracle(data):
         r = univariate_resultant(f, g, var)
         assert_canonical(r)
         assert poly_fp_as_uni_dict(r, 3 - var) == sylvester_resultant_oracle_fp(f, g, var, dom.p)
+
+
+@PROPERTY
+@given(st.dictionaries(EXPONENTS, st.integers(1, 3), min_size=1, max_size=8))
+def test_newton_polygon_starts_at_least_exponent(terms):
+    f = LaurentPoly(ZZ, terms)
+    assert newton_polygon(f).vertices[0] == min(f.terms)
 
 
 @settings(PROPERTY, max_examples=60)

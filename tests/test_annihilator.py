@@ -1,5 +1,6 @@
 """Annihilator construction, verification, binomial-product search."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from gridalgebra import (
     is_annihilated,
     verify,
 )
-from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, _row_echelon_fraction_free
+from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, _kernel_vector
 from gridalgebra.errors import EmptyValidRegion, NotLowComplexity
 from gridalgebra.formats import poly_from_text
 
@@ -268,30 +269,41 @@ def test_binomial_search_matches_oracle(search):
     assert got == expected
 
 
-# -- fraction-free echelon form ---------------------------------------------
+# -- the kernel of [P | -1] ---------------------------------------------------
 
 
-def _assert_echelon_of(matrix, echelon, pivots):
-    assert len(pivots) == len(echelon) == fraction_rank(matrix)
-    assert pivots == sorted(set(pivots))
-    for row, pc in zip(echelon, pivots):
-        assert row[pc] != 0 and not any(row[:pc])
-    # the echelon rows span the row space of the input
-    assert fraction_rank(matrix + echelon) == fraction_rank(matrix)
+def test_kernel_vector_skips_dependent_column():
+    # column 1 is twice column 0, so it is the first free column
+    assert _kernel_vector([[2, 4, 1, 3], [1, 2, 5, 7], [3, 6, 2, 1]]) == [2, -1, 0, 0]
 
 
-def test_row_echelon_skips_dependent_column():
-    # column 1 is twice column 0, so it has no pivot and elimination moves
-    # on to column 2 with the previous pivot still the Bareiss divisor
-    matrix = [[2, 4, 1, 3], [1, 2, 5, 7], [3, 6, 2, 1]]
-    echelon, pivots = _row_echelon_fraction_free(matrix)
-    assert pivots == [0, 2, 3]
-    assert echelon == [[2, 4, 1, 3], [0, 0, 9, 11], [0, 0, 0, -37]]
-    _assert_echelon_of(matrix, echelon, pivots)
+@pytest.mark.parametrize("a", [-4, 1, 7])
+def test_one_cell_one_pattern_periodizes_to_its_value(a):
+    result = find_annihilator({Pattern(Shape([(0, 0)]), (a,))})
+    assert result.kind == PERIODIZER_TIMES_BINOMIAL
+    assert result.periodizer == LaurentPoly.one(QQ)
+    assert result.constant == a
 
 
-@settings(deadline=None, derandomize=True, database=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
-def test_row_echelon_matches_fraction_rank(matrix):
-    echelon, pivots = _row_echelon_fraction_free(matrix)
-    _assert_echelon_of(matrix, echelon, pivots)
+@st.composite
+def wide_matrices(draw):
+    """m x (n + 1) integer matrices with 1 <= m <= n <= 5."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_matrices())
+def test_kernel_vector_is_the_canonical_one(matrix):
+    # these properties pin the vector down: column j is the first column
+    # that depends on the earlier ones, and v is the unique primitive
+    # relation between columns 0..j with v_j > 0
+    v = _kernel_vector(matrix)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
+    assert math.gcd(*v) == 1
+    assert next(c for c in v if c) > 0
+    j = max(i for i, c in enumerate(v) if c)
+    assert fraction_rank([row[:j] for row in matrix]) == j
+    assert fraction_rank([row[: j + 1] for row in matrix]) == j

@@ -60,6 +60,29 @@ def test_annihilate_and_verify_roundtrip(capsys, checker_grid, tmp_path):
             assert report["result"]["passed"] is True
 
 
+def test_verify_checks_periodizer_identity(capsys, checker_grid, tmp_path):
+    cert = tmp_path / "cert.json"
+    code = run(["annihilate", checker_grid, "--shape", "rect:2x1", "--torus", "--out", str(cert)])
+    assert code == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["verify", str(cert)])
+    assert code == 0
+    assert report["result"]["checks"]["periodizer_identity"] is True
+    # (y - 1)(1 + x^-1) annihilates the checkerboard and the periodizer
+    # 1 + x^-1 still maps it to 1, but it is not (x - 1)(1 + x^-1)
+    data = json.loads(cert.read_text())
+    result = data["result"]["result"]
+    assert result["kind"] == "periodizer_times_binomial"
+    result["poly"]["terms"] = [[-1, 0, "-1"], [-1, 1, "1"], [0, 0, "-1"], [0, 1, "1"]]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    code, report = run_json(capsys, ["verify", str(forged)])
+    assert code == 1
+    assert report["result"]["checks"] == {
+        "annihilates": True, "periodizer_constant": True, "periodizer_identity": False
+    }
+
+
 def test_decide_sft_exit_codes(capsys, tmp_path):
     empty_spec = tmp_path / "empty.json"
     empty_spec.write_text(
@@ -284,6 +307,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["verify", "{tmp}/values_float.json"], 65, "input-format"),
         (["verify", "{tmp}/values_null.json"], 65, "input-format"),
         (["verify", "{tmp}/periodizer_missing.json"], 65, "input-format"),
+        (["factor-lines", "x + y", "--field", "F" + "1" * 30], 64, "usage"),
+        (["verify", "{tmp}/modulus_30_digits.json"], 65, "input-format"),
     ],
     ids=[
         "zero-denominator",
@@ -306,6 +331,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "cert-values-float",
         "cert-values-null",
         "cert-periodizer-missing",
+        "field-beyond-prime-test",
+        "cert-modulus-beyond-prime-test",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -344,6 +371,9 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
         "values_float": annihilator(source={"kind": "torus", "values": [[1.5, 1]]}),
         "values_null": annihilator(source={"kind": "patch", "values": [[1, None]]}),
         "periodizer_missing": annihilator({"kind": "periodizer_times_binomial", "poly": x_minus_1}),
+        "modulus_30_digits": annihilator(
+            {"kind": "direct", "poly": {**x_minus_1, "domain": "F" + "1" * 30}}
+        ),
     }
     for name, cert in certificates.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cert))
