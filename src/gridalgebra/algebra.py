@@ -11,14 +11,21 @@ arithmetic: Newton polygons, parallel-edge direction detection, unimodular
 exponent substitutions, per-direction line-polynomial content, and the
 classical Sylvester resultant for eliminating one variable.
 
-Direction content over Z and Q never leaves the integers: each column is
-cleared to a primitive integer polynomial and the gcd comes from the
-primitive polynomial remainder sequence (pseudo-remainder, then divide by
-the content); by Gauss's lemma that is the rational gcd cleared to coprime
-integers. Over F_p it is Euclid's algorithm on ints mod p. Resultants run
-fraction-free Bareiss elimination on dense coefficient lists in the kept
-variable, shifted to nonnegative exponents and shifted back at the end;
-the entries are ints mod p over F_p and Fractions over Q.
+Direction content is taken on the dense columns of the frame where the
+direction is (1, 0). It starts as the gcd of the two extreme columns, the
+Newton polygon's edge polynomials in that direction. To split off the
+content, the candidate divides every column densely; a column that leaves a
+remainder replaces it by their gcd and the division starts over, and the
+quotient columns are the cofactor. The gcds over Z and Q never leave the
+integers: each column is cleared to a primitive integer polynomial and the
+gcd comes from the primitive polynomial remainder sequence (pseudo-remainder,
+then divide by the content); by Gauss's lemma that is the rational gcd
+cleared to coprime integers, and a primitive candidate that divides a column
+over Q divides it over Z. Over F_p it is Euclid's algorithm on ints mod p,
+and the content is monic. Resultants run fraction-free Bareiss elimination
+on dense coefficient lists in the kept variable, shifted to nonnegative
+exponents and shifted back at the end; the entries are ints mod p over F_p
+and Fractions over Q.
 """
 
 from __future__ import annotations
@@ -441,22 +448,39 @@ def _cross(o, a, b) -> int:
 
 
 def convex_hull(points) -> list[ExponentVector]:
-    """Extreme points of a finite set, counterclockwise, no three collinear."""
-    pts = sorted(set(points))
+    """Extreme points of a finite set, counterclockwise, no three collinear,
+    the least point first.
+
+    A vertex is the least or the greatest x of its row, so only those two
+    points of each row enter the monotone chain.
+    """
+    rows: dict[int, list[int]] = {}
+    for x, y in points:
+        r = rows.get(y)
+        if r is None:
+            rows[y] = [x, x]
+        elif x < r[0]:
+            r[0] = x
+        elif x > r[1]:
+            r[1] = x
+    pts = sorted({q for y, (lo, hi) in rows.items() for q in ((lo, y), (hi, y))})
     if len(pts) == 1:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+
+    def chain(seq) -> list[ExponentVector]:
+        out: list[ExponentVector] = []
+        for q in seq:
+            qx, qy = q
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) > 0:
+                    break
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
     # never empty: collinear points leave the two endpoints
-    return lower[:-1] + upper[:-1]
+    return chain(pts) + chain(reversed(pts))
 
 
 @dataclass(frozen=True)
@@ -663,8 +687,11 @@ def _dense_mul_sub(a: list, b: list, c: list, d: list, p: int | None) -> list:
     return _dense_trim(out)
 
 
-def _dense_divmod(a: list, b: list, p: int | None) -> tuple[list, list]:
-    """Quotient and remainder of a by b over F_p (p given) or Q (p None)."""
+def _dense_divmod(a: list, b: list, p: int | None, integral: bool = False) -> tuple[list, list]:
+    """Quotient and remainder of a by b over F_p (p given), Q (p None) or,
+    with ``integral``, Z. Over Z the division stops at the first leading
+    coefficient that b's lead does not divide and returns the partial
+    remainder, so a nonzero remainder means b does not divide a in Z[x]."""
     a = a[:]
     db = len(b) - 1
     lead = b[-1]
@@ -674,7 +701,15 @@ def _dense_divmod(a: list, b: list, p: int | None) -> tuple[list, list]:
         c = a.pop()
         if not c:
             continue
-        c = c * inv % p if p is not None else c / lead
+        if p is not None:
+            c = c * inv % p
+        elif integral:
+            c, r = divmod(c, lead)
+            if r:
+                a.append(c * lead + r)
+                return q, a
+        else:
+            c = c / lead
         q[k] = c
         if p is None:
             for i in range(db):
@@ -709,13 +744,18 @@ def line_direction_of(f: LaurentPoly) -> ExponentVector | None:
     return u
 
 
-def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
-    """Product (with multiplicity) of all line-polynomial factors of f in
-    direction u, normalized; the constant 1 when there are none.
+def _split_direction(
+    f: LaurentPoly, u: ExponentVector, divide: bool
+) -> tuple[LaurentPoly, LaurentPoly | None]:
+    """Content of f in direction u and, with ``divide``, the cofactor
+    f / content (else None), in one pass over the frame where u is (1, 0).
 
-    Works by a coordinate change sending u to (1,0): line factors in
-    direction u become factors involving only x, and those are exactly the
-    content of f viewed as a polynomial in y over the x-Laurent ring.
+    There the line factors in direction u are the common factors of the
+    columns (terms sharing one transverse exponent, dense in x). The gcd of
+    the two extreme columns, the Newton polygon's edge polynomials, starts
+    the content; a direction without a factor usually stops there at a
+    constant. A candidate that divides every column is the gcd of all of
+    them, and the quotient columns, mapped back, are the cofactor.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no content")
@@ -728,34 +768,88 @@ def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
     columns: dict[int, dict[int, object]] = {}
     for (x, y), v in f.terms.items():
         columns.setdefault(c * x + d * y, {})[a * x + b * y] = v
-
-    content: list | None = None
-    for col in columns.values():
+    dense: dict[int, tuple[int, list]] = {}
+    for t, col in columns.items():
         lo = min(col)
-        dense = [0] * (max(col) - lo + 1)
+        row = [0] * (max(col) - lo + 1)
         for e1, v in col.items():
-            dense[e1 - lo] = v
-        if p is not None:
-            content = dense if content is None else _gcd_mod_p(content, dense, p)
-        else:
-            if dom.kind == "Q":
-                den = math.lcm(*(v.denominator for v in dense))
-                dense = [v.numerator * (den // v.denominator) for v in dense]
-            dense = _primitive(dense)
-            content = dense if content is None else _gcd_primitive_prs(content, dense)
-        if len(content) == 1:
-            return LaurentPoly.one(dom)
+            row[e1 - lo] = v
+        dense[t] = (lo, row)
 
-    if p is not None:
-        inv = pow(content[-1], -1, p)  # monic, for a single column as well
-        content = [v * inv % p for v in content]
-    elif content[-1] < 0:
-        content = [-v for v in content]
+    def primitive(row: list) -> list:
+        """The row over Z and Q as a primitive integer polynomial."""
+        if dom.kind == "Q":
+            den = math.lcm(*(v.denominator for v in row))
+            row = [v.numerator * (den // v.denominator) for v in row]
+        return _primitive(row)
+
+    def gcd(g: list, row: list) -> list:
+        if p is not None:
+            return _gcd_mod_p(g, row, p)
+        return _gcd_primitive_prs(g, primitive(row))
+
+    def normalized(g: list) -> list:
+        """Monic over F_p, positive lead over Z and Q."""
+        if p is not None:
+            inv = pow(g[-1], -1, p)
+            return [v * inv % p for v in g]
+        return [-v for v in g] if g[-1] < 0 else g
+
+    first, last = min(dense), max(dense)
+    content = dense[first][1] if p is not None else primitive(dense[first][1])
+    if last != first:
+        content = gcd(content, dense[last][1])
+    if divide:
+        integral = dom.kind == "Z"
+        quotients: dict[int, tuple[int, list]] = {}
+        while len(content) > 1:
+            content = normalized(content)
+            for t, (lo, row) in dense.items():
+                q, r = _dense_divmod(row, content, p, integral)
+                if r:
+                    content = gcd(content, row)
+                    break
+                quotients[t] = (lo, q)
+            else:
+                break
+    else:
+        for t, (_, row) in dense.items():
+            if len(content) == 1:
+                break
+            if t != first and t != last:
+                content = gcd(content, row)
+    if len(content) == 1:
+        return LaurentPoly.one(dom), (f if divide else None)
+    content = normalized(content)
+    cofactor = None
+    if divide:
+        (ma, mb), (mc, md) = m.rows
+        cofactor = LaurentPoly._trusted(
+            dom,
+            {
+                (ma * i + mb * t, mc * i + md * t): v
+                for t, (lo, q) in quotients.items()
+                for i, v in enumerate(q, lo)
+                if v
+            },
+        )
     if dom.kind == "Q":
         content = [Fraction(v) for v in content]
     # every column has a nonzero constant term, so the content has one too
     # and is a line polynomial; x^(i,0) maps back to x^(i*u)
-    return LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})
+    line = LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})
+    return line, cofactor
+
+
+def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
+    """Product (with multiplicity) of all line-polynomial factors of f in
+    direction u, normalized; the constant 1 when there are none.
+
+    Works by a coordinate change sending u to (1,0): line factors in
+    direction u become factors involving only x, and those are exactly the
+    content of f viewed as a polynomial in y over the x-Laurent ring.
+    """
+    return _split_direction(f, u, False)[0]
 
 
 # -- resultants ----------------------------------------------------------

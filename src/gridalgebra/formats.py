@@ -48,30 +48,31 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
     # a leading sign makes the split alternate sign, body, sign, body, ...
     chunks = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)[1:]
     terms: dict[tuple[int, int], object] = {}
-    for sign, body in zip(chunks[::2], chunks[1::2]):
-        m = _TERM_RE.match(body)
-        if not m or not body:
-            raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
-        coeff = m.group("coeff")
-        if coeff is None:
-            if not (m.group("xpart") or m.group("ypart")):
-                raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
-            c = Fraction(1)
-        else:
-            num, _, den = coeff.partition("/")
-            if den and int(den) == 0:
-                raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
-            c = Fraction(int(num), int(den or 1))
-        if sign == "-":
-            c = -c
-
-        def exp(raw):
-            return 1 if raw is None else int(raw.replace("~", "-"))
-
-        a = exp(m.group("xe")) if m.group("xpart") else 0
-        b = exp(m.group("ye")) if m.group("ypart") else 0
-        terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
+    # int() raises ValueError beyond the interpreter's digit limit
     try:
+        for sign, body in zip(chunks[::2], chunks[1::2]):
+            m = _TERM_RE.match(body)
+            if not m or not body:
+                raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
+            coeff = m.group("coeff")
+            if coeff is None:
+                if not (m.group("xpart") or m.group("ypart")):
+                    raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
+                c = Fraction(1)
+            else:
+                num, _, den = coeff.partition("/")
+                if den and int(den) == 0:
+                    raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
+                c = Fraction(int(num), int(den or 1))
+            if sign == "-":
+                c = -c
+
+            def exp(raw):
+                return 1 if raw is None else int(raw.replace("~", "-"))
+
+            a = exp(m.group("xe")) if m.group("xpart") else 0
+            b = exp(m.group("ye")) if m.group("ypart") else 0
+            terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
         return LaurentPoly(domain, terms)
     except (ValueError, TypeError) as e:
         raise InputFormatError(str(e)) from e

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .algebra import (
     ExponentVector,
     LaurentPoly,
+    _split_direction,
     direction_content,
     line_direction_candidates,
-    poly_divexact,
     univariate_resultant,
 )
 from .configuration import period_from_line_annihilator  # noqa: F401  (public re-export)
@@ -65,16 +65,15 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
 
     Candidate directions come from parallel edge pairs of the Newton
     polygon; extracting the full per-direction content removes every line
-    factor in that direction at once.
+    factor in that direction at once, and the same pass gives the cofactor.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     work = f
     factors = []
     for u in sorted(line_direction_candidates(f)):
-        g = direction_content(work, u)
+        g, work = _split_direction(work, u, True)
         if g.num_terms >= 2:
-            work = poly_divexact(work, g)
             factors.append((u, g))
     monomial = work.min_exponents()
     remainder = work.shift((-monomial[0], -monomial[1]))

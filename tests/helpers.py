@@ -5,6 +5,7 @@ The oracles here deliberately re-implement things the library also does
 simpler algorithms, so the tests never check the code against itself.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -16,10 +17,13 @@ from gridalgebra import (
     TorusConfig,
     UnimodularMatrix,
     ZZ,
+    line_direction_candidates,
+    poly_divexact,
     unimodular_completion,
     unimodular_substitute,
 )
 from gridalgebra.errors import EmptyValidRegion
+from gridalgebra.linestructure import LineDecomposition
 
 
 def random_torus(rng, kmax=6, lmax=6, max_symbols=4, symbols=None):
@@ -311,6 +315,22 @@ def direction_content_oracle(f, u):
         content = [sign * c // math.gcd(*ints) for c in ints]
     line = LaurentPoly(dom, {(i, 0): c for i, c in enumerate(content)})
     return unimodular_substitute(line, m)
+
+
+def line_factor_decomposition_oracle(f):
+    """Line-factor decomposition by one content and one sparse exact
+    division per candidate direction: the Euclid content above, then
+    ``poly_divexact``, then the remainder shifted to the origin."""
+    work = f
+    factors = []
+    for u in sorted(line_direction_candidates(f)):
+        g = direction_content_oracle(work, u)
+        if g.num_terms >= 2:
+            work = poly_divexact(work, g)
+            factors.append((u, g))
+    monomial = work.min_exponents()
+    remainder = work.shift((-monomial[0], -monomial[1]))
+    return LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)
 
 
 # -- the polynomial action, one cell at a time -------------------------------
@@ -629,3 +649,29 @@ def discrete_convex_oracle(cells):
             ):
                 return False
     return True
+
+
+# -- convex hull by vertex exclusion ------------------------------------------
+
+
+def convex_hull_oracle(points):
+    """Vertices of the convex hull of a finite set: a point is a vertex iff
+    it is not in the hull of the other points (a triangle or segment of
+    them, by Caratheodory). Counterclockwise from the least point."""
+    pts = set(points)
+    verts = [
+        q
+        for q in pts
+        if not any(
+            _in_triangle_or_segment(q, a, b, c)
+            for a, b, c in itertools.combinations_with_replacement(sorted(pts - {q}), 3)
+        )
+    ]
+    first = min(verts)
+
+    def turn(a, b):
+        # a comes first when b lies to its left, seen from the first vertex
+        return (b[0] - first[0]) * (a[1] - first[1]) - (b[1] - first[1]) * (a[0] - first[0])
+
+    rest = sorted((v for v in verts if v != first), key=functools.cmp_to_key(turn))
+    return [first] + rest

@@ -16,6 +16,7 @@ from gridalgebra import (
     direction_content,
     is_annihilated,
     line_direction_candidates,
+    line_factor_decomposition,
     newton_polygon,
     poly_add,
     poly_divexact,
@@ -24,7 +25,8 @@ from gridalgebra import (
     unimodular_substitute,
     univariate_resultant,
 )
-from gridalgebra.algebra import _is_prime, domain_from_name
+from gridalgebra.algebra import _is_prime, _split_direction, convex_hull, domain_from_name
+from gridalgebra.formats import decomposition_to_json
 from gridalgebra.errors import (
     DivisionByZero,
     DomainMismatch,
@@ -34,9 +36,11 @@ from gridalgebra.errors import (
 )
 
 from helpers import (
+    convex_hull_oracle,
     direction_content_oracle,
     fp_torus_annihilated_by,
     is_prime_by_trial_division,
+    line_factor_decomposition_oracle,
     poly_fp_as_uni_dict,
     random_fp_poly_with_both_vars,
     random_line_poly,
@@ -345,6 +349,41 @@ def test_content_rejects_zero():
         direction_content(LaurentPoly.zero(ZZ), (1, 0))
 
 
+def test_split_refines_the_edge_column_gcd():
+    # the two extreme x-columns share (1 + x)(2 + x), the middle one only
+    # (1 + x) times (3 + x): the first candidate leaves a remainder there
+    f = P("2 + 3*x + x^2 + 3*y + 4*x*y + x^2*y + 2*y^2 + 3*x*y^2 + x^2*y^2")
+    remainder = P("2 + 3*y + 2*y^2 + x + x*y + x*y^2")
+    assert _split_direction(f, (1, 0), True) == (P("1 + x"), remainder)
+    assert direction_content(f, (1, 0)) == P("1 + x")
+    decomp = line_factor_decomposition(f)
+    assert decomp.factors == (((1, 0), P("1 + x")),)
+    assert decomp.remainder == remainder
+
+
+def test_split_refines_on_an_inexact_integer_step():
+    # edge columns (1 + 2x)(1 + 3x) and middle column (1 + 2x)(1 + 3x + x^2)
+    # = 1 + 5x + 7x^2 + 2x^3: its division by the candidate 1 + 5x + 6x^2
+    # stops at the lead 2 against 6, where floor division would go on and
+    # leave remainder 0
+    cofactor = P("1 + 3*x + y + 3*x*y + x^2*y + y^2 + 3*x*y^2")
+    f = P("1 + 2*x") * cofactor
+    assert _split_direction(f, (1, 0), True) == (P("1 + 2*x"), cofactor)
+    assert _split_direction(f, (1, 0), False) == (P("1 + 2*x"), None)
+
+
+def test_split_stops_on_coprime_edge_columns():
+    # the x-columns 1 + x and 1 + 2x are coprime, so the middle is never read
+    f = P("1 + x + 7*y + 5*x*y + y^2 + 2*x*y^2")
+    assert _split_direction(f, (1, 0), True) == (ONE, f)
+    assert _split_direction(f, (1, 0), False) == (ONE, None)
+
+
+def test_split_single_column_is_monic_over_fp():
+    f = P("2 + 2*x", GF(3))
+    assert _split_direction(f, (1, 0), True) == (P("1 + x", GF(3)), P("2", GF(3)))
+
+
 # -- resultants -----------------------------------------------------------
 
 
@@ -493,7 +532,7 @@ def test_ring_ops_match_public_constructor(data):
 def test_direction_content_matches_euclid_oracle(data):
     dom = data.draw(st.sampled_from(DOMAINS))
     f = data.draw(polys(dom, nonzero=True))
-    planted = data.draw(st.lists(directions(), max_size=2))
+    planted = data.draw(st.lists(directions(), max_size=3))
     for u in planted:
         line = {(0, 0): data.draw(coefficients(dom).filter(bool))}
         for j in range(1, data.draw(st.integers(1, 2)) + 1):
@@ -506,6 +545,54 @@ def test_direction_content_matches_euclid_oracle(data):
         got = direction_content(f, u)
         assert_canonical(got)
         assert got == direction_content_oracle(f, u)
+        content, cofactor = _split_direction(f, u, True)
+        assert content == got
+        assert_canonical(cofactor)
+        assert cofactor == poly_divexact(f, content)
+    assert decomposition_to_json(line_factor_decomposition(f)) == decomposition_to_json(
+        line_factor_decomposition_oracle(f)
+    )
+
+
+@st.composite
+def point_sets(draw):
+    """Scattered points, a few rows with many points each, points on one
+    segment (horizontal, vertical or slanted), or a box with extra points on
+    its edges; duplicates are added on top."""
+    kind = draw(st.sampled_from(["scatter", "rows", "segment", "box"]))
+    coord = st.integers(-3, 3)
+    if kind == "scatter":
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    elif kind == "rows":
+        pts = [
+            (draw(st.integers(-5, 5)), y)
+            for y in draw(st.lists(coord, min_size=1, max_size=3))
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+    elif kind == "segment":
+        x, y = draw(coord), draw(coord)
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)]))
+        pts = [(x + k * dx, y + k * dy) for k in draw(st.lists(st.integers(0, 4), min_size=1))]
+    else:
+        x0, y0, w, h = draw(coord), draw(coord), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        pts = [(x0, y0), (x0 + w, y0), (x0, y0 + h), (x0 + w, y0 + h)]
+        for _ in range(draw(st.integers(0, 6))):
+            side = draw(st.sampled_from([(0, None), (w, None), (None, 0), (None, h)]))
+            pts.append(
+                (
+                    x0 + (draw(st.integers(0, w)) if side[0] is None else side[0]),
+                    y0 + (draw(st.integers(0, h)) if side[1] is None else side[1]),
+                )
+            )
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@PROPERTY
+@given(point_sets())
+def test_convex_hull_matches_vertex_oracle(points):
+    hull = convex_hull(points)
+    assert hull == convex_hull_oracle(points)
+    assert hull[0] == min(points)
 
 
 @PROPERTY

@@ -59,6 +59,55 @@ def test_poly_text_rejects_garbage():
         poly_from_json({"domain": "Q", "terms": [[0, 0, "1/0"]]})
 
 
+# tokens of the polynomial text format, a few fragments of it, and strays
+POLY_TOKENS = list("0123456789xy^*+-/ \n\t")
+POLY_TOKENS += ["x^", "y^-", "10", "1/3", "~", "z", ".", "(", "\u0663"]
+POLY_TEXT = st.text(alphabet="0123456789xy^*+-/ \n~z.", max_size=30) | st.lists(
+    st.sampled_from(POLY_TOKENS), max_size=16
+).map("".join)
+
+
+GRID_TOKENS = ["0", "1", "-2", "17", "+3", " ", "\n", "\n\n", "\t", "x", "1_0", "\u0663"]
+GRID_TEXT = st.text(alphabet="0123456789-+ \n\t\rx._", max_size=40) | st.lists(
+    st.sampled_from(GRID_TOKENS), max_size=16
+).map("".join)
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(3)], ids=lambda d: d.name)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=POLY_TEXT)
+def test_poly_text_parser_raises_only_input_format_error(domain, text):
+    try:
+        f = poly_from_text(text, domain)
+    except InputFormatError:
+        return
+    assert f.domain == domain
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=GRID_TEXT)
+def test_grid_text_parser_raises_only_input_format_error(text):
+    try:
+        rows = grid_from_text(text)
+    except InputFormatError:
+        return
+    assert rows and all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 5000, "x^" + "9" * 5000, "1/" + "7" * 5000 + "*y"],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_poly_text_numbers_beyond_the_digit_limit(text):
+    # int() of more than 4300 digits raises ValueError where the interpreter
+    # limits integer string conversion; that must surface as a format error
+    try:
+        poly_from_text(text)
+    except InputFormatError:
+        pass
+
+
 def test_poly_text_roundtrip_random():
     rng = random.Random(101)
     for dom in (ZZ, QQ, GF(7)):
