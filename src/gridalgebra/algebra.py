@@ -448,39 +448,22 @@ def _cross(o, a, b) -> int:
 
 
 def convex_hull(points) -> list[ExponentVector]:
-    """Extreme points of a finite set, counterclockwise, no three collinear,
-    the least point first.
-
-    A vertex is the least or the greatest x of its row, so only those two
-    points of each row enter the monotone chain.
-    """
-    rows: dict[int, list[int]] = {}
-    for x, y in points:
-        r = rows.get(y)
-        if r is None:
-            rows[y] = [x, x]
-        elif x < r[0]:
-            r[0] = x
-        elif x > r[1]:
-            r[1] = x
-    pts = sorted({q for y, (lo, hi) in rows.items() for q in ((lo, y), (hi, y))})
+    """Extreme points of a finite set, counterclockwise, no three collinear."""
+    pts = sorted(set(points))
     if len(pts) == 1:
         return pts
-
-    def chain(seq) -> list[ExponentVector]:
-        out: list[ExponentVector] = []
-        for q in seq:
-            qx, qy = q
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) > 0:
-                    break
-                out.pop()
-            out.append(q)
-        return out[:-1]
-
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
     # never empty: collinear points leave the two endpoints
-    return chain(pts) + chain(reversed(pts))
+    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -744,18 +727,18 @@ def line_direction_of(f: LaurentPoly) -> ExponentVector | None:
     return u
 
 
-def _split_direction(
-    f: LaurentPoly, u: ExponentVector, divide: bool
-) -> tuple[LaurentPoly, LaurentPoly | None]:
-    """Content of f in direction u and, with ``divide``, the cofactor
-    f / content (else None), in one pass over the frame where u is (1, 0).
+def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, LaurentPoly]:
+    """Content of f in direction u (as ``direction_content``) and the
+    cofactor f / content, in one pass over the frame where u is (1, 0).
 
     There the line factors in direction u are the common factors of the
     columns (terms sharing one transverse exponent, dense in x). The gcd of
     the two extreme columns, the Newton polygon's edge polynomials, starts
     the content; a direction without a factor usually stops there at a
-    constant. A candidate that divides every column is the gcd of all of
-    them, and the quotient columns, mapped back, are the cofactor.
+    constant. The candidate then divides every column; a column that leaves
+    a remainder replaces it by their gcd and the division starts over. A
+    candidate that divides every column is the gcd of all of them, and the
+    quotient columns, mapped back, are the cofactor.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no content")
@@ -799,40 +782,30 @@ def _split_direction(
     content = dense[first][1] if p is not None else primitive(dense[first][1])
     if last != first:
         content = gcd(content, dense[last][1])
-    if divide:
-        integral = dom.kind == "Z"
-        quotients: dict[int, tuple[int, list]] = {}
-        while len(content) > 1:
-            content = normalized(content)
-            for t, (lo, row) in dense.items():
-                q, r = _dense_divmod(row, content, p, integral)
-                if r:
-                    content = gcd(content, row)
-                    break
-                quotients[t] = (lo, q)
-            else:
-                break
-    else:
-        for t, (_, row) in dense.items():
-            if len(content) == 1:
-                break
-            if t != first and t != last:
+    integral = dom.kind == "Z"
+    quotients: dict[int, tuple[int, list]] = {}
+    while len(content) > 1:
+        content = normalized(content)
+        for t, (lo, row) in dense.items():
+            q, r = _dense_divmod(row, content, p, integral)
+            if r:
                 content = gcd(content, row)
+                break
+            quotients[t] = (lo, q)
+        else:
+            break
     if len(content) == 1:
-        return LaurentPoly.one(dom), (f if divide else None)
-    content = normalized(content)
-    cofactor = None
-    if divide:
-        (ma, mb), (mc, md) = m.rows
-        cofactor = LaurentPoly._trusted(
-            dom,
-            {
-                (ma * i + mb * t, mc * i + md * t): v
-                for t, (lo, q) in quotients.items()
-                for i, v in enumerate(q, lo)
-                if v
-            },
-        )
+        return LaurentPoly.one(dom), f
+    (ma, mb), (mc, md) = m.rows
+    cofactor = LaurentPoly._trusted(
+        dom,
+        {
+            (ma * i + mb * t, mc * i + md * t): v
+            for t, (lo, q) in quotients.items()
+            for i, v in enumerate(q, lo)
+            if v
+        },
+    )
     if dom.kind == "Q":
         content = [Fraction(v) for v in content]
     # every column has a nonzero constant term, so the content has one too
@@ -849,7 +822,7 @@ def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
     direction u become factors involving only x, and those are exactly the
     content of f viewed as a polynomial in y over the x-Laurent ring.
     """
-    return _split_direction(f, u, False)[0]
+    return split_direction(f, u)[0]
 
 
 # -- resultants ----------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .algebra import (
     ExponentVector,
     LaurentPoly,
-    _split_direction,
     direction_content,
     line_direction_candidates,
+    split_direction,
     univariate_resultant,
 )
 from .configuration import period_from_line_annihilator  # noqa: F401  (public re-export)
@@ -72,7 +72,7 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
     work = f
     factors = []
     for u in sorted(line_direction_candidates(f)):
-        g, work = _split_direction(work, u, True)
+        g, work = split_direction(work, u)
         if g.num_terms >= 2:
             factors.append((u, g))
     monomial = work.min_exponents()
