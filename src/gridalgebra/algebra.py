@@ -13,19 +13,19 @@ classical Sylvester resultant for eliminating one variable.
 
 Direction content is taken on the dense columns of the frame where the
 direction is (1, 0). It starts as the gcd of the two extreme columns, the
-Newton polygon's edge polynomials in that direction. To split off the
-content, the candidate divides every column densely; a column that leaves a
-remainder replaces it by their gcd and the division starts over, and the
-quotient columns are the cofactor. The gcds over Z and Q never leave the
-integers: each column is cleared to a primitive integer polynomial and the
-gcd comes from the primitive polynomial remainder sequence (pseudo-remainder,
-then divide by the content); by Gauss's lemma that is the rational gcd
-cleared to coprime integers, and a primitive candidate that divides a column
-over Q divides it over Z. Over F_p it is Euclid's algorithm on ints mod p,
-and the content is monic. Resultants run fraction-free Bareiss elimination
-on dense coefficient lists in the kept variable, shifted to nonnegative
-exponents and shifted back at the end; the entries are ints mod p over F_p
-and Fractions over Q.
+Newton polygon's edge polynomials in that direction. The candidate then
+divides every column densely; a column that leaves a remainder replaces it
+by their gcd and the division starts over, and the quotient columns are the
+cofactor. The gcds over Z and Q never leave the integers: each column is
+cleared to a primitive integer polynomial and the gcd comes from the
+primitive polynomial remainder sequence (pseudo-remainder, then divide by
+the content); by Gauss's lemma that is the rational gcd cleared to coprime
+integers, and a primitive candidate that divides a column over Q divides it
+over Z. Over F_p it is Euclid's algorithm on ints mod p, and the content is
+monic. Resultants run fraction-free Bareiss elimination on dense
+coefficient lists in the kept variable, shifted to nonnegative exponents
+and shifted back at the end; the entries are ints mod p over F_p and
+Fractions over Q.
 """
 
 from __future__ import annotations
