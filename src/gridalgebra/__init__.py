@@ -23,9 +23,7 @@ from .algebra import (
     line_direction_of,
     newton_polygon,
     normalize_direction,
-    poly_add,
     poly_divexact,
-    poly_mul,
     unimodular_completion,
     unimodular_substitute,
     univariate_resultant,
@@ -44,7 +42,6 @@ from .applications import (
     antenna_verify,
     cotiler_sft,
     exact_cover_on_torus,
-    find_periodic_cotiler,
 )
 from .configuration import (
     AnnihilationCheck,

@@ -97,14 +97,6 @@ class Domain:
     def name(self) -> str:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "Z"
-
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == "Fp" else 0
-
     def coerce(self, value):
         """Map an int / Fraction into the canonical internal representation."""
         if type(value) is int:
@@ -168,11 +160,10 @@ class LaurentPoly:
     """A sparse two-variable Laurent polynomial over an exact domain.
 
     ``terms`` maps exponent vectors to nonzero coefficients; zero terms are
-    dropped on construction. Instances are immutable by convention and
-    hashable, so they can serve as dict keys and set members.
+    dropped on construction. Instances are immutable by convention.
     """
 
-    __slots__ = ("domain", "terms", "_hash")
+    __slots__ = ("domain", "terms")
 
     def __init__(self, domain: Domain, terms):
         object.__setattr__(self, "domain", domain)
@@ -183,7 +174,6 @@ class LaurentPoly:
             if c != 0:
                 clean[u] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, domain: Domain, terms: dict) -> "LaurentPoly":
@@ -193,7 +183,6 @@ class LaurentPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
@@ -243,23 +232,12 @@ class LaurentPoly:
     def support(self) -> set[ExponentVector]:
         return set(self.terms)
 
-    def coeff(self, exp: ExponentVector):
-        return self.terms.get(tuple(exp), self.domain.coerce(0))
-
     def min_exponents(self) -> ExponentVector:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no support")
         return (
             min(e[0] for e in self.terms),
             min(e[1] for e in self.terms),
-        )
-
-    def max_exponents(self) -> ExponentVector:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no support")
-        return (
-            max(e[0] for e in self.terms),
-            max(e[1] for e in self.terms),
         )
 
     def shift(self, t: ExponentVector) -> "LaurentPoly":
@@ -279,13 +257,6 @@ class LaurentPoly:
         if p is None:
             return LaurentPoly._trusted(dom, {e: v * c for e, v in self.terms.items()})
         return LaurentPoly._trusted(dom, {e: v * c % p for e, v in self.terms.items()})
-
-    def leading_term(self) -> tuple[ExponentVector, object]:
-        """Term with the lexicographically largest exponent vector."""
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
 
     # -- ring operations ----------------------------------------------
 
@@ -329,28 +300,10 @@ class LaurentPoly:
             return LaurentPoly._trusted(self.domain, {e: c for e, c in out.items() if c})
         return LaurentPoly._trusted(self.domain, {e: r for e, c in out.items() if (r := c % p)})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        result = LaurentPoly.one(self.domain)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.domain == other.domain and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self.domain, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.domain.name}, {self})"
@@ -383,14 +336,6 @@ class LaurentPoly:
 
 
 # -- spec-level operation surface --------------------------------------
-
-
-def poly_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f + g
-
-
-def poly_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f * g
 
 
 def poly_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -112,10 +112,6 @@ class VerificationReport:
     observed_constant: int | None = None
     identity_ok: bool | None = None
 
-    @property
-    def witness(self) -> ExponentVector | None:
-        return self.annihilation.witness
-
 
 def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> VerificationReport:
     """Re-check an annihilator result against configuration data. For the

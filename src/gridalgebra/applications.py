@@ -16,7 +16,7 @@ from .algebra import LaurentPoly, ZZ
 from .configuration import Pattern, Shape, TorusConfig, apply_poly
 from .errors import InvalidAlphabet
 from .linestructure import PeriodicityVerdict, classify
-from .sft import Budget, Decision, NONEMPTY, SftSpec, decide
+from .sft import Budget, Decision, SftSpec, decide
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,6 @@ def exact_cover_on_torus(tile: ClusterTile, config: TorusConfig) -> bool:
     if not config.alphabet <= {0, 1}:
         raise InvalidAlphabet("co-tiler configurations are over {0, 1}")
     return antenna_verify(config, AntennaProblem(tile.shape, 1, 1))
-
-
-def find_periodic_cotiler(tile: ClusterTile, budget: Budget = Budget()) -> TorusConfig | None:
-    """Search for a periodic co-tiler of the tile; the witness additionally
-    passes an exact-cover re-check."""
-    decision = decide(cotiler_sft(tile), budget)
-    if decision.kind != NONEMPTY:
-        return None
-    witness = decision.witness
-    if not exact_cover_on_torus(tile, witness):
-        raise AssertionError("co-tiler witness failed the exact-cover re-check")
-    return witness
 
 
 def cotiler_decision(tile: ClusterTile, budget: Budget = Budget()) -> Decision:

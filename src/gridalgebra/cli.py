@@ -68,13 +68,23 @@ def _read_file(path: str, inputs: dict) -> str:
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from e
     inputs[path] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputFormatError(f"{path} is not UTF-8: {e}") from e
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise InputFormatError(str(e)) from e
 
 
 def _load_source(path: str, inputs: dict, torus: bool):
     text = _read_file(path, inputs)
     if text.lstrip().startswith("{"):
-        return source_from_json(json.loads(text))
+        return source_from_json(_parse_json(text))
     rows = grid_from_text(text)
     return TorusConfig(rows) if torus else Patch((0, 0), rows)
 
@@ -85,7 +95,7 @@ def _load_shape(spec: str, inputs: dict):
             return parse_shape_spec(spec)
         except InputFormatError as e:
             raise UsageError(str(e)) from e
-    return shape_from_json(json.loads(_read_file(spec, inputs)))
+    return shape_from_json(_parse_json(_read_file(spec, inputs)))
 
 
 def _load_poly(path_or_literal: str, inputs: dict, field: str) -> LaurentPoly:
@@ -96,10 +106,12 @@ def _load_poly(path_or_literal: str, inputs: dict, field: str) -> LaurentPoly:
     try:
         text = _read_file(path_or_literal, inputs)
     except InputFormatError:
+        if path_or_literal in inputs:
+            raise  # the file was read but is not UTF-8
         text = path_or_literal  # allow literal polynomial text
     text = text.strip()
     if text.startswith("{"):
-        return poly_from_json(json.loads(text))
+        return poly_from_json(_parse_json(text))
     return poly_from_text(text, domain)
 
 
@@ -116,24 +128,25 @@ def _budget(args) -> Budget:
     )
 
 
-def _emit(payload: dict, args, start: float) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"wall_time_s: {time.monotonic() - start:.3f}", file=sys.stderr)
-
-
-def _payload(command: str, inputs: dict, result: dict, budget_spent=None) -> dict:
-    return {
+def _emit(command: str, inputs: dict, result: dict, args, start: float) -> None:
+    payload = {
         "command": command,
         "inputs": inputs,
         "result": result,
-        "budget_spent": budget_spent,
+        # only the SFT decisions (decide-sft, cotiler find) spend a budget
+        "budget_spent": result.get("budget_spent"),
         "version": __version__,
     }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out}: {e}") from e
+    else:
+        sys.stdout.write(text)
+    print(f"wall_time_s: {time.monotonic() - start:.3f}", file=sys.stderr)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -238,25 +251,23 @@ def run(argv) -> int:
         return 64
     inputs: dict[str, str] = {}
     try:
-        return _dispatch(args, inputs, start)
-    except json.JSONDecodeError as e:
-        print(json.dumps({"error": "input-format", "message": str(e)}), file=sys.stderr)
-        return 65
+        command, result, code = _dispatch(args, inputs)
+        _emit(command, inputs, result, args, start)
+        return code
     except GridAlgebraError as e:
         print(json.dumps({"error": e.code, "message": str(e)}), file=sys.stderr)
         return e.exit_code
 
 
-def _dispatch(args, inputs, start) -> int:
+def _dispatch(args, inputs) -> tuple[str, dict, int]:
+    """Run one subcommand: its payload command name, result and exit code."""
     cmd = args.command
 
     if cmd == "complexity":
         source = _load_source(args.grid, inputs, args.torus)
         shape = _load_shape(args.shape, inputs)
         count, low = complexity(source, shape)
-        result = {"count": count, "low_complexity": low, "shape_size": len(shape)}
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, {"count": count, "low_complexity": low, "shape_size": len(shape)}, 0
 
     if cmd == "profile":
         if args.nmax < 1 or args.mmax < 1:
@@ -269,8 +280,7 @@ def _dispatch(args, inputs, start) -> int:
                 for (n, m), (c, low) in sorted(table.items())
             ]
         }
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, result, 0
 
     if cmd == "annihilate":
         source = _load_source(args.grid, inputs, args.torus)
@@ -285,22 +295,17 @@ def _dispatch(args, inputs, start) -> int:
             "result": annihilator_result_to_json(result_obj),
             "verified": report.passed,
         }
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, result, 0
 
     if cmd == "factor-lines":
         f = _load_poly(args.poly, inputs, args.field)
         decomp = line_factor_decomposition(f)
-        result = {"input": poly_to_json(f), "decomposition": decomposition_to_json(decomp)}
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, {"input": poly_to_json(f), "decomposition": decomposition_to_json(decomp)}, 0
 
     if cmd == "classify":
         f = _load_poly(args.poly, inputs, args.field)
         verdict = classify(f, role=args.role)
-        result = {"input": poly_to_json(f), "role": args.role, **verdict_to_json(verdict)}
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, {"input": poly_to_json(f), "role": args.role, **verdict_to_json(verdict)}, 0
 
     if cmd == "eliminate-fp":
         f = _load_poly(args.poly_f, inputs, args.field)
@@ -311,81 +316,50 @@ def _dispatch(args, inputs, start) -> int:
             "g": poly_to_json(g),
             **elimination_report_to_json(report),
         }
-        _emit(_payload(cmd, inputs, result), args, start)
-        return 0
+        return cmd, result, 0
 
     if cmd == "decide-sft":
-        spec = sft_spec_from_json(json.loads(_read_file(args.spec, inputs)))
+        spec = sft_spec_from_json(_parse_json(_read_file(args.spec, inputs)))
         decision = decide(spec, _budget(args))
         result = {
             "certificate": "sft_decision",
             "spec": sft_spec_to_json(spec),
             **decision_to_json(decision),
         }
-        _emit(_payload(cmd, inputs, result, result["budget_spent"]), args, start)
-        return {NONEMPTY: 0, EMPTY: 1}.get(decision.kind, 2)
+        return cmd, result, {NONEMPTY: 0, EMPTY: 1}.get(decision.kind, 2)
 
     if cmd == "antenna":
+        if args.antenna_command is None:
+            raise UsageError("antenna needs a subcommand: classify | verify")
+        shape = _load_shape(args.shape, inputs)
+        head = {"shape": shape_to_json(shape), "a": args.a, "b": args.b}
         if args.antenna_command == "classify":
-            shape = _load_shape(args.shape, inputs)
-            problem = _antenna_problem(shape, args)
-            verdict = antenna_classify(problem)
-            result = {
-                "shape": shape_to_json(shape),
-                "a": args.a,
-                "b": args.b,
-                **verdict_to_json(verdict),
-            }
-            _emit(_payload("antenna classify", inputs, result), args, start)
-            return 0
-        if args.antenna_command == "verify":
-            shape = _load_shape(args.shape, inputs)
-            source = _load_source(args.grid, inputs, torus=True)
-            problem = _antenna_problem(shape, args)
-            ok = antenna_verify(source, problem)
-            result = {
-                "certificate": "antenna",
-                "shape": shape_to_json(shape),
-                "a": args.a,
-                "b": args.b,
-                "config": source_to_json(source),
-                "valid": ok,
-            }
-            _emit(_payload("antenna verify", inputs, result), args, start)
-            return 0 if ok else 1
-        raise UsageError("antenna needs a subcommand: classify | verify")
+            verdict = antenna_classify(_antenna_problem(shape, args))
+            return "antenna classify", {**head, **verdict_to_json(verdict)}, 0
+        source = _load_source(args.grid, inputs, torus=True)
+        ok = antenna_verify(source, _antenna_problem(shape, args))
+        result = {**head, "certificate": "antenna", "config": source_to_json(source), "valid": ok}
+        return "antenna verify", result, 0 if ok else 1
 
     if cmd == "cotiler":
+        if args.cotiler_command is None:
+            raise UsageError("cotiler needs a subcommand: find | verify")
+        tile = ClusterTile(_load_shape(args.tile, inputs))
+        head = {"certificate": "cotiler", "tile": shape_to_json(tile.shape)}
         if args.cotiler_command == "find":
-            tile = ClusterTile(_load_shape(args.tile, inputs))
             decision = cotiler_decision(tile, _budget(args))
             cover_ok = None
             if decision.kind == NONEMPTY:
                 cover_ok = exact_cover_on_torus(tile, decision.witness)
-            result = {
-                "certificate": "cotiler",
-                "tile": shape_to_json(tile.shape),
-                **decision_to_json(decision),
-                "exact_cover_verified": cover_ok,
-            }
-            _emit(_payload("cotiler find", inputs, result, result["budget_spent"]), args, start)
-            return {NONEMPTY: 0, EMPTY: 1}.get(decision.kind, 2)
-        if args.cotiler_command == "verify":
-            tile = ClusterTile(_load_shape(args.tile, inputs))
-            source = _load_source(args.grid, inputs, torus=True)
-            ok = exact_cover_on_torus(tile, source)
-            result = {
-                "certificate": "cotiler",
-                "tile": shape_to_json(tile.shape),
-                "config": source_to_json(source),
-                "exact_cover_verified": ok,
-            }
-            _emit(_payload("cotiler verify", inputs, result), args, start)
-            return 0 if ok else 1
-        raise UsageError("cotiler needs a subcommand: find | verify")
+            result = {**head, **decision_to_json(decision), "exact_cover_verified": cover_ok}
+            return "cotiler find", result, {NONEMPTY: 0, EMPTY: 1}.get(decision.kind, 2)
+        source = _load_source(args.grid, inputs, torus=True)
+        ok = exact_cover_on_torus(tile, source)
+        result = {**head, "config": source_to_json(source), "exact_cover_verified": ok}
+        return "cotiler verify", result, 0 if ok else 1
 
     if cmd == "verify":
-        return _verify_certificate(args, inputs, start)
+        return _verify_certificate(args, inputs)
 
     raise UsageError(f"unknown command {cmd!r}")
 
@@ -405,8 +379,8 @@ def _reconfirm_window(spec, cert: dict, seed: int) -> bool:
     return reconfirm_empty(spec, window, seed=seed)
 
 
-def _verify_certificate(args, inputs, start) -> int:
-    data = json.loads(_read_file(args.certificate, inputs))
+def _verify_certificate(args, inputs) -> tuple[str, dict, int]:
+    data = _parse_json(_read_file(args.certificate, inputs))
     cert = data
     if isinstance(data, dict) and "certificate" not in data:
         cert = data.get("result", data)  # a full report wraps the certificate
@@ -468,9 +442,7 @@ def _verify_certificate(args, inputs, start) -> int:
         raise InputFormatError(f"unknown certificate kind {kind!r}")
 
     passed = all(checks.values())
-    result = {"certificate": kind, "checks": checks, "passed": passed}
-    _emit(_payload("verify", inputs, result), args, start)
-    return 0 if passed else 1
+    return "verify", {"certificate": kind, "checks": checks, "passed": passed}, 0 if passed else 1
 
 
 def main() -> None:

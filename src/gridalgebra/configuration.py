@@ -63,12 +63,6 @@ class Shape:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __contains__(self, cell) -> bool:
-        return tuple(cell) in set(self.cells)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Shape) and self.cells == other.cells
 
@@ -87,9 +81,6 @@ class Shape:
         x0, y0, x1, y1 = self._box
         return max(x1 - x0 + 1, y1 - y0 + 1)
 
-    def translate(self, t: ExponentVector) -> "Shape":
-        return Shape((c[0] + t[0], c[1] + t[1]) for c in self.cells)
-
     def negate(self) -> "Shape":
         return Shape((-c[0], -c[1]) for c in self.cells)
 
@@ -100,23 +91,14 @@ class Pattern:
     __slots__ = ("shape", "values")
 
     def __init__(self, shape: Shape, values):
-        if isinstance(values, dict):
-            missing = [c for c in shape.cells if c not in values]
-            if missing or len(values) != len(shape):
-                raise ValueError("values must be defined on exactly the shape cells")
-            vals = tuple(values[c] for c in shape.cells)
-        else:
-            vals = tuple(values)
-            if len(vals) != len(shape):
-                raise ValueError("value tuple length must match the shape size")
+        vals = tuple(values)
+        if len(vals) != len(shape):
+            raise ValueError("value tuple length must match the shape size")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", vals)
 
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
-
-    def value_at(self, cell) -> int:
-        return self.values[self.shape.cells.index(tuple(cell))]
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,9 +162,6 @@ class Patch:
             and self.rows == other.rows
         )
 
-    def __hash__(self) -> int:
-        return hash((self.origin, self.rows))
-
     def __repr__(self) -> str:
         return f"Patch(origin={self.origin}, {self.width}x{self.height})"
 
@@ -226,9 +205,6 @@ class TorusConfig:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusConfig) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"TorusConfig({self.k}x{self.l})"

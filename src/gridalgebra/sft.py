@@ -55,9 +55,6 @@ class SftSpec:
             and self.allowed == other.allowed
         )
 
-    def __hash__(self) -> int:
-        return hash((self.shape, self.alphabet, self.allowed))
-
 
 @dataclass(frozen=True)
 class Budget:

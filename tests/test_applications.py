@@ -20,12 +20,13 @@ from gridalgebra import (
     apply_poly,
     cotiler_sft,
     exact_cover_on_torus,
-    find_periodic_cotiler,
     verify_witness,
 )
+from gridalgebra.applications import cotiler_decision
 from gridalgebra.errors import InvalidAlphabet, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
 from gridalgebra.linestructure import PERIODIC_IN_DIRECTION, TWO_PERIODIC, UNDETERMINED
+from gridalgebra.sft import NONEMPTY
 
 from helpers import brute_force_exact_cover
 
@@ -147,26 +148,26 @@ def test_cotiler_sft_singleton():
     assert only.values == (1,)
 
 
-def test_find_periodic_cotiler_domino():
+def test_cotiler_decision_domino():
     tile = ClusterTile(Shape([(0, 0), (1, 0)]))
-    witness = find_periodic_cotiler(tile, Budget(max_window=4, max_torus=4))
-    assert witness is not None
-    assert exact_cover_on_torus(tile, witness)
+    decision = cotiler_decision(tile, Budget(max_window=4, max_torus=4))
+    assert decision.kind == NONEMPTY and decision.witness is not None
+    assert exact_cover_on_torus(tile, decision.witness)
 
 
-def test_find_periodic_cotiler_plus():
+def test_cotiler_decision_plus():
     tile = ClusterTile(PLUS)
-    witness = find_periodic_cotiler(tile, Budget(max_window=4, max_torus=6))
-    assert witness is not None
-    assert (witness.k, witness.l) == (5, 5)
-    assert exact_cover_on_torus(tile, witness)
+    decision = cotiler_decision(tile, Budget(max_window=4, max_torus=6))
+    assert decision.kind == NONEMPTY and decision.witness is not None
+    assert (decision.witness.k, decision.witness.l) == (5, 5)
+    assert exact_cover_on_torus(tile, decision.witness)
 
 
-def test_find_periodic_cotiler_l_tromino():
+def test_cotiler_decision_l_tromino():
     tile = ClusterTile(Shape([(0, 0), (1, 0), (0, 1)]))
-    witness = find_periodic_cotiler(tile, Budget(max_window=4, max_torus=6))
-    assert witness is not None
-    assert exact_cover_on_torus(tile, witness)
+    decision = cotiler_decision(tile, Budget(max_window=4, max_torus=6))
+    assert decision.kind == NONEMPTY and decision.witness is not None
+    assert exact_cover_on_torus(tile, decision.witness)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

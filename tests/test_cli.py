@@ -148,6 +148,26 @@ def test_eliminate_fp(capsys):
     assert resultants[1] == [[0, 1, "1"], [0, 2, "1"]]  # y + y^2
 
 
+def test_json_grid_and_polynomial_inputs(capsys, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "torus", "k": 2, "l": 2, "values": [[0, 1], [1, 0]]}))
+    code, report = run_json(capsys, ["complexity", str(grid), "--shape", "rect:2x2"])
+    assert code == 0
+    assert report["result"] == {"count": 2, "low_complexity": True, "shape_size": 4}
+
+    poly = {"domain": "F2", "terms": [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"], [1, 1, "1"]]}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(poly))
+    # the domain comes from the JSON, not from --field
+    for arg in (str(path), json.dumps(poly)):
+        code, report = run_json(capsys, ["factor-lines", arg])
+        assert code == 0
+        assert report["result"]["input"] == poly
+        factors = report["result"]["decomposition"]["factors"]
+        assert [f["direction"] for f in factors] == [[0, 1], [1, 0]]
+    assert list(report["inputs"]) == []  # a literal reads no file
+
+
 def test_antenna_subcommands(capsys, lee_grid, tmp_path):
     code, report = run_json(capsys, ["antenna", "classify", "--shape", "plus", "--a", "1", "--b", "1"])
     assert code == 0
@@ -309,6 +329,11 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["verify", "{tmp}/periodizer_missing.json"], 65, "input-format"),
         (["factor-lines", "x + y", "--field", "F" + "1" * 30], 64, "usage"),
         (["verify", "{tmp}/modulus_30_digits.json"], 65, "input-format"),
+        (["verify", "{tmp}/deep.json"], 65, "input-format"),
+        (["decide-sft", "{tmp}/deep.json"], 65, "input-format"),
+        (["complexity", "{tmp}/utf16.txt", "--shape", "rect:1x1"], 65, "input-format"),
+        (["factor-lines", "{tmp}/utf16.txt"], 65, "input-format"),
+        (["factor-lines", "1 + x", "--out", "{tmp}/missing/o.json"], 64, "usage"),
     ],
     ids=[
         "zero-denominator",
@@ -333,6 +358,11 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "cert-periodizer-missing",
         "field-beyond-prime-test",
         "cert-modulus-beyond-prime-test",
+        "verify-json-too-deep",
+        "decide-sft-json-too-deep",
+        "grid-not-utf8",
+        "poly-file-not-utf8",
+        "out-dir-missing",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -377,6 +407,8 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
     }
     for name, cert in certificates.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cert))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "utf16.txt").write_bytes("0 1\n1 0\n".encode("utf-16"))  # starts \xff\xfe
     argv = [a.format(ragged=ragged, grid=grid, tmp=tmp_path) for a in argv]
     assert run(argv) == exit_code
     captured = capsys.readouterr()

@@ -163,6 +163,30 @@ def test_eliminate_input_free_of_variable_is_its_own_eliminant():
     assert by_var[2].resultant == f
 
 
+def test_eliminate_second_input_free_of_variable_is_the_eliminant():
+    # g has no y, so it is the eliminant of y; the shared factor 1 + x
+    # makes the resultant in x vanish
+    f = P("1 + x + y + x*y", GF(2))
+    g = P("1 + x", GF(2))
+    report = eliminate_and_classify_fp(f, g)
+    by_var = {e.variable: e for e in report.entries}
+    assert by_var[2].resultant == g
+    assert by_var[1].resultant.is_zero
+    assert (report.verdict, report.direction) == (PERIODIC_IN_DIRECTION, (1, 0))
+
+
+def test_eliminate_one_nonzero_resultant():
+    # both inputs involve both variables; their common factor 1 + x makes
+    # the resultant in x vanish, and the one in y is (1 + x)^3
+    f = P("1 + x + y + x*y", GF(2))
+    g = P("1 + y + y^2 + x + x*y + x*y^2", GF(2))
+    report = eliminate_and_classify_fp(f, g)
+    by_var = {e.variable: e for e in report.entries}
+    assert by_var[1].resultant.is_zero
+    assert by_var[2].resultant == P("1 + x + x^2 + x^3", GF(2))
+    assert (report.verdict, report.direction) == (PERIODIC_IN_DIRECTION, (1, 0))
+
+
 def test_elimination_soundness_on_tori():
     # any nonzero eliminant annihilates every torus killed by both inputs
     rng = random.Random(79)
