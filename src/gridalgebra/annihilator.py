@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .algebra import ExponentVector, LaurentPoly, QQ, ZZ, _half_plane, normalize_direction
@@ -33,12 +33,15 @@ PERIODIZER_TIMES_BINOMIAL = "periodizer_times_binomial"
 @dataclass(frozen=True)
 class AnnihilatorResult:
     """Nonzero annihilator f; for the periodizer kind, f = (x - 1) * g
-    where g times the data is the stored constant on the observed region."""
+    where g times the data is the stored constant on the observed region.
+    ``shape`` is the shape of the patterns it was read from; it says where
+    the claims hold and takes no part in equality."""
 
     kind: str
     poly: LaurentPoly
     periodizer: LaurentPoly | None = None
     constant: int | None = None
+    shape: Shape | None = field(default=None, compare=False)
 
 
 def _kernel_vector(rows: list[list[int]]) -> list[int]:
@@ -95,12 +98,13 @@ def find_annihilator(patterns: set[Pattern]) -> AnnihilatorResult:
     *w, constant = _kernel_vector([[*p.values, -1] for p in pats])
     g = _poly_from_cell_vector(shape, w)
     if constant == 0:
-        return AnnihilatorResult(kind=DIRECT, poly=g)
+        return AnnihilatorResult(kind=DIRECT, poly=g, shape=shape)
     return AnnihilatorResult(
         kind=PERIODIZER_TIMES_BINOMIAL,
         poly=LaurentPoly.difference_binomial(QQ, (1, 0)) * g,
         periodizer=g,
         constant=constant,
+        shape=shape,
     )
 
 
@@ -116,13 +120,20 @@ class VerificationReport:
 def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> VerificationReport:
     """Re-check an annihilator result against configuration data. For the
     periodizer kind, also that poly = (x - 1) * periodizer and that the
-    periodizer maps the data to the stored constant."""
-    check = is_annihilated(source, result.poly)
+    periodizer maps the data to the stored constant.
+
+    On a patch, a result that records its pattern shape is checked only at
+    the positions the patterns came from, where that shape fits; poly, as
+    (x - 1) times the periodizer, where it fits at both u and u - (1, 0)."""
+    fit = result.shape
     if result.kind == DIRECT:
+        check = is_annihilated(source, result.poly, fit=fit)
         return VerificationReport(passed=check.annihilated, annihilation=check)
     g = result.periodizer
+    pair = fit and Shape(fit.cells + tuple((x - 1, y) for x, y in fit.cells))
+    check = is_annihilated(source, result.poly, fit=pair)
     identity_ok = result.poly == LaurentPoly.difference_binomial(g.domain, (1, 0)) * g
-    product = apply_poly(g, source)
+    product = apply_poly(g, source, fit=fit)
     values = {v for row in product.rows for v in row}
     observed = values.pop() if len(values) == 1 else None
     constant_ok = observed is not None and observed == result.constant

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import LaurentPoly, ZZ
 from .configuration import Pattern, Shape, TorusConfig, apply_poly
 from .errors import InvalidAlphabet
-from .linestructure import PeriodicityVerdict, classify
+from .linestructure import UNDETERMINED, PeriodicityVerdict, classify
 from .sft import Budget, Decision, SftSpec, decide
 
 
@@ -50,9 +50,13 @@ def antenna_classify(problem: AntennaProblem) -> PeriodicityVerdict:
 
     The range polynomial minus (b - a) maps any solution to the constant-a
     configuration, so it periodizes every solution and its line-factor
-    structure applies.
+    structure applies. With D = {0} and b - a = 1 it is zero and periodizes
+    every configuration, so nothing is forced: the verdict is undetermined.
     """
-    return classify(antenna_polynomial(problem), role="periodizes")
+    f = antenna_polynomial(problem)
+    if f.is_zero:
+        return PeriodicityVerdict(kind=UNDETERMINED)
+    return classify(f, role="periodizes")
 
 
 def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:

@@ -1,0 +1,123 @@
+"""Re-checking of emitted certificates, one checker per kind.
+
+A certificate is the ``result`` object of ``annihilate``, ``decide-sft``,
+``antenna verify`` or ``cotiler find`` / ``cotiler verify``, named by its
+``certificate`` key. ``check`` re-checks every claim it makes with the
+library's independent checks and returns them by name; it passes iff all
+are true. Every key a checker reads is required, so a missing key is an
+InputFormatError and never reads as "no claim".
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from .annihilator import verify as verify_annihilator
+from .applications import (
+    AntennaProblem,
+    ClusterTile,
+    antenna_verify,
+    cotiler_sft,
+    exact_cover_on_torus,
+)
+from .configuration import TorusConfig
+from .errors import InputFormatError
+from .formats import (
+    annihilator_result_from_json,
+    sft_spec_from_json,
+    shape_from_json,
+    source_from_json,
+)
+from .sft import EMPTY, NONEMPTY, UNKNOWN, reconfirm_empty, verify_witness
+
+
+def _field(cert: dict, key: str, kind: type | None = None):
+    """cert[key], which must be present, and of JSON type kind if given."""
+    try:
+        value = cert[key]
+    except KeyError:
+        raise InputFormatError(f"certificate lacks {key!r}") from None
+    if kind is not None and type(value) is not kind:
+        raise InputFormatError(f"certificate {key} {value!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _annihilator(cert: dict, source, seed: int) -> dict[str, bool]:
+    result = annihilator_result_from_json(_field(cert, "result"))
+    # on a patch the claims hold only where the pattern shape fits
+    result = replace(result, shape=shape_from_json(_field(cert, "shape")))
+    if source is None:
+        source = source_from_json(_field(cert, "source"))
+    report = verify_annihilator(result, source)
+    checks = {"annihilates": report.annihilation.annihilated}
+    if report.constant_ok is not None:
+        checks["periodizer_constant"] = report.constant_ok
+        checks["periodizer_identity"] = report.identity_ok
+    return checks
+
+
+def _sft_decision(cert: dict, source, seed: int, tile: ClusterTile | None = None):
+    """A decision of decide-sft, or of cotiler find for the co-tiler SFT of
+    tile: nonempty is checked on its witness torus (with the exact cover of
+    a co-tiler), empty by re-confirming its window; unknown claims nothing."""
+    spec = cotiler_sft(tile) if tile is not None else sft_spec_from_json(_field(cert, "spec"))
+    decision = _field(cert, "decision")
+    if decision == EMPTY:
+        return {"window_unfillable": reconfirm_empty(spec, _field(cert, "window", int), seed)}
+    if decision == UNKNOWN:
+        return {"unknown_makes_no_claim": True}
+    if decision != NONEMPTY:
+        raise InputFormatError(f"unknown decision {decision!r}")
+    witness = _field(cert, "witness")
+    if witness is None:
+        return {"witness_present": False}
+    witness = source_from_json(witness)
+    if not isinstance(witness, TorusConfig):
+        raise InputFormatError("a witness must be a torus")
+    if tile is None:
+        return {"witness_patterns_allowed": verify_witness(spec, witness)}
+    cover = exact_cover_on_torus(tile, witness)
+    return {
+        "exact_cover_claim": cover == _field(cert, "exact_cover_verified", bool),
+        "exact_cover": cover,
+        "sft_patterns_allowed": verify_witness(spec, witness),
+    }
+
+
+def _cotiler(cert: dict, source, seed: int) -> dict[str, bool]:
+    tile = ClusterTile(shape_from_json(_field(cert, "tile")))
+    if "config" not in cert:  # written by `cotiler find`
+        return _sft_decision(cert, source, seed, tile)
+    # written by `cotiler verify`: one grid and whether it is an exact cover
+    cover = exact_cover_on_torus(tile, source_from_json(_field(cert, "config")))
+    return {"exact_cover_claim": cover == _field(cert, "exact_cover_verified", bool)}
+
+
+def _antenna(cert: dict, source, seed: int) -> dict[str, bool]:
+    shape = shape_from_json(_field(cert, "shape"))
+    try:
+        problem = AntennaProblem(shape, _field(cert, "a", int), _field(cert, "b", int))
+    except ValueError as e:
+        raise InputFormatError(f"bad antenna a/b: {e}") from e
+    config = source_from_json(_field(cert, "config"))
+    return {"antenna_condition": antenna_verify(config, problem) == _field(cert, "valid", bool)}
+
+
+CHECKERS = {
+    "annihilator": _annihilator,
+    "sft_decision": _sft_decision,
+    "cotiler": _cotiler,
+    "antenna": _antenna,
+}
+
+
+def check(cert, source=None, seed: int = 0) -> dict[str, bool]:
+    """Named checks of one certificate. ``source`` replaces an annihilator
+    certificate's own grid; ``seed`` varies the order of an emptiness
+    re-confirmation and never its verdict."""
+    if not isinstance(cert, dict):
+        raise InputFormatError("certificate must be a JSON object")
+    kind = _field(cert, "certificate", str)
+    if kind not in CHECKERS:
+        raise InputFormatError(f"unknown certificate kind {kind!r}")
+    return CHECKERS[kind](cert, source, seed)

@@ -7,7 +7,7 @@ never perturbs the payload.
 
 Exit codes: 0 success (decide-sft: nonempty; verify: pass), 1 decide-sft
 empty / verify fail, 2 decide-sft unknown, 64 usage error, 65 input format
-error, 70 domain errors.
+error, 70 domain errors and internal errors (any other exception).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from . import __version__
+from . import __version__, certificates
 from .algebra import LaurentPoly, domain_from_name
 from .annihilator import find_annihilator, verify as verify_annihilator
 from .applications import (
@@ -27,7 +27,6 @@ from .applications import (
     antenna_classify,
     antenna_verify,
     cotiler_decision,
-    cotiler_sft,
     exact_cover_on_torus,
 )
 from .configuration import (
@@ -39,7 +38,6 @@ from .configuration import (
 )
 from .errors import GridAlgebraError, InputFormatError, UsageError
 from .formats import (
-    annihilator_result_from_json,
     annihilator_result_to_json,
     decision_to_json,
     decomposition_to_json,
@@ -58,7 +56,7 @@ from .formats import (
     verdict_to_json,
 )
 from .linestructure import classify, eliminate_and_classify_fp, line_factor_decomposition
-from .sft import Budget, EMPTY, NONEMPTY, decide, reconfirm_empty, verify_witness
+from .sft import Budget, EMPTY, NONEMPTY, decide
 
 
 def _read_file(path: str, inputs: dict) -> str:
@@ -257,6 +255,9 @@ def run(argv) -> int:
     except GridAlgebraError as e:
         print(json.dumps({"error": e.code, "message": str(e)}), file=sys.stderr)
         return e.exit_code
+    except Exception as e:  # a crash must never read as a verdict
+        print(json.dumps({"error": "internal", "message": repr(e)}), file=sys.stderr)
+        return 70
 
 
 def _dispatch(args, inputs) -> tuple[str, dict, int]:
@@ -364,85 +365,15 @@ def _dispatch(args, inputs) -> tuple[str, dict, int]:
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _field(cert: dict, key: str):
-    try:
-        return cert[key]
-    except KeyError:
-        raise InputFormatError(f"certificate lacks {key!r}") from None
-
-
-def _reconfirm_window(spec, cert: dict, seed: int) -> bool:
-    """Re-confirm an EMPTY claim at the certificate's window."""
-    window = _field(cert, "window")
-    if type(window) is not int:
-        raise InputFormatError(f"certificate window {window!r} is not an integer")
-    return reconfirm_empty(spec, window, seed=seed)
-
-
 def _verify_certificate(args, inputs) -> tuple[str, dict, int]:
-    data = _parse_json(_read_file(args.certificate, inputs))
-    cert = data
-    if isinstance(data, dict) and "certificate" not in data:
-        cert = data.get("result", data)  # a full report wraps the certificate
-    if not isinstance(cert, dict):
-        raise InputFormatError("certificate must be a JSON object")
-    kind = cert.get("certificate")
-    checks: dict[str, bool] = {}
-
-    if kind == "annihilator":
-        result_obj = annihilator_result_from_json(_field(cert, "result"))
-        if args.grid:
-            source = _load_source(args.grid, inputs, args.torus)
-        else:
-            source = source_from_json(_field(cert, "source"))
-        report = verify_annihilator(result_obj, source)
-        checks["annihilates"] = report.annihilation.annihilated
-        if report.constant_ok is not None:
-            checks["periodizer_constant"] = report.constant_ok
-            checks["periodizer_identity"] = report.identity_ok
-    elif kind == "sft_decision":
-        spec = sft_spec_from_json(_field(cert, "spec"))
-        decision = _field(cert, "decision")
-        if decision == NONEMPTY:
-            checks["witness_patterns_allowed"] = verify_witness(
-                spec, source_from_json(_field(cert, "witness"))
-            )
-        elif decision == EMPTY:
-            checks["window_unfillable"] = _reconfirm_window(spec, cert, args.seed)
-        else:
-            checks["unknown_makes_no_claim"] = True
-    elif kind == "cotiler":
-        tile = ClusterTile(shape_from_json(_field(cert, "tile")))
-        decision = cert.get("decision")
-        claim = cert.get("exact_cover_verified")
-        witness = cert.get("config") or cert.get("witness")
-        if witness:
-            witness = source_from_json(witness)
-            cover = exact_cover_on_torus(tile, witness)
-            if type(claim) is bool:
-                checks["exact_cover_claim"] = cover == claim
-            if decision == NONEMPTY or type(claim) is not bool:
-                checks["exact_cover"] = cover
-                checks["sft_patterns_allowed"] = verify_witness(cotiler_sft(tile), witness)
-        elif decision == NONEMPTY:
-            checks["witness_present"] = False
-        if decision == EMPTY:
-            checks["window_unfillable"] = _reconfirm_window(cotiler_sft(tile), cert, args.seed)
-        elif not checks:
-            checks["unknown_makes_no_claim"] = True
-    elif kind == "antenna":
-        shape = shape_from_json(_field(cert, "shape"))
-        try:
-            problem = AntennaProblem(shape, int(_field(cert, "a")), int(_field(cert, "b")))
-        except (TypeError, ValueError) as e:
-            raise InputFormatError(f"bad antenna a/b: {e}") from e
-        config = source_from_json(_field(cert, "config"))
-        checks["antenna_condition"] = antenna_verify(config, problem) == _field(cert, "valid")
-    else:
-        raise InputFormatError(f"unknown certificate kind {kind!r}")
-
+    cert = _parse_json(_read_file(args.certificate, inputs))
+    if isinstance(cert, dict) and "certificate" not in cert and "result" in cert:
+        cert = cert["result"]  # a full report wraps the certificate
+    source = _load_source(args.grid, inputs, args.torus) if args.grid else None
+    checks = certificates.check(cert, source, args.seed)
     passed = all(checks.values())
-    return "verify", {"certificate": kind, "checks": checks, "passed": passed}, 0 if passed else 1
+    result = {"certificate": cert["certificate"], "checks": checks, "passed": passed}
+    return "verify", result, 0 if passed else 1
 
 
 def main() -> None:

@@ -279,14 +279,15 @@ def rectangle_complexity_profile(
 # -- polynomial action ----------------------------------------------------
 
 
-def _product(f: LaurentPoly, source: Source):
+def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
     """The product f c from the raw rows: (region, den, cells).
 
     ``cells`` yields (x, y, num) with den * (f c) at (x, y) equal to num,
     in fundamental order on a torus and row-major over the valid region
     ``region`` on a patch (None on a torus); over F_p num is reduced to
-    [0, p). Raises EmptyValidRegion when the support of f does not fit
-    inside a patch, before any symbol is read.
+    [0, p). With a shape ``fit``, the region of a patch keeps only the
+    positions u with u + fit inside it. Raises EmptyValidRegion when the
+    region of a patch is empty, before any symbol is read.
     """
     dom = f.domain
     terms = f.terms.items()
@@ -306,6 +307,10 @@ def _product(f: LaurentPoly, source: Source):
         xs, ys = zip(*f.terms)
         x0, x1 = ox + max(xs), ox + source.width - 1 + min(xs)
         y0, y1 = oy + max(ys), oy + source.height - 1 + min(ys)
+        if fit is not None:
+            fx0, fy0, fx1, fy1 = fit.bounding_box()
+            x0, x1 = max(x0, ox - fx0), min(x1, ox + source.width - 1 - fx1)
+            y0, y1 = max(y0, oy - fy0), min(y1, oy + source.height - 1 - fy1)
         if x0 > x1 or y0 > y1:
             raise EmptyValidRegion("support of the polynomial exceeds the patch")
         region = (x0, y0, x1, y1)
@@ -323,16 +328,17 @@ def _cells(rows, terms, xr, yr, p):
             yield x, y, (acc % p if p else acc)
 
 
-def apply_poly(f: LaurentPoly, source: Source) -> Source:
+def apply_poly(f: LaurentPoly, source: Source, fit: Shape | None = None) -> Source:
     """Multiply the configuration by f: value at u is sum_v f_v c_{u-v}.
 
     A torus maps to a torus with the same periods (exact everywhere). A
     patch maps to the patch of values on the valid region, the original
-    region eroded by the support of f.
+    region eroded by the support of f (and by the shape ``fit``, if given,
+    to the positions where it fits).
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot apply the zero polynomial")
-    region, den, cells = _product(f, source)
+    region, den, cells = _product(f, source, fit)
     values = [num if den == 1 else Fraction(num, den) for _, _, num in cells]
     w = source.k if region is None else region[2] - region[0] + 1
     rows = [values[j : j + w] for j in range(0, len(values), w)]
@@ -371,18 +377,19 @@ def _domain_rows(source: Source, dom):
     return [[image[v] for v in row] for row in source.rows]
 
 
-def is_annihilated(source: Source, f: LaurentPoly) -> AnnihilationCheck:
+def is_annihilated(source: Source, f: LaurentPoly, fit: Shape | None = None) -> AnnihilationCheck:
     """Test whether f annihilates the source configuration.
 
     The product is summed cell by cell from the raw rows, and the test
     stops at the first nonzero cell, which is the ``witness``: the first in
     fundamental order (row by row from (0, 0)) on a torus, the first in
-    row-major order over the valid region on a patch. Raises
-    EmptyValidRegion when the support of f does not fit inside a patch.
+    row-major order over the valid region on a patch (kept to the positions
+    where the shape ``fit`` fits, if given). Raises EmptyValidRegion when
+    that region is empty.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial annihilates everything")
-    region, _, cells = _product(f, source)
+    region, _, cells = _product(f, source, fit)
     for x, y, num in cells:
         if num:
             return AnnihilationCheck("no", witness=(x, y))

@@ -12,17 +12,25 @@ from fractions import Fraction
 
 from gridalgebra import (
     GF,
+    ClusterTile,
     LaurentPoly,
     Patch,
     TorusConfig,
     UnimodularMatrix,
     ZZ,
+    cotiler_sft,
     line_direction_candidates,
     poly_divexact,
     unimodular_completion,
     unimodular_substitute,
 )
 from gridalgebra.errors import EmptyValidRegion
+from gridalgebra.formats import (
+    annihilator_result_from_json,
+    sft_spec_from_json,
+    shape_from_json,
+    source_from_json,
+)
 from gridalgebra.linestructure import LineDecomposition
 
 
@@ -417,16 +425,25 @@ def binomial_product_annihilator_oracle(source, max_norm, max_factors):
     return None
 
 
-def brute_force_exact_cover(cells, torus):
-    """Place a tile copy at every 1-cell and count the copies on each cell
-    of the torus; an exact cover puts exactly one on each."""
+def brute_force_antenna(cells, torus, a, b):
+    """Place a range copy at every 1-cell and count the copies on each cell
+    of the torus: b on every 1-cell and a on every other cell."""
     count = [[0] * torus.k for _ in range(torus.l)]
     for ty in range(torus.l):
         for tx in range(torus.k):
             if torus.rows[ty][tx] == 1:
                 for cx, cy in cells:
                     count[(ty + cy) % torus.l][(tx + cx) % torus.k] += 1
-    return all(n == 1 for row in count for n in row)
+    return all(
+        n == (b if v == 1 else a)
+        for crow, row in zip(count, torus.rows)
+        for n, v in zip(crow, row)
+    )
+
+
+def brute_force_exact_cover(cells, torus):
+    """Tile copies at the 1-cells cover each cell of the torus exactly once."""
+    return brute_force_antenna(cells, torus, 1, 1)
 
 
 def brute_force_torus_patterns(torus, shape):
@@ -675,3 +692,76 @@ def convex_hull_oracle(points):
 
     rest = sorted((v for v in verts if v != first), key=functools.cmp_to_key(turn))
     return [first] + rest
+
+
+# -- certificate claims ---------------------------------------------------
+
+
+def annihilator_claim_holds(shape, source, result):
+    """Whether an annihilator result's claims hold where its patterns came
+    from: at every cell of a torus; on a patch, at the positions u with
+    every cell of u + shape inside, and for poly, the annihilator (x - 1)
+    times a periodizer, of u - (1, 0) + shape too. Products come from
+    apply_poly_oracle and the identity from shifted coefficient dicts."""
+
+    def image(f, shifts):
+        out = apply_poly_oracle(f, source)
+        if isinstance(source, TorusConfig):
+            return [v for row in out.rows for v in row]
+        ox, oy = out.origin
+        return [
+            v
+            for j, row in enumerate(out.rows)
+            for i, v in enumerate(row)
+            if all(
+                (ox + i + s + cx, oy + j + cy) in source for s in shifts for cx, cy in shape.cells
+            )
+        ]
+
+    if result.kind == "direct":
+        return all(v == 0 for v in image(result.poly, [0]))
+    g = result.periodizer
+    shifted = {(x + 1, y): c for (x, y), c in g.terms.items()}
+    times_x_minus_1 = {
+        e: shifted.get(e, 0) - g.terms.get(e, 0) for e in set(shifted) | set(g.terms)
+    }
+    return (
+        LaurentPoly(g.domain, times_x_minus_1) == result.poly
+        and set(image(g, [0])) == {result.constant}
+        and all(v == 0 for v in image(result.poly, [0, -1]))
+    )
+
+
+def certificate_claim_holds(cert):
+    """Whether every claim a certificate makes holds, decided by brute force
+    on tiny windows and tori. It reads keys plainly, so call it only on a
+    certificate the checker accepted."""
+    kind = cert["certificate"]
+    if kind == "annihilator":
+        shape, source = shape_from_json(cert["shape"]), source_from_json(cert["source"])
+        return annihilator_claim_holds(shape, source, annihilator_result_from_json(cert["result"]))
+    if kind == "antenna":
+        config = source_from_json(cert["config"])
+        cells = shape_from_json(cert["shape"]).cells
+        return cert["valid"] == brute_force_antenna(cells, config, cert["a"], cert["b"])
+    if kind == "cotiler":
+        tile = shape_from_json(cert["tile"])
+        if "config" in cert:
+            cover = brute_force_exact_cover(tile.cells, source_from_json(cert["config"]))
+            return cert["exact_cover_verified"] == cover
+        spec = cotiler_sft(ClusterTile(tile))
+    else:
+        spec = sft_spec_from_json(cert["spec"])
+    decision = cert["decision"]
+    if decision == "nonempty":
+        if cert["witness"] is None:
+            return False
+        torus = source_from_json(cert["witness"])
+        allowed = brute_force_torus_patterns(torus, spec.shape) <= {p.values for p in spec.allowed}
+        if kind == "cotiler":
+            cover = brute_force_exact_cover(tile.cells, torus)
+            return allowed and cover and cert["exact_cover_verified"] is True
+        return allowed
+    if decision == "empty":
+        return brute_force_window_filling(spec, cert["window"]) is None
+    return decision == "unknown"

@@ -152,11 +152,6 @@ def test_scaling_invariance():
 # -- binomial products ----------------------------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="verify checks the periodizer on its own valid region, which is larger "
-    "than the region the patterns came from when its support is smaller than the shape",
-)
 def test_verify_accepts_patch_periodizer_with_small_support():
     patch = Patch(
         (-3, 3),
@@ -166,6 +161,23 @@ def test_verify_accepts_patch_periodizer_with_small_support():
     assert result.kind == PERIODIZER_TIMES_BINOMIAL
     assert result.periodizer == poly_from_text("y^-1", QQ)
     assert verify(result, patch).passed
+
+
+def test_verify_patch_periodizer_differences_where_the_shape_fits_twice():
+    # the first column varies, so the periodizer x^-1 reads the second
+    # cell of each domino; (x - 1) x^-1 holds only where the domino fits
+    # at u and at u - (1, 0), not in the first column of positions
+    patch = Patch((2, -1), [[0, 3, 3, 3], [3, 3, 3, 3], [0, 3, 3, 3]])
+    shape = Shape.rectangle(2, 1)
+    result = find_annihilator(extract_patterns(patch, shape))
+    assert result.kind == PERIODIZER_TIMES_BINOMIAL
+    assert result.periodizer == poly_from_text("x^-1", QQ)
+    report = verify(result, patch)
+    assert report.passed and report.annihilation.region == (3, -1, 4, 1)
+    # with one column of positions nothing is differenced
+    narrow = Patch((0, 0), [[0, 3], [3, 3]])
+    with pytest.raises(EmptyValidRegion):
+        verify(find_annihilator(extract_patterns(narrow, shape)), narrow)
 
 
 def test_binomial_torus_3_5():

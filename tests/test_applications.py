@@ -23,9 +23,14 @@ from gridalgebra import (
     verify_witness,
 )
 from gridalgebra.applications import cotiler_decision
-from gridalgebra.errors import InvalidAlphabet, ZeroPolynomial
+from gridalgebra.errors import InvalidAlphabet
 from gridalgebra.formats import poly_from_text
-from gridalgebra.linestructure import PERIODIC_IN_DIRECTION, TWO_PERIODIC, UNDETERMINED
+from gridalgebra.linestructure import (
+    PERIODIC_IN_DIRECTION,
+    TWO_PERIODIC,
+    UNDETERMINED,
+    PeriodicityVerdict,
+)
 from gridalgebra.sft import NONEMPTY
 
 from helpers import brute_force_exact_cover
@@ -83,8 +88,12 @@ def test_antenna_classify_domino_cases():
 
 
 def test_antenna_classify_degenerate_zero_polynomial():
-    with pytest.raises(ZeroPolynomial):
-        antenna_classify(AntennaProblem(Shape([(0, 0)]), a=0, b=1))
+    # D = {0}, a = 0, b = 1: the polynomial is zero and every {0,1}
+    # configuration is a solution, so nothing is forced
+    problem = AntennaProblem(Shape([(0, 0)]), a=0, b=1)
+    assert antenna_polynomial(problem).is_zero
+    assert antenna_classify(problem) == PeriodicityVerdict(kind=UNDETERMINED)
+    assert antenna_verify(TorusConfig([[0, 1, 1], [1, 0, 0]]), problem)
 
 
 def test_antenna_verify_lee_code():

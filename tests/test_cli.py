@@ -219,7 +219,7 @@ def test_cotiler_emptiness_certificate_verifies(capsys, tmp_path):
     "claim, exit_code",
     [
         ({"decision": "empty", "window": 3}, 1),  # the domino tiles the plane
-        ({"decision": "nonempty"}, 1),  # no witness to back the claim
+        ({"decision": "nonempty", "witness": None}, 1),  # no witness to back the claim
         ({"decision": "unknown"}, 0),  # no claim
     ],
     ids=["forged-empty", "nonempty-without-witness", "unknown"],
@@ -415,3 +415,34 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert json.loads(captured.err.strip().splitlines()[-1])["error"] == error
+
+
+def test_antenna_classify_zero_polynomial_forces_nothing(capsys):
+    argv = ["antenna", "classify", "--shape", "rect:1x1", "--a", "0", "--b", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    result = report["result"]
+    assert (result["verdict"], result["direction"], result["order_upper_bound"]) == (
+        "undetermined", None, None
+    )
+
+
+def _assert_internal(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "internal"
+
+
+def test_crash_exits_internal_not_a_verdict(capsys, monkeypatch, checker_grid):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gridalgebra.cli.complexity", crash)
+    _assert_internal(capsys, run(["complexity", checker_grid, "--shape", "rect:2x2"]))
+
+
+def test_exponent_gap_beyond_index_size_exits_internal(capsys):
+    # the dense columns of split_direction cannot be sized: OverflowError
+    _assert_internal(capsys, run(["factor-lines", "x^1000000000000000000000 + 1"]))
