@@ -22,10 +22,10 @@ primitive polynomial remainder sequence (pseudo-remainder, then divide by
 the content); by Gauss's lemma that is the rational gcd cleared to coprime
 integers, and a primitive candidate that divides a column over Q divides it
 over Z. Over F_p it is Euclid's algorithm on ints mod p, and the content is
-monic. Resultants run fraction-free Bareiss elimination on dense
-coefficient lists in the kept variable, shifted to nonnegative exponents
-and shifted back at the end; the entries are ints mod p over F_p and
-Fractions over Q.
+monic. Resultants run the subresultant remainder sequence in the eliminated
+variable on coefficients that are dense lists in the kept variable, shifted
+to nonnegative exponents and shifted back at the end; the entries are ints
+mod p over F_p and Fractions over Q, and every division is exact.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByZero,
     DomainMismatch,
+    InputTooLarge,
     NotDivisible,
     NotUnimodular,
     ZeroPolynomial,
@@ -554,6 +555,17 @@ def unimodular_substitute(f: LaurentPoly, m: UnimodularMatrix) -> LaurentPoly:
 # A dense list holds the coefficients of one univariate polynomial, constant
 # term first, with no trailing zeros; [] is the zero polynomial.
 
+# Dense forms are sized by exponent spans, not by term counts, so one term
+# with a large exponent could ask for any amount of memory. split_direction
+# and _coefficients_in_var refuse to lay out an input in more dense entries
+# than this (32 MB of list slots).
+MAX_DENSE_ENTRIES = 1 << 22
+
+
+def _check_dense(entries: int):
+    if entries > MAX_DENSE_ENTRIES:
+        raise InputTooLarge(f"{entries} dense entries exceed the limit of {MAX_DENSE_ENTRIES}")
+
 
 def _dense_trim(c: list) -> list:
     while c and not c[-1]:
@@ -697,9 +709,13 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
     for (x, y), v in f.terms.items():
         columns.setdefault(c * x + d * y, {})[a * x + b * y] = v
     dense: dict[int, tuple[int, list]] = {}
+    entries = 0
     for t, col in columns.items():
         lo = min(col)
-        row = [0] * (max(col) - lo + 1)
+        span = max(col) - lo + 1
+        entries += span
+        _check_dense(entries)
+        row = [0] * span
         for e1, v in col.items():
             row[e1 - lo] = v
         dense[t] = (lo, row)
@@ -783,43 +799,63 @@ def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list], int]:
     lo_v = min(e[vi] for e in terms)
     lo = min(e[oi] for e in terms)
     width = max(e[oi] for e in terms) - lo + 1
+    _check_dense((hi_v - lo_v + 1) * width)
     coeffs = [[0] * width for _ in range(hi_v - lo_v + 1)]
     for e, c in terms.items():
         coeffs[hi_v - e[vi]][e[oi] - lo] = c
     return [_dense_trim(c) for c in coeffs], lo
 
 
-def _bareiss_determinant(a: list[list[list]], p: int | None) -> list:
-    """Fraction-free determinant of a square matrix of dense polynomials
-    over F_p (p given) or Q (p None). Each division by the previous pivot
-    is exact by Sylvester's identity (Bareiss 1968); a row swap only
-    flips the sign."""
-    n = len(a)
+def _dense_pow(a: list, k: int, p: int | None) -> list:
+    if k == 0:
+        return [1]
+    out = a
+    for _ in range(k - 1):
+        out = _dense_mul_sub(out, a, [], [], p)
+    return out
+
+
+def _dense_divexact(a: list, b: list, p: int | None) -> list:
+    q, r = _dense_divmod(a, b, p) if b != [1] else (a, [])
+    if r:
+        raise AssertionError("inexact division in the subresultant sequence")
+    return q
+
+
+def _subresultant(a: list[list], b: list[list], p: int | None) -> list:
+    """Res(a, b) for a and b of positive degree with coefficients, leading
+    first, that are dense polynomials over F_p (p given) or Q (p None): the
+    subresultant remainder sequence (Collins 1967; Cohen, GTM 138, Algorithm
+    3.3.7, no content step), where each pseudo-remainder divides exactly by
+    g h^delta (Brown and Traub 1971) and a zero one means a common factor."""
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = [1]
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        sign *= (-1) ** (da * db)
+        # lc(b)^(delta + 1) a mod b, one step per leading position of a
+        lb, r = b[0], a[:]
+        for i in range(delta + 1):
+            li = r[i]
+            for j in range(i + 1, da + 1):
+                r[j] = _dense_mul_sub(lb, r[j], li, b[j - i] if j - i <= db else [], p)
+        r = r[delta + 1 :]
+        while r and not r[0]:
+            del r[0]
+        if not r:
             return []
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead_i = row_i[k]
-            for j in range(k + 1, n):
-                num = _dense_mul_sub(pivot, row_i[j], lead_i, row_k[j], p)
-                row_i[j], rem = _dense_divmod(num, prev, p)
-                if rem:
-                    raise AssertionError("inexact division in fraction-free elimination")
-            row_i[k] = []
-        prev = pivot
-    det = a[n - 1][n - 1]
+        div = _dense_mul_sub(g, _dense_pow(h, delta, p), [], [], p)
+        a, b = b, [_dense_divexact(c, div, p) for c in r]
+        g = a[0]
+        h = _dense_divexact(_dense_pow(g, delta, p), _dense_pow(h, delta - 1, p), p) if delta else h
+    da = len(a) - 1
+    res = _dense_divexact(_dense_pow(b[0], da, p), _dense_pow(h, da - 1, p), p)
     if sign > 0:
-        return det
-    return [-c for c in det] if p is None else [(-c) % p for c in det]
+        return res
+    return [-c for c in res] if p is None else [(-c) % p for c in res]
 
 
 def univariate_resultant(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
@@ -842,9 +878,7 @@ def univariate_resultant(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPol
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both inputs must involve the eliminated variable")
-    rows = [[[]] * i + fc + [[]] * (m - 1 - i) for i in range(m)]
-    rows += [[[]] * i + gc + [[]] * (n - 1 - i) for i in range(n)]
-    det = _bareiss_determinant(rows, dom.p)
+    det = _subresultant(fc, gc, dom.p)
     # the m rows of f carry y^-flo and the n rows of g carry y^-glo
     # (x for var = 2), so the determinant comes back shifted
     shift = flo * m + glo * n

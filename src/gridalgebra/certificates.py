@@ -20,7 +20,6 @@ from .applications import (
     cotiler_sft,
     exact_cover_on_torus,
 )
-from .configuration import TorusConfig
 from .errors import InputFormatError
 from .formats import (
     annihilator_result_from_json,
@@ -72,15 +71,15 @@ def _sft_decision(cert: dict, source, seed: int, tile: ClusterTile | None = None
     if witness is None:
         return {"witness_present": False}
     witness = source_from_json(witness)
-    if not isinstance(witness, TorusConfig):
-        raise InputFormatError("a witness must be a torus")
+    # verify_witness rejects a witness that is not a torus, so it runs first
+    patterns_allowed = verify_witness(spec, witness)
     if tile is None:
-        return {"witness_patterns_allowed": verify_witness(spec, witness)}
+        return {"witness_patterns_allowed": patterns_allowed}
     cover = exact_cover_on_torus(tile, witness)
     return {
         "exact_cover_claim": cover == _field(cert, "exact_cover_verified", bool),
         "exact_cover": cover,
-        "sft_patterns_allowed": verify_witness(spec, witness),
+        "sft_patterns_allowed": patterns_allowed,
     }
 
 

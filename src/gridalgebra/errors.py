@@ -63,6 +63,11 @@ class InputFormatError(GridAlgebraError):
     exit_code = 65
 
 
+class InputTooLarge(GridAlgebraError):
+    code = "input-too-large"
+    exit_code = 65
+
+
 class UsageError(GridAlgebraError):
     code = "usage"
     exit_code = 64

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import convex_hull, _cross
 from .configuration import Pattern, Shape, TorusConfig
-from .errors import WindowSmallerThanShape
+from .errors import InputFormatError, WindowSmallerThanShape
 
 EMPTY = "empty"
 NONEMPTY = "nonempty"
@@ -320,6 +320,8 @@ def _spent(counter: _NodeCounter, windows, tori) -> BudgetSpent:
 
 def verify_witness(spec: SftSpec, torus: TorusConfig) -> bool:
     """Independent full-pattern check of a non-emptiness certificate."""
+    if not isinstance(torus, TorusConfig):
+        raise InputFormatError("a witness must be a torus")
     for ty in range(torus.l):
         for tx in range(torus.k):
             values = tuple(torus.value_at((tx + cx, ty + cy)) for (cx, cy) in spec.shape.cells)

@@ -23,11 +23,13 @@ from gridalgebra import (
     unimodular_substitute,
     univariate_resultant,
 )
+from gridalgebra import algebra
 from gridalgebra.algebra import _is_prime, convex_hull, domain_from_name, split_direction
 from gridalgebra.formats import decomposition_to_json
 from gridalgebra.errors import (
     DivisionByZero,
     DomainMismatch,
+    InputTooLarge,
     NotDivisible,
     NotUnimodular,
     ZeroPolynomial,
@@ -328,11 +330,20 @@ def test_content_primitive_prs_with_nonconstant_cofactors():
         (QQ, "-1 + 2*x*y - 2*x^2", "2*x - 2*x^2*y^-1"),
         (GF(3), "y^-1 + 2 + x + x^2*y", "2 + 2*x*y"),
         (GF(3), "y^-1 + 2*y + x^2*y^-1", "2*y^-1 + y + x + 2*x^2*y^-1"),
+        # eliminating x, the remainder -x*y + y^-1 against degree 3 drops by
+        # two, so the next step has delta = 2
+        (GF(5), "x^4 + y^-1", "x^3 + y"),
+        (QQ, "x^4 + y", "x^3 + 1 + y"),
+        # delta = 3 first, then the remainder y^2 x + 2y drops by one
+        (GF(3), "x^5 + 2*y", "x^2 + y"),
+        # the remainder -x*y + y of x^6 + y by x^5 + y drops by four
+        (GF(7), "x^6 + y", "x^5 + y"),
     ],
 )
 def test_resultant_with_zero_pivot(domain, f, g):
-    # these Sylvester matrices have a vanishing leading minor, so Bareiss
-    # swaps rows and the sign of the determinant must follow
+    # the first three Sylvester matrices have a vanishing leading principal
+    # minor, and the others take abnormal steps in the remainder sequence
+    # (a degree drop of two or more); the sign must follow the determinant
     f, g = P(f, domain), P(g, domain)
     for var in (1, 2):
         r = poly_fp_as_uni_dict(univariate_resultant(f, g, var), 3 - var)
@@ -594,7 +605,7 @@ def test_convex_hull_matches_vertex_oracle(points):
 @PROPERTY
 @given(st.data())
 def test_resultant_fp_matches_laplace_oracle(data):
-    dom = data.draw(st.sampled_from([GF(2), GF(3), GF(5), GF(101)]))
+    dom = data.draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7), GF(101)]))
     f, g = data.draw(both_var_polys(dom)), data.draw(both_var_polys(dom))
     for var in (1, 2):
         r = univariate_resultant(f, g, var)
@@ -619,3 +630,103 @@ def test_resultant_q_matches_laplace_oracle(data):
         r = univariate_resultant(f, g, var)
         assert_canonical(r)
         assert poly_fp_as_uni_dict(r, 3 - var) == sylvester_resultant_oracle_q(f, g, var)
+
+
+# -- subresultant sequence branches (hypothesis) --------------------------
+
+RESULTANT_DOMAINS = [GF(2), GF(3), GF(5), GF(7), GF(101), QQ]
+
+
+@st.composite
+def kept_polys(draw, domain, lo=-2, hi=2):
+    """A nonzero polynomial in the kept variable only, as a dict."""
+    nonzero = st.integers(1, domain.p - 1) if domain.p else st.sampled_from([-3, -1, 1, 2])
+    return draw(st.dictionaries(st.integers(lo, hi), nonzero, min_size=1, max_size=3))
+
+
+def in_var(domain, var, coeffs):
+    """sum of coeffs[i] * v^i with v the variable ``var`` and each
+    coeffs[i] a dict in the other variable."""
+    terms = {}
+    for i, c in coeffs.items():
+        for j, v in c.items():
+            terms[(i, j) if var == 1 else (j, i)] = v
+    return LaurentPoly(domain, terms)
+
+
+def extent(f, var):
+    exps = [e[var - 1] for e in f.terms]
+    return max(exps) - min(exps)
+
+
+@st.composite
+def resultant_pairs(draw, case, domain, var):
+    """A pair whose sequence, eliminating ``var``, takes the branch named
+    by ``case``; exponents may be negative in both variables. Random pairs
+    are drawn by test_resultant_fp_matches_laplace_oracle and
+    test_resultant_q_matches_laplace_oracle."""
+    k = lambda lo=-2, hi=2: draw(kept_polys(domain, lo, hi))  # noqa: E731
+    shift = draw(st.integers(-1, 1))
+    if case == "odd-odd-swap":
+        # deg f = 1 < deg g = 3: the swap and the first step both flip the sign
+        f = in_var(domain, var, {shift: k(), shift + 1: k()})
+        g = in_var(domain, var, {0: k(), 1: k(), 3: k()})
+        return f, g
+    if case == "shared-factor":
+        h = in_var(domain, var, {0: k(-1, 1), 1: k(-1, 1)})
+        a = in_var(domain, var, {shift: k(-1, 1), shift + 1: k(-1, 0)})
+        b = in_var(domain, var, {0: k(0, 1), 2: k(0, 1)})
+        return h * a, h * b
+    # abnormal: f = e v g + r v + s leaves the remainder r v + s against
+    # deg g = 3, a drop by two
+    g = in_var(domain, var, {0: k(-1, 1), 3: k(-1, 1)})
+    rest = in_var(domain, var, {0: k(-1, 1), 1: k(-1, 1)})
+    e = in_var(domain, var, {1: k(-1, 0)})
+    return e * g + rest, g
+
+
+@pytest.mark.parametrize("case", ["odd-odd-swap", "shared-factor", "abnormal"])
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_resultant_sequence_matches_laplace_oracle(case, data):
+    dom = data.draw(st.sampled_from(RESULTANT_DOMAINS))
+    var = data.draw(st.sampled_from([1, 2]))
+    f, g = data.draw(resultant_pairs(case, dom, var))
+    if case == "odd-odd-swap":
+        assert (extent(f, var), extent(g, var)) == (1, 3)
+    if case == "abnormal":
+        assert (extent(f, var), extent(g, var)) == (4, 3)
+    for v in (1, 2):
+        if extent(f, v) == 0 or extent(g, v) == 0:
+            continue
+        r = univariate_resultant(f, g, v)
+        assert_canonical(r)
+        if dom.p:
+            assert poly_fp_as_uni_dict(r, 3 - v) == sylvester_resultant_oracle_fp(f, g, v, dom.p)
+        else:
+            assert poly_fp_as_uni_dict(r, 3 - v) == sylvester_resultant_oracle_q(f, g, v)
+        if case == "shared-factor" and v == var:
+            assert r.is_zero
+
+
+# -- dense size guard -------------------------------------------------------
+
+
+def test_dense_size_guard_at_the_limit(monkeypatch):
+    # with the limit at 10 entries, a column (or row set) of 10 passes and
+    # one of 11 is refused before it is built
+    monkeypatch.setattr(algebra, "MAX_DENSE_ENTRIES", 10)
+    f = P("1 + x^9", GF(2))
+    assert split_direction(f, (1, 0)) == (f, P("1", GF(2)))
+    with pytest.raises(InputTooLarge):
+        split_direction(P("1 + x^10", GF(2)), (1, 0))
+    # two columns of 5 and 6 entries: 11 in all
+    with pytest.raises(InputTooLarge):
+        split_direction(P("1 + x^4 + y + x^5*y", GF(2)), (1, 0))
+    # 5 rows in x of 2 entries in y each pass; 6 rows of 2, or 11 rows of 1, do not
+    g = P("x + y", GF(2))
+    assert univariate_resultant(P("x^4*y + 1", GF(2)), g, 1) == P("1 + y^5", GF(2))
+    with pytest.raises(InputTooLarge):
+        univariate_resultant(P("x^5*y + 1", GF(2)), g, 1)
+    with pytest.raises(InputTooLarge):
+        univariate_resultant(P("x^10 + 1", GF(2)), g, 1)

@@ -1,9 +1,15 @@
 """End-to-end CLI dispatch, exit codes, certificate round-trips."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridalgebra
 from gridalgebra.cli import run
 
 
@@ -443,6 +449,60 @@ def test_crash_exits_internal_not_a_verdict(capsys, monkeypatch, checker_grid):
     _assert_internal(capsys, run(["complexity", checker_grid, "--shape", "rect:2x2"]))
 
 
-def test_exponent_gap_beyond_index_size_exits_internal(capsys):
-    # the dense columns of split_direction cannot be sized: OverflowError
-    _assert_internal(capsys, run(["factor-lines", "x^1000000000000000000000 + 1"]))
+def _run_capped(argv):
+    """cli.run(argv) in a child process capped at 1 GiB of address space
+    and 60 s, so a size guard that fails ends in MemoryError or a timeout
+    and never takes the machine's memory; returns the exit code and the
+    child's stdout and stderr."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(gridalgebra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys; from gridalgebra.cli import run; sys.exit(run({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # split_direction would ask for a column of 3*10^8 entries
+        ["factor-lines", "x^300000000 + 1"],
+        # ... or of 10^21, beyond any index size
+        ["factor-lines", "x^1000000000000000000000 + 1"],
+        # _coefficients_in_var would ask for 10^20 dense rows
+        ["eliminate-fp", "x^100000000000000000000*y + 1", "x + y", "--field", "F2"],
+    ],
+    ids=["factor-lines-3e8", "factor-lines-1e21", "eliminate-fp-1e20"],
+)
+def test_exponent_gap_exits_input_too_large(argv):
+    code, out, err = _run_capped(argv)
+    assert (code, out) == (65, "")
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+@pytest.mark.parametrize("kind", ["sft_decision", "cotiler"])
+def test_verify_rejects_a_witness_that_is_not_a_torus(capsys, tmp_path, kind):
+    cert = {
+        "certificate": kind,
+        "decision": "nonempty",
+        "witness": {"kind": "patch", "origin": [0, 0], "values": [[1]]},
+        "exact_cover_verified": True,
+    }
+    if kind == "cotiler":
+        cert["tile"] = [[0, 0]]
+    else:
+        cert["spec"] = {"shape": [[0, 0]], "alphabet": [1], "allowed": [[1]]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(["verify", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error == {"error": "input-format", "message": "a witness must be a torus"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import (
     Budget,
+    Patch,
     Pattern,
     Shape,
     SftSpec,
@@ -21,7 +22,7 @@ from gridalgebra import (
     verify_witness,
     window_fillable,
 )
-from gridalgebra.errors import WindowSmallerThanShape
+from gridalgebra.errors import InputFormatError, WindowSmallerThanShape
 from gridalgebra.sft import (
     EMPTY,
     NONEMPTY,
@@ -347,3 +348,8 @@ def test_search_matches_forward_checking_reference(spec, data):
     assert _kernel(spec, k, l, True, limit=limit) == forward_checking_search(
         spec, k, l, True, limit=limit
     )
+
+
+def test_verify_witness_rejects_a_patch():
+    with pytest.raises(InputFormatError, match="a witness must be a torus"):
+        verify_witness(CHECKER_SPEC, Patch((0, 0), [[0]]))
