@@ -459,9 +459,12 @@ def normalize_direction(v: ExponentVector) -> ExponentVector:
 
 
 def _half_plane(bound: int) -> list[ExponentVector]:
-    """Vectors with a > 0, or a = 0 < b, of max-norm <= bound, by (max-norm, a, b)."""
-    out = [(a, b) for a in range(bound + 1) for b in range(-bound, bound + 1) if a > 0 or b > 0]
-    out.sort(key=lambda t: (max(t[0], abs(t[1])), t))
+    """Vectors with a > 0, or a = 0 < b, of max-norm <= bound, by (max-norm, a, b):
+    ring r is (0, r), then (a, -r), (a, r) for 0 < a < r, then (r, b) for |b| <= r."""
+    out = []
+    for r in range(1, bound + 1):
+        out += [(0, r), *((a, s) for a in range(1, r) for s in (-r, r))]
+        out += [(r, b) for b in range(-r, r + 1)]
     return out
 
 

@@ -21,6 +21,8 @@ from .configuration import (
     Patch,
     Shape,
     TorusConfig,
+    _domain_rows,
+    _periods,
     apply_poly,
     is_annihilated,
 )
@@ -160,8 +162,10 @@ def find_binomial_product_annihilator(
 
     No product is multiplied out: it annihilates c iff x^tm - 1 annihilates
     the prefix difference (x^t1 - 1)...(x^t(m-1) - 1) c, and lexicographic
-    order builds each prefix difference once, from its own prefix's. Tuples
-    that outgrow a patch are skipped; EmptyValidRegion only if all do.
+    order builds each prefix difference once, from its own prefix's. On a
+    torus, x^t - 1 annihilates a prefix iff t is a period of it, so each
+    prefix keeps its period set. Tuples that outgrow a patch are skipped;
+    EmptyValidRegion only if all do.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
@@ -169,19 +173,28 @@ def find_binomial_product_annihilator(
         raise ValueError("max_factors must be between 1 and 3")
     candidates = _half_plane(max_norm)
     binomial = partial(LaurentPoly.difference_binomial, ZZ)
+    torus = isinstance(source, TorusConfig)
+    if torus:  # a symbol outside Z raises as in is_annihilated; equal ones stay equal
+        _domain_rows(source, ZZ)
+    # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its periods on a torus)
+    root = (None, source, _periods(source) if torus else None)
     skipped_all = True
     for m in range(1, max_factors + 1):
-        # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c) for the current prefix
-        chain = [(None, source)]
+        chain = [root]
         for ts in itertools.combinations(candidates, m):
-            if len({normalize_direction(t) for t in ts}) < m:
+            if m > 1 and len({normalize_direction(t) for t in ts}) < m:
                 continue
-            keep = next((i for i, (t, _) in enumerate(chain[1:]) if t != ts[i]), len(chain) - 1)
+            keep = next((i for i, (t, _, _) in enumerate(chain[1:]) if t != ts[i]), len(chain) - 1)
             del chain[keep + 1 :]
             try:
                 for t in ts[keep:-1]:
-                    chain.append((t, apply_poly(binomial(t), chain[-1][1])))
-                hit = is_annihilated(chain[-1][1], binomial(ts[-1])).annihilated
+                    prefix = apply_poly(binomial(t), chain[-1][1])
+                    chain.append((t, prefix, _periods(prefix) if torus else None))
+                (_, prefix, periods), t = chain[-1], ts[-1]
+                if torus:
+                    hit = (t[0] % prefix.k, t[1] % prefix.l) in periods
+                else:
+                    hit = is_annihilated(prefix, binomial(t)).annihilated
             except EmptyValidRegion:
                 continue
             skipped_all = False

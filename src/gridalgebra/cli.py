@@ -63,7 +63,7 @@ def _read_file(path: str, inputs: dict) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise InputFormatError(f"cannot read {path}: {e}") from e
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:

@@ -415,10 +415,13 @@ def _periods(torus: TorusConfig) -> set[ExponentVector]:
 
 
 def _least_period_multiple(torus: TorusConfig, periods, u: ExponentVector) -> int:
-    """Minimal n >= 1 such that n*u is a period, given _periods(torus)."""
+    """Minimal n >= 1 such that n*u is a period, given _periods(torus): one
+    walk of v = n*u mod (k, l), a step of u at a time, to the first period."""
     k, l = torus.k, torus.l
-    # n = k*l always lands on (0, 0), which is a period
-    return next(n for n in range(1, k * l + 1) if ((n * u[0]) % k, (n * u[1]) % l) in periods)
+    x, y, n = u[0] % k, u[1] % l, 1
+    while (x, y) not in periods:  # n = k*l lands on (0, 0), which is a period
+        x, y, n = (x + u[0]) % k, (y + u[1]) % l, n + 1
+    return n
 
 
 def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:

@@ -425,6 +425,14 @@ def binomial_product_annihilator_oracle(source, max_norm, max_factors):
     return None
 
 
+def half_plane_oracle(bound):
+    """Vectors with a > 0, or a = 0 < b, of max-norm at most bound, sorted
+    by the key (max-norm, a, b)."""
+    out = [(a, b) for a in range(bound + 1) for b in range(-bound, bound + 1) if a > 0 or b > 0]
+    out.sort(key=lambda t: (max(t[0], abs(t[1])), t))
+    return out
+
+
 def brute_force_antenna(cells, torus, a, b):
     """Place a range copy at every 1-cell and count the copies on each cell
     of the torus: b on every 1-cell and a on every other cell."""

@@ -39,6 +39,7 @@ from helpers import (
     convex_hull_oracle,
     direction_content_oracle,
     fp_torus_annihilated_by,
+    half_plane_oracle,
     is_prime_by_trial_division,
     line_factor_decomposition_oracle,
     poly_fp_as_uni_dict,
@@ -730,3 +731,8 @@ def test_dense_size_guard_at_the_limit(monkeypatch):
         univariate_resultant(P("x^5*y + 1", GF(2)), g, 1)
     with pytest.raises(InputTooLarge):
         univariate_resultant(P("x^10 + 1", GF(2)), g, 1)
+
+
+def test_half_plane_is_emitted_in_key_order():
+    for bound in range(13):
+        assert algebra._half_plane(bound) == half_plane_oracle(bound), bound

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,36 @@ def test_binomial_three_layers_on_a_patch():
     assert result == ((0, 1), (1, 0), (1, 1))
     with pytest.raises(EmptyValidRegion):
         find_binomial_product_annihilator(Patch((0, 0), [[1]]), max_norm=1)
+
+
+def test_binomial_two_factors_on_a_10x10_torus():
+    # a function of x - 2y plus one of y: x^(1,0) - 1 kills the second
+    # layer and x^(2,1) - 1 the first; the first single period in the search
+    # order is (0, 10), beyond max_norm, so the search reaches two factors
+    rng = random.Random(71)
+    f = [rng.randrange(4) for _ in range(10)]
+    g = [rng.randrange(4) for _ in range(10)]
+    torus = TorusConfig([[f[(i - 2 * j) % 10] + 5 * g[j] for i in range(10)] for j in range(10)])
+    assert find_binomial_product_annihilator(torus, max_norm=3, max_factors=1) is None
+    result = find_binomial_product_annihilator(torus, max_norm=3, max_factors=2)
+    assert result == ((1, 0), (2, 1))
+    assert result == binomial_product_annihilator_oracle(torus, 3, 2)
+    assert find_binomial_product_annihilator(torus, max_norm=10, max_factors=1) == ((0, 10),)
+
+
+@pytest.mark.parametrize(
+    "s, t, error, message",
+    [
+        ("a", "b", TypeError, "cannot coerce 'a' into Z"),
+        (Fraction(1, 2), 0, ValueError, "1/2 is not an integer"),
+        (1.5, 0, TypeError, "cannot coerce 1.5 into Z"),
+    ],
+    ids=["string", "fraction", "float"],
+)
+def test_binomial_search_on_a_torus_rejects_symbols_outside_z(s, t, error, message):
+    torus = TorusConfig([[s, t], [t, s]])
+    with pytest.raises(error, match=re.escape(message)):
+        find_binomial_product_annihilator(torus, max_norm=2)
 
 
 @st.composite

@@ -1,13 +1,19 @@
 """End-to-end CLI dispatch, exit codes, certificate round-trips."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridalgebra
 from gridalgebra.cli import run
@@ -340,6 +346,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["complexity", "{tmp}/utf16.txt", "--shape", "rect:1x1"], 65, "input-format"),
         (["factor-lines", "{tmp}/utf16.txt"], 65, "input-format"),
         (["factor-lines", "1 + x", "--out", "{tmp}/missing/o.json"], 64, "usage"),
+        (["factor-lines", "1 + x\0"], 65, "input-format"),
+        (["complexity", "{grid}\0", "--shape", "rect:1x1"], 65, "input-format"),
     ],
     ids=[
         "zero-denominator",
@@ -369,6 +377,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "grid-not-utf8",
         "poly-file-not-utf8",
         "out-dir-missing",
+        "poly-text-with-nul",
+        "grid-path-with-nul",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -506,3 +516,105 @@ def test_verify_rejects_a_witness_that_is_not_a_torus(capsys, tmp_path, kind):
     assert captured.out == ""
     error = json.loads(captured.err.strip().splitlines()[-1])
     assert error == {"error": "input-format", "message": "a witness must be a torus"}
+
+
+# -- the input boundary under drawn bytes -------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_GRIDS = [
+    {"kind": "torus", "k": 2, "l": 2, "values": [[0, 1], [1, 0]]},
+    {"kind": "patch", "origin": [1, -1], "values": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]},
+]
+_POLYS = [
+    {"domain": "Z", "terms": [[0, 0, "1"], [1, 0, "1"], [0, 1, "-1"], [1, 1, "-1"]]},
+    {"domain": "F3", "terms": [[-1, 0, "2"], [0, 2, "1"]]},
+]
+# no run of five digits, so every exponent stays far below MAX_DENSE_ENTRIES
+_POLY_TEXT = (
+    st.text(max_size=200)
+    | st.lists(
+        st.sampled_from(["x", "y", "^", "^-", "*", "+", "-", " ", "/", "(", "\0", "0", "7", "12"]),
+        max_size=50,
+    ).map("".join)
+).filter(lambda s: not re.search(r"\d{5}", s))
+
+
+@st.composite
+def _mutated(draw, docs):
+    """One of the JSON docs with one node replaced by a drawn value or, in a
+    list or an object, dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        if isinstance(node, (dict, list)):
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(child, (*path, key))
+
+    walk(doc, ())
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return draw(_JSON_VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+def _assert_exit_contract(argv):
+    """cli.run(argv) in process: the exit code is a documented one, a result
+    comes with its payload, and no input reads as an internal error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 64, 65, 70), (argv, code, err.getvalue())
+    if code <= 2:
+        assert json.loads(out.getvalue())["command"] == argv[0], argv
+    assert '"error": "internal"' not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(
+        [
+            ["complexity", "--shape", "rect:2x2"],
+            ["profile", "--nmax", "2", "--mmax", "2"],
+            ["annihilate", "--shape", "rect:2x2"],
+        ]
+    ),
+    data=st.binary(max_size=200) | _mutated(_GRIDS).map(lambda d: json.dumps(d).encode()),
+    torus=st.booleans(),
+)
+def test_grid_commands_keep_the_exit_contract_on_drawn_bytes(
+    tmp_path_factory, command, data, torus
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz_grid"
+    path.write_bytes(data)
+    _assert_exit_contract([command[0], str(path), *command[1:], *(["--torus"] if torus else [])])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["factor-lines", "classify"]),
+    field=st.sampled_from(["Z", "Q", "F2", "F3"]),
+    text=_POLY_TEXT,
+    doc=st.none() | _mutated(_POLYS),
+)
+def test_poly_commands_keep_the_exit_contract_on_drawn_text(
+    tmp_path_factory, command, field, text, doc
+):
+    if doc is not None:
+        text = str(tmp_path_factory.getbasetemp() / "fuzz_poly.json")
+        Path(text).write_text(json.dumps(doc))
+    # after "--" a text with a leading "-" is the polynomial, not an option
+    _assert_exit_contract([command, "--field", field, "--", text])
