@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, ZZ
-from .configuration import Pattern, Shape, TorusConfig, apply_poly
+from .configuration import Pattern, Shape, TorusConfig, _product
 from .errors import InvalidAlphabet
 from .linestructure import UNDETERMINED, PeriodicityVerdict, classify
 from .sft import Budget, Decision, SftSpec, decide
@@ -64,13 +64,16 @@ def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:
     sum at every cell equals (b - a) * c + a."""
     if not config.alphabet <= {0, 1}:
         raise InvalidAlphabet("antenna configurations are over {0, 1}")
+    return _range_sum_is(config, problem.shape, problem.b - problem.a, problem.a)
+
+
+def _range_sum_is(config: TorusConfig, shape: Shape, d: int, a: int) -> bool:
+    """Whether the range sum, the sum of c_(u - v) over the shape cells v,
+    equals d * c_u + a at every cell u of the torus."""
     # the range sum, not antenna_polynomial: that is zero when D = {0}, b - a = 1
-    range_sum = LaurentPoly(ZZ, {cell: 1 for cell in problem.shape.cells})
-    product = apply_poly(range_sum, config)
-    d, a = problem.b - problem.a, problem.a
-    return all(
-        s == d * c + a for prow, row in zip(product.rows, config.rows) for s, c in zip(prow, row)
-    )
+    _, _, cells = _product(LaurentPoly(ZZ, {cell: 1 for cell in shape.cells}), config)
+    rows = config.rows
+    return all(s == d * rows[y][x] + a for x, y, s in cells)
 
 
 def cotiler_sft(tile: ClusterTile) -> SftSpec:
@@ -91,7 +94,7 @@ def exact_cover_on_torus(tile: ClusterTile, config: TorusConfig) -> bool:
     the tile and a = b = 1."""
     if not config.alphabet <= {0, 1}:
         raise InvalidAlphabet("co-tiler configurations are over {0, 1}")
-    return antenna_verify(config, AntennaProblem(tile.shape, 1, 1))
+    return _range_sum_is(config, tile.shape, 0, 1)
 
 
 def cotiler_decision(tile: ClusterTile, budget: Budget = Budget()) -> Decision:

@@ -96,17 +96,28 @@ def _load_shape(spec: str, inputs: dict):
     return shape_from_json(_parse_json(_read_file(spec, inputs)))
 
 
-def _load_poly(path_or_literal: str, inputs: dict, field: str) -> LaurentPoly:
+def _load_poly(arg: str, inputs: dict, field: str) -> LaurentPoly:
+    """The polynomial an argument gives: the argument itself when it
+    parses as polynomial text or JSON, else the file it names (a file
+    called ``x`` is reached as ``./x``)."""
     try:
         domain = domain_from_name(field)
     except ValueError as e:
         raise UsageError(f"bad --field {field!r}: {e}") from e
     try:
-        text = _read_file(path_or_literal, inputs)
+        return _parse_poly(arg, domain)
+    except InputFormatError as e:
+        literal_error = e
+    try:
+        text = _read_file(arg, inputs)
     except InputFormatError:
-        if path_or_literal in inputs:
+        if arg in inputs:
             raise  # the file was read but is not UTF-8
-        text = path_or_literal  # allow literal polynomial text
+        raise literal_error
+    return _parse_poly(text, domain)
+
+
+def _parse_poly(text: str, domain) -> LaurentPoly:
     text = text.strip()
     if text.startswith("{"):
         return poly_from_json(_parse_json(text))

@@ -141,24 +141,29 @@ class _CompiledSpec:
     def torus(self, w: int, h: int) -> tuple[list[list[int]], int]:
         """Keep masks ``keeps[vi][cell]`` and the guard of a w x h torus.
 
-        Translate t = (tx, ty) owns field ty * w + tx. The keep masks of
-        row 0 are built translate by translate and stored twice, one copy
-        a whole torus above the other, so row y is a single right shift.
+        Translate t = (tx, ty) owns field ty * 2w + tx: rows are 2w fields
+        apart, w live ones and w dead ones, which stay 0 in the state. Each
+        value's stencil ORs the clear masks of cell (0, 0) at the translates
+        covering it, copies that block one torus width and one torus height
+        up, and complements the 2w x 2h block, so the keep mask of cell
+        (x, y) is one right shift by h - y rows and w - x fields. Several
+        shape cells on one translate (tori narrower than the shape) OR their
+        clears, which is the AND of their keeps. Bits above the live rows
+        are garbage that the state's zeros mask off.
         """
         f = self.count + 1
-        size = w * h * f
-        every = (1 << size) - 1
-        row0 = []
-        for x in range(w):
-            cell = [every] * len(self.values)
-            for (cx, cy), masks in zip(self.cells, self.clear):
-                shift = ((-cy % h) * w + (x - cx) % w) * f
-                for vi, mask in enumerate(masks):
-                    cell[vi] &= ~(mask << shift)
-            row0.append([k | (k << size) for k in cell])
-        shifts = range(size, 0, -w * f)
-        keeps = [[ks[vi] >> s for s in shifts for ks in row0] for vi in range(len(self.values))]
-        return keeps, _repunit(w * h, f) << self.count
+        stride = 2 * w * f
+        copies = (1 + (1 << (w * f))) * (1 + (1 << (h * stride)))
+        block = (1 << (2 * h * stride)) - 1
+        stencils = [0] * len(self.values)
+        for (cx, cy), masks in zip(self.cells, self.clear):
+            shift = (-cy % h) * stride + (-cx % w) * f
+            for vi, mask in enumerate(masks):
+                stencils[vi] |= mask << shift
+        stencils = [s * copies ^ block for s in stencils]
+        shifts = [(h - y) * stride + (w - x) * f for y in range(h) for x in range(w)]
+        keeps = [[s >> shift for shift in shifts] for s in stencils]
+        return keeps, _repunit(w, f) * _repunit(h, stride) << self.count
 
 
 def _repunit(count: int, step: int) -> int:

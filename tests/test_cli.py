@@ -180,6 +180,22 @@ def test_json_grid_and_polynomial_inputs(capsys, tmp_path):
     assert list(report["inputs"]) == []  # a literal reads no file
 
 
+def test_polynomial_argument_is_a_literal_before_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("x").write_text("1 + y")
+    code, report = run_json(capsys, ["factor-lines", "x"])
+    assert code == 0
+    assert report["result"]["input"] == {"domain": "Z", "terms": [[1, 0, "1"]]}
+    assert report["inputs"] == {}
+    code, report = run_json(capsys, ["factor-lines", "./x"])
+    assert code == 0
+    assert report["result"]["input"] == {"domain": "Z", "terms": [[0, 0, "1"], [0, 1, "1"]]}
+    assert list(report["inputs"]) == ["./x"]
+    # neither a polynomial nor a file
+    assert run(["factor-lines", "./y"]) == 65
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "input-format"
+
+
 def test_antenna_subcommands(capsys, lee_grid, tmp_path):
     code, report = run_json(capsys, ["antenna", "classify", "--shape", "plus", "--a", "1", "--b", "1"])
     assert code == 0

@@ -353,3 +353,35 @@ def test_search_matches_forward_checking_reference(spec, data):
 def test_verify_witness_rejects_a_patch():
     with pytest.raises(InputFormatError, match="a witness must be a torus"):
         verify_witness(CHECKER_SPEC, Patch((0, 0), [[0]]))
+
+
+def _fixed_polyominoes(size):
+    """Every fixed polyomino of ``size`` cells, moved to touch both axes."""
+    shapes = {((0, 0),)}
+    for _ in range(size - 1):
+        grown = set()
+        for cells in shapes:
+            for x, y in cells:
+                for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if c not in cells:
+                        new = cells + (c,)
+                        mx, my = min(p[0] for p in new), min(p[1] for p in new)
+                        grown.add(tuple(sorted((p[0] - mx, p[1] - my) for p in new)))
+        shapes = grown
+    return sorted(shapes)
+
+
+def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
+    """Every torus up to 6 x 6 (the bench's max_torus, tori narrower and
+    shorter than the tile included) gives the reference's first filling
+    and node count on the co-tiler SFT of each fixed tetromino."""
+    from gridalgebra import ClusterTile, cotiler_sft
+
+    tetrominoes = _fixed_polyominoes(4)
+    assert len(tetrominoes) == 19
+    for cells in tetrominoes:
+        spec = cotiler_sft(ClusterTile(Shape(cells)))
+        for k in range(1, 7):
+            for l in range(1, 7):
+                expected = forward_checking_search(spec, k, l, True)
+                assert _kernel(spec, k, l, True) == expected, (cells, k, l)
