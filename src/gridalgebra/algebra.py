@@ -564,6 +564,11 @@ def unimodular_substitute(f: LaurentPoly, m: UnimodularMatrix) -> LaurentPoly:
 # than this (32 MB of list slots).
 MAX_DENSE_ENTRIES = 1 << 22
 
+# The SFT search lays a window's or torus's keep masks out as integers, whose
+# bits grow as the fourth power of its side; sft refuses a window or torus
+# whose masks would take more bits than this (128 MB).
+MAX_MASK_BITS = 1 << 30
+
 
 def _check_dense(entries: int):
     if entries > MAX_DENSE_ENTRIES:

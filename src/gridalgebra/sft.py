@@ -11,10 +11,11 @@ exhausted budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .algebra import convex_hull, _cross
+from .algebra import MAX_MASK_BITS, convex_hull, _cross
 from .configuration import Pattern, Shape, TorusConfig
-from .errors import InputFormatError, WindowSmallerThanShape
+from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
 EMPTY = "empty"
 NONEMPTY = "nonempty"
@@ -97,9 +98,14 @@ class _CompiledSpec:
     i-th in sorted order) that do *not* carry ``values[vi]`` at shape cell
     ``pos``. A translate's field in the search state is ``count + 1`` bits
     wide: ``count`` pattern bits and a guard bit above them.
+
+    ``area`` is the lcm of |D| / gcd(|D|, m) over the values that sit m
+    times in every allowed pattern of shape D (1 if none does): it divides
+    the area of every torus that has a periodic point (see
+    ``find_periodic_point``).
     """
 
-    __slots__ = ("values", "count", "clear", "cells", "box")
+    __slots__ = ("values", "count", "clear", "cells", "box", "area")
 
     def __init__(self, spec: SftSpec):
         self.values = sorted(spec.alphabet)
@@ -113,6 +119,15 @@ class _CompiledSpec:
                 masks[index[v]] ^= 1 << i
         self.cells = spec.shape.cells
         self.box = spec.shape.bounding_box()
+        size = len(self.cells)
+        self.area = 1
+        for v in self.values if allowed else ():
+            m = allowed[0].count(v)
+            for pattern in allowed:
+                if pattern.count(v) != m:
+                    break
+            else:
+                self.area = lcm(self.area, size // gcd(size, m))
 
     def window(self, w: int, h: int) -> tuple[list[list[int]], int]:
         """Keep masks ``keeps[vi][cell]`` and the guard of a w x h window.
@@ -129,7 +144,9 @@ class _CompiledSpec:
         x0, y0, x1, y1 = self.box
         base = (y1 - y0) * w + (x1 - x0)
         top = w * h * f
-        stencils = [(1 << (top + (w * h + base) * f)) - 1] * len(self.values)
+        width = top + (w * h + base) * f  # of a stencil, and so of each keep mask
+        _check_mask_bits(len(self.values) * w * h * width)
+        stencils = [(1 << width) - 1] * len(self.values)
         for (cx, cy), masks in zip(self.cells, self.clear):
             shift = top + (base - (cy - y0) * w - (cx - x0)) * f
             for vi, mask in enumerate(masks):
@@ -153,6 +170,8 @@ class _CompiledSpec:
         """
         f = self.count + 1
         stride = 2 * w * f
+        # each keep mask is narrower than the 2w x 2h block
+        _check_mask_bits(len(self.values) * w * h * 2 * h * stride)
         copies = (1 + (1 << (w * f))) * (1 + (1 << (h * stride)))
         block = (1 << (2 * h * stride)) - 1
         stencils = [0] * len(self.values)
@@ -164,6 +183,12 @@ class _CompiledSpec:
         shifts = [(h - y) * stride + (w - x) * f for y in range(h) for x in range(w)]
         keeps = [[s >> shift for shift in shifts] for s in stencils]
         return keeps, _repunit(w, f) * _repunit(h, stride) << self.count
+
+
+def _check_mask_bits(bits: int):
+    """Refuse masks of more than MAX_MASK_BITS bits before building them."""
+    if bits > MAX_MASK_BITS:
+        raise InputTooLarge(f"{bits} keep-mask bits exceed the limit of {MAX_MASK_BITS}")
 
 
 def _repunit(count: int, step: int) -> int:
@@ -269,10 +294,21 @@ def find_periodic_point(
     _compiled: _CompiledSpec | None = None,
 ) -> TorusConfig | None:
     """Exhaustive search for a k x l torus all of whose wraparound
-    shape-patterns are allowed."""
+    shape-patterns are allowed.
+
+    Some tori are refuted by a symbol count, before any mask is built or
+    node spent. If value v sits m times in every allowed pattern of shape
+    D, count the pairs (translate, cell of D) that carry v on a periodic
+    point with N_v cells v: each shift by a cell of D permutes the torus
+    (tori narrower than the shape included), so |D| * N_v = m * k * l and
+    |D| / gcd(|D|, m) divides k * l. A torus whose area k * l is not a
+    multiple of the lcm of these, ``_CompiledSpec.area``, is answered None.
+    """
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
     compiled = _compiled or _CompiledSpec(spec)
+    if k * l % compiled.area:
+        return None
     rows = _search(compiled, k, l, True, _counter or _NodeCounter(None))
     return None if rows is None else TorusConfig(rows)
 
@@ -283,7 +319,9 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     Alternates one window size and one torus diagonal (k + l constant)
     per round and returns the first certificate under that fixed schedule,
     so the outcome is deterministic. Unknown reports the spent budget.
-    The spec is compiled once and shared by every window and torus.
+    The spec is compiled once and shared by every window and torus. A
+    torus refuted by the symbol count (see ``find_periodic_point``) is
+    still listed in ``tori_tried`` but spends 0 nodes.
     """
     compiled = _CompiledSpec(spec)
     counter = _NodeCounter(budget.max_nodes)

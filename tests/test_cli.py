@@ -236,7 +236,7 @@ def test_cotiler_emptiness_certificate_verifies(capsys, tmp_path):
     assert run(argv + ["--out", str(cert)]) == 1
     result = json.loads(cert.read_text())["result"]
     assert (result["decision"], result["window"]) == ("empty", 6)
-    assert result["budget_spent"]["nodes"] == 1_084
+    assert result["budget_spent"]["nodes"] == 1_058
     capsys.readouterr()
     code, report = run_json(capsys, ["verify", str(cert)])
     assert code == 0
@@ -508,6 +508,19 @@ def _run_capped(argv):
 )
 def test_exponent_gap_exits_input_too_large(argv):
     code, out, err = _run_capped(argv)
+    assert (code, out) == (65, "")
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+def test_verify_of_an_empty_claim_at_window_1000_exits_input_too_large(tmp_path):
+    # re-confirming it would lay out about 10^13 bits of keep masks
+    spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        json.dumps({"certificate": "sft_decision", "spec": spec, "decision": "empty", "window": 1000})
+    )
+    code, out, err = _run_capped(["verify", str(cert)])
     assert (code, out) == (65, "")
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"

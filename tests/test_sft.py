@@ -22,7 +22,7 @@ from gridalgebra import (
     verify_witness,
     window_fillable,
 )
-from gridalgebra.errors import InputFormatError, WindowSmallerThanShape
+from gridalgebra.errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 from gridalgebra.sft import (
     EMPTY,
     NONEMPTY,
@@ -118,7 +118,7 @@ def test_decide_domino_cotiler_nonempty():
     assert verify_witness(spec, decision.witness)
     # the first witness under the schedule is the 2x1 stripe
     assert decision.witness == TorusConfig([[0, 1]])
-    assert decision.budget_spent.nodes == 25
+    assert decision.budget_spent.nodes == 23
 
 
 def test_decide_plus_pentomino_cotiler():
@@ -134,7 +134,7 @@ def test_decide_plus_pentomino_cotiler():
     assert exact_cover_on_torus(tile, witness)
     assert period_lattice_index(witness) == 5
     spent = decision.budget_spent
-    assert spent.nodes == 2450
+    assert spent.nodes == 1088
     assert spent.windows_tried == (3, 4)
     assert len(spent.tori_tried) == 32
     assert spent.tori_tried[-1] == (5, 5)
@@ -234,16 +234,23 @@ MAX_FILLINGS = 2**12
 
 
 @st.composite
-def small_specs(draw, coords=range(2), offsets=st.just(0)):
+def small_specs(draw, coords=range(2), offsets=st.just(0), counted=st.just(False)):
     """Random spec on a shape of at most 4 cells inside the box coords x
-    coords, moved by an offset drawn per axis, over 1-3 symbols."""
+    coords, moved by an offset drawn per axis, over 1-3 symbols. A drawn
+    ``counted`` asks for at least 2 cells and 2 symbols, and for allowed
+    patterns (at least one) that all carry the least symbol m times, with
+    0 < m < |D|, so that the symbol count refutes some tori."""
+    counted = draw(counted)
     box = [(x, y) for y in coords for x in coords]
-    cells = draw(st.lists(st.sampled_from(box), min_size=1, max_size=4, unique=True))
+    cells = draw(st.lists(st.sampled_from(box), min_size=1 + counted, max_size=4, unique=True))
     dx, dy = draw(offsets), draw(offsets)
     shape = Shape((x + dx, y + dy) for x, y in cells)
-    alphabet = sorted(draw(st.sets(st.integers(-1, 2), min_size=1, max_size=3)))
+    alphabet = sorted(draw(st.sets(st.integers(-1, 2), min_size=1 + counted, max_size=3)))
     patterns = [Pattern(shape, v) for v in itertools.product(alphabet, repeat=len(shape))]
-    allowed = draw(st.sets(st.sampled_from(patterns)))
+    if counted:
+        m = draw(st.integers(1, len(shape) - 1))
+        patterns = [p for p in patterns if p.values.count(alphabet[0]) == m]
+    allowed = draw(st.sets(st.sampled_from(patterns), min_size=counted))
     return SftSpec(shape, alphabet, allowed)
 
 
@@ -295,8 +302,8 @@ PLUS_WITNESS = [
 @pytest.mark.parametrize(
     "make_spec, budget, nodes, witness",
     [
-        (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 25, [[0, 1]]),
-        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 2450, PLUS_WITNESS),
+        (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 23, [[0, 1]]),
+        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 1088, PLUS_WITNESS),
     ],
     ids=["domino", "plus"],
 )
@@ -374,14 +381,67 @@ def _fixed_polyominoes(size):
 def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
     """Every torus up to 6 x 6 (the bench's max_torus, tori narrower and
     shorter than the tile included) gives the reference's first filling
-    and node count on the co-tiler SFT of each fixed tetromino."""
+    and node count on the co-tiler SFT of each fixed tetromino, and
+    find_periodic_point gives the same filling, spending no node on a torus
+    whose area the symbol count refutes (4 must divide k * l)."""
     from gridalgebra import ClusterTile, cotiler_sft
 
     tetrominoes = _fixed_polyominoes(4)
     assert len(tetrominoes) == 19
     for cells in tetrominoes:
         spec = cotiler_sft(ClusterTile(Shape(cells)))
+        compiled = _CompiledSpec(spec)
+        assert compiled.area == 4
         for k in range(1, 7):
             for l in range(1, 7):
                 expected = forward_checking_search(spec, k, l, True)
                 assert _kernel(spec, k, l, True) == expected, (cells, k, l)
+                counter = _NodeCounter(None)
+                torus = find_periodic_point(spec, k, l, counter, compiled)
+                rows, nodes = expected
+                assert torus == (None if rows is None else TorusConfig(rows)), (cells, k, l)
+                assert counter.used == (0 if k * l % 4 else nodes), (cells, k, l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.booleans()),
+)
+def test_periodic_point_matches_reference_on_every_small_torus(spec):
+    """The symbol-count refutation never loses a periodic point: on every
+    torus up to 4 x 4, find_periodic_point finds the reference's filling."""
+    compiled = _CompiledSpec(spec)
+    for k in range(1, 5):
+        for l in range(1, 5):
+            rows, _ = forward_checking_search(spec, k, l, True)
+            expected = None if rows is None else TorusConfig(rows)
+            assert find_periodic_point(spec, k, l, _compiled=compiled) == expected, (k, l)
+
+
+@pytest.mark.parametrize("size, count, nodes", [(4, 19, 8_001), (5, 63, 121_804)])
+def test_fixed_cotilers_spend_pinned_nodes(size, count, nodes):
+    """Total decide nodes at Budget(6, 6) over the co-tiler SFTs of every
+    fixed tetromino and pentomino: a change that does more search work
+    fails here on any machine."""
+    from gridalgebra import ClusterTile, cotiler_sft
+
+    tiles = _fixed_polyominoes(size)
+    assert len(tiles) == count
+    spent = (decide(cotiler_sft(ClusterTile(Shape(c))), Budget(6, 6)).budget_spent for c in tiles)
+    assert sum(s.nodes for s in spent) == nodes
+
+
+def test_symbol_count_area():
+    # the checkerboard domino has one 0 and one 1 in each pattern: 2 | k * l
+    assert _CompiledSpec(CHECKER_SPEC).area == 2
+    assert _CompiledSpec(FULL_DOMINO).area == 1  # no value has a fixed count
+    assert _CompiledSpec(EMPTY_DOMINO).area == 1  # no pattern at all
+    assert _CompiledSpec(plus_cotiler_spec()).area == 5
+
+
+def test_window_and_torus_masks_are_sized_before_they_are_built():
+    # 2 values x 10^6 cells x about 6 * 10^6 bits each: refused at once
+    with pytest.raises(InputTooLarge):
+        window_fillable(CHECKER_SPEC, 1000)
+    with pytest.raises(InputTooLarge):
+        find_periodic_point(CHECKER_SPEC, 1000, 1000)
