@@ -16,16 +16,12 @@ from .algebra import (
     LaurentPoly,
     NewtonPolygon,
     QQ,
-    UnimodularMatrix,
     ZZ,
     direction_content,
     line_direction_candidates,
     line_direction_of,
     newton_polygon,
     normalize_direction,
-    poly_divexact,
-    unimodular_completion,
-    unimodular_substitute,
     univariate_resultant,
 )
 from .annihilator import (

@@ -7,16 +7,11 @@ anywhere. Values are immutable after construction and all operations are
 pure functions, so everything here is safe to share between threads.
 
 The module also provides the geometric helpers built on top of the raw
-arithmetic: Newton polygons, parallel-edge direction detection, unimodular
-exponent substitutions, per-direction line-polynomial content, and the
-classical Sylvester resultant for eliminating one variable.
+arithmetic: Newton polygons, parallel-edge direction detection,
+per-direction line-polynomial content (``split_direction``), and the
+resultant that eliminates one variable.
 
-Direction content is taken on the dense columns of the frame where the
-direction is (1, 0). It starts as the gcd of the two extreme columns, the
-Newton polygon's edge polynomials in that direction. The candidate then
-divides every column densely; a column that leaves a remainder replaces it
-by their gcd and the division starts over, and the quotient columns are the
-cofactor. The gcds over Z and Q never leave the integers: each column is
+The content's gcds over Z and Q never leave the integers: each column is
 cleared to a primitive integer polynomial and the gcd comes from the
 primitive polynomial remainder sequence (pseudo-remainder, then divide by
 the content); by Gauss's lemma that is the rational gcd cleared to coprime
@@ -34,14 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DivisionByZero,
-    DomainMismatch,
-    InputTooLarge,
-    NotDivisible,
-    NotUnimodular,
-    ZeroPolynomial,
-)
+from .errors import DomainMismatch, InputTooLarge, ZeroPolynomial
 
 ExponentVector = tuple[int, int]
 
@@ -336,56 +324,6 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-# -- spec-level operation surface --------------------------------------
-
-
-def poly_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient f/g in the Laurent ring; NotDivisible if none exists.
-
-    Both operands are shifted so that division happens between ordinary
-    polynomials; monomials are units so the shift never changes exactness.
-    """
-    if g.is_zero:
-        raise DivisionByZero("division by the zero polynomial")
-    if f.is_zero:
-        return LaurentPoly.zero(f.domain)
-    f._check_domain(g)
-    dom = f.domain
-    p = dom.p
-    fx, fy = f.min_exponents()
-    gx, gy = g.min_exponents()
-    gterms = [((a - gx, b - gy), c) for (a, b), c in g.terms.items()]
-    (lx, ly), lead = max(gterms)
-    inv_lead = pow(lead, -1, p) if p is not None else None
-    rem = {(a - fx, b - fy): c for (a, b), c in f.terms.items()}
-    quo = {}
-    while rem:
-        rx, ry = max(rem)
-        qx, qy = rx - lx, ry - ly
-        if qx < 0 or qy < 0:
-            raise NotDivisible("no exact quotient")
-        rc = rem[(rx, ry)]
-        if p is not None:
-            qc = rc * inv_lead % p
-        elif dom.kind == "Q":
-            qc = rc / lead
-        else:
-            qc, r = divmod(rc, lead)
-            if r:
-                raise NotDivisible(f"{rc} is not divisible by {lead} in Z")
-        quo[(qx + fx - gx, qy + fy - gy)] = qc
-        for (a, b), c in gterms:
-            te = (a + qx, b + qy)
-            s = rem.get(te, 0) - c * qc
-            if p is not None:
-                s %= p
-            if s:
-                rem[te] = s
-            else:
-                rem.pop(te, None)
-    return LaurentPoly._trusted(dom, quo)
-
-
 # -- Newton polygon -----------------------------------------------------
 
 
@@ -484,74 +422,6 @@ def line_direction_candidates(f: LaurentPoly) -> set[ExponentVector]:
         d = normalize_direction(e)
         counts[d] = counts.get(d, 0) + 1
     return {d for d, n in counts.items() if n >= 2}
-
-
-# -- unimodular coordinate changes --------------------------------------
-
-
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """2x2 integer matrix with determinant +-1, stored as rows."""
-
-    rows: tuple[tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise NotUnimodular(f"determinant {self.det} is not +-1")
-
-    @classmethod
-    def identity(cls) -> "UnimodularMatrix":
-        return cls(((1, 0), (0, 1)))
-
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.rows
-        return a * d - b * c
-
-    def apply(self, v: ExponentVector) -> ExponentVector:
-        (a, b), (c, d) = self.rows
-        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-    def inverse(self) -> "UnimodularMatrix":
-        (a, b), (c, d) = self.rows
-        s = self.det
-        return UnimodularMatrix(((d * s, -b * s), (-c * s, a * s)))
-
-    def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return UnimodularMatrix(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def unimodular_completion(u: ExponentVector) -> UnimodularMatrix:
-    """Determinant-1 matrix whose first column is the primitive vector u."""
-    a, b = u
-    g, s, t = _egcd(a, b)
-    if g != 1:
-        raise ValueError(f"{u} is not primitive")
-    return UnimodularMatrix(((a, -t), (b, s)))
-
-
-def unimodular_substitute(f: LaurentPoly, m: UnimodularMatrix) -> LaurentPoly:
-    """Ring automorphism replacing every exponent vector u by M u."""
-    (a, b), (c, d) = m.rows
-    return LaurentPoly._trusted(
-        f.domain, {(a * x + b * y, c * x + d * y): v for (x, y), v in f.terms.items()}
-    )
 
 
 # -- univariate helpers (dense, ascending coefficients) -----------------
@@ -692,6 +562,21 @@ def line_direction_of(f: LaurentPoly) -> ExponentVector | None:
     return u
 
 
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s * a + t * b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, LaurentPoly]:
     """Content of f in direction u (as ``direction_content``) and the
     cofactor f / content, in one pass over the frame where u is (1, 0).
@@ -711,11 +596,13 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
         raise ValueError(f"{u} is not a primitive direction")
     dom = f.domain
     p = dom.p
-    m = unimodular_completion(u)
-    (a, b), (c, d) = m.inverse().rows
+    # a * u0 + b * u1 = 1: a term's column is u0 * y - u1 * x, its position
+    # along u is a * x + b * y, and (i, t) maps back to i * u + t * (-b, a)
+    u0, u1 = u
+    _, a, b = _egcd(u0, u1)
     columns: dict[int, dict[int, object]] = {}
     for (x, y), v in f.terms.items():
-        columns.setdefault(c * x + d * y, {})[a * x + b * y] = v
+        columns.setdefault(u0 * y - u1 * x, {})[a * x + b * y] = v
     dense: dict[int, tuple[int, list]] = {}
     entries = 0
     for t, col in columns.items():
@@ -765,11 +652,10 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
             break
     if len(content) == 1:
         return LaurentPoly.one(dom), f
-    (ma, mb), (mc, md) = m.rows
     cofactor = LaurentPoly._trusted(
         dom,
         {
-            (ma * i + mb * t, mc * i + md * t): v
+            (u0 * i - b * t, u1 * i + a * t): v
             for t, (lo, q) in quotients.items()
             for i, v in enumerate(q, lo)
             if v

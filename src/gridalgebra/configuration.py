@@ -190,18 +190,9 @@ class TorusConfig:
     def constant(cls, value, k: int = 1, l: int = 1) -> "TorusConfig":
         return cls([[value] * k for _ in range(l)])
 
-    @classmethod
-    def checkerboard(cls) -> "TorusConfig":
-        return cls([[0, 1], [1, 0]])
-
     def value_at(self, cell):
         x, y = cell
         return self.rows[y % self.l][x % self.k]
-
-    def fundamental_cells(self):
-        for j in range(self.l):
-            for i in range(self.k):
-                yield (i, j)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusConfig) and self.rows == other.rows

@@ -14,20 +14,8 @@ class DomainMismatch(GridAlgebraError):
     code = "domain-mismatch"
 
 
-class NotDivisible(GridAlgebraError):
-    code = "not-divisible"
-
-
-class DivisionByZero(GridAlgebraError):
-    code = "division-by-zero"
-
-
 class ZeroPolynomial(GridAlgebraError):
     code = "zero-polynomial"
-
-
-class NotUnimodular(GridAlgebraError):
-    code = "not-unimodular"
 
 
 class ShapeTooLarge(GridAlgebraError):

@@ -34,10 +34,6 @@ def _typed(value, kind: type):
     return value
 
 
-def poly_to_text(f: LaurentPoly) -> str:
-    return str(f)
-
-
 def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
     """Parse ``c*x^a*y^b`` sums; exponent minus signs ride behind '^'."""
     s = text.strip().replace("^-", "^~").replace(" ", "")
@@ -122,10 +118,6 @@ def parse_shape_spec(spec: str) -> Shape:
         except ValueError as e:
             raise InputFormatError(f"bad shape spec {spec!r}: {e}") from e
     raise InputFormatError(f"unknown shape spec {spec!r}")
-
-
-def grid_to_text(rows) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
 
 
 def grid_from_text(text: str) -> list[list[int]]:

@@ -5,7 +5,7 @@ unfillable n x n window certifies emptiness by compactness) and exhaustive
 two-periodic point search over torus fundamental domains (a valid torus
 certifies non-emptiness). For a low-complexity spec over a discrete convex
 shape one of the two must eventually fire, so Unknown only ever reports an
-exhausted budget.
+exhausted budget, the cap on mask bits included.
 """
 
 from __future__ import annotations
@@ -220,9 +220,9 @@ def _search(
     ``is None`` is meaningful. Patterns are not shuffled: their order only
     permutes mask bits and cannot change the tree.
     """
-    keeps, guard = compiled.torus(w, h) if wrap else compiled.window(w, h)
     if not compiled.count:
-        return None  # every translate is refuted before any node
+        return None  # every translate is refuted before any mask or node
+    keeps, guard = compiled.torus(w, h) if wrap else compiled.window(w, h)
     values = compiled.values
     if rng is not None:
         order = list(range(w * h))
@@ -318,10 +318,12 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
 
     Alternates one window size and one torus diagonal (k + l constant)
     per round and returns the first certificate under that fixed schedule,
-    so the outcome is deterministic. Unknown reports the spent budget.
-    The spec is compiled once and shared by every window and torus. A
-    torus refuted by the symbol count (see ``find_periodic_point``) is
-    still listed in ``tori_tried`` but spends 0 nodes.
+    so the outcome is deterministic. Unknown reports the spent budget; a
+    window or torus whose masks would pass ``MAX_MASK_BITS`` ends the
+    search there too, as the last one tried. The spec is compiled once and
+    shared by every window and torus. A torus refuted by the symbol count
+    (see ``find_periodic_point``) is still listed in ``tori_tried`` but
+    spends 0 nodes.
     """
     compiled = _CompiledSpec(spec)
     counter = _NodeCounter(budget.max_nodes)
@@ -352,7 +354,7 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
                             budget_spent=_spent(counter, windows_tried, tori_tried),
                         )
                 s += 1
-    except _BudgetExhausted:
+    except (_BudgetExhausted, InputTooLarge):
         pass
     return Decision(kind=UNKNOWN, budget_spent=_spent(counter, windows_tried, tori_tried))
 

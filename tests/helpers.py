@@ -3,6 +3,12 @@
 The oracles here deliberately re-implement things the library also does
 (rank, Sylvester determinants, pattern enumeration) with different,
 simpler algorithms, so the tests never check the code against itself.
+The unimodular substitutions (``UnimodularMatrix``,
+``unimodular_completion``, ``unimodular_substitute``) and the sparse exact
+division ``poly_divexact`` live here, not in the library: only the
+direction-content and line-decomposition oracles and the random directions
+use them, and the completion comes from a modular inverse, not from the
+extended Euclid frame of ``split_direction``.
 """
 
 import functools
@@ -16,13 +22,9 @@ from gridalgebra import (
     LaurentPoly,
     Patch,
     TorusConfig,
-    UnimodularMatrix,
     ZZ,
     cotiler_sft,
     line_direction_candidates,
-    poly_divexact,
-    unimodular_completion,
-    unimodular_substitute,
 )
 from gridalgebra.errors import EmptyValidRegion
 from gridalgebra.formats import (
@@ -32,6 +34,11 @@ from gridalgebra.formats import (
     source_from_json,
 )
 from gridalgebra.linestructure import LineDecomposition
+
+
+def torus_cells(torus):
+    """The cells of a torus's fundamental domain, in row-major order."""
+    return [(i, j) for j in range(torus.l) for i in range(torus.k)]
 
 
 def random_torus(rng, kmax=6, lmax=6, max_symbols=4, symbols=None):
@@ -76,6 +83,74 @@ def random_triangle_poly(rng, domain=ZZ):
         (ax, ay), (bx, by), (cx, cy) = sorted(pts)
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) != 0:
             return LaurentPoly(domain, {p: rng.choice([-2, -1, 1, 2, 3]) for p in pts})
+
+
+# -- unimodular substitutions and sparse exact division -----------------------
+
+
+class UnimodularMatrix:
+    """2x2 integer matrix of determinant +-1, stored as rows."""
+
+    def __init__(self, rows):
+        (a, b), (c, d) = rows
+        assert a * d - b * c in (1, -1), rows
+        self.rows = rows
+
+    @classmethod
+    def identity(cls):
+        return cls(((1, 0), (0, 1)))
+
+    def apply(self, v):
+        (a, b), (c, d) = self.rows
+        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+    def inverse(self):
+        (a, b), (c, d) = self.rows
+        s = a * d - b * c
+        return UnimodularMatrix(((d * s, -b * s), (-c * s, a * s)))
+
+    def __matmul__(self, other):
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return UnimodularMatrix(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+
+
+def unimodular_completion(u):
+    """Determinant-1 matrix with first column the primitive vector u = (a, b):
+    s = a^-1 mod |b| and t = (1 - a s) / b give a s + b t = 1."""
+    a, b = u
+    if b == 0:
+        return UnimodularMatrix(((a, 0), (0, a)))
+    s = pow(a, -1, abs(b))
+    return UnimodularMatrix(((a, -((1 - a * s) // b)), (b, s)))
+
+
+def unimodular_substitute(f, m):
+    """Ring automorphism replacing every exponent vector v by M v."""
+    return LaurentPoly(f.domain, {m.apply(e): c for e, c in f.terms.items()})
+
+
+def poly_divexact(f, g):
+    """Exact quotient f / g in the Laurent ring by sparse long division on the
+    lexicographically largest term; ValueError if there is none."""
+    if f.is_zero:
+        return f
+    dom = f.domain
+    fx, fy = f.min_exponents()
+    gx, gy = g.min_exponents()
+    rem, g = f.shift((-fx, -fy)), g.shift((-gx, -gy))
+    (lx, ly), lead = max(g.terms.items())
+    quotient = LaurentPoly.zero(dom)
+    while not rem.is_zero:
+        (rx, ry), c = max(rem.terms.items())
+        t = (rx - lx, ry - ly)
+        qc = Fraction(c) / lead if dom.p is None else c * pow(lead, -1, dom.p)
+        if t[0] < 0 or t[1] < 0 or (dom.kind == "Z" and qc.denominator != 1):
+            raise ValueError("no exact quotient")
+        term = LaurentPoly(dom, {t: qc})
+        quotient = quotient + term
+        rem = rem - term * g
+    return quotient.shift((fx - gx, fy - gy))
 
 
 def random_unimodular(rng, steps=4):
@@ -488,7 +563,7 @@ def brute_force_is_period(torus, t):
     """c_{u+t} == c_u at every cell u, compared one cell at a time."""
     return all(
         torus.value_at(u) == torus.value_at((u[0] + t[0], u[1] + t[1]))
-        for u in torus.fundamental_cells()
+        for u in torus_cells(torus)
     )
 
 

@@ -11,37 +11,28 @@ from gridalgebra import (
     GF,
     LaurentPoly,
     QQ,
-    UnimodularMatrix,
     ZZ,
     direction_content,
     is_annihilated,
     line_direction_candidates,
     line_factor_decomposition,
     newton_polygon,
-    poly_divexact,
-    unimodular_completion,
-    unimodular_substitute,
     univariate_resultant,
 )
 from gridalgebra import algebra
 from gridalgebra.algebra import _is_prime, convex_hull, domain_from_name, split_direction
 from gridalgebra.formats import decomposition_to_json
-from gridalgebra.errors import (
-    DivisionByZero,
-    DomainMismatch,
-    InputTooLarge,
-    NotDivisible,
-    NotUnimodular,
-    ZeroPolynomial,
-)
+from gridalgebra.errors import DomainMismatch, InputTooLarge, ZeroPolynomial
 
 from helpers import (
+    UnimodularMatrix,
     convex_hull_oracle,
     direction_content_oracle,
     fp_torus_annihilated_by,
     half_plane_oracle,
     is_prime_by_trial_division,
     line_factor_decomposition_oracle,
+    poly_divexact,
     poly_fp_as_uni_dict,
     random_fp_poly_with_both_vars,
     random_line_poly,
@@ -50,6 +41,8 @@ from helpers import (
     random_unimodular,
     sylvester_resultant_oracle_fp,
     sylvester_resultant_oracle_q,
+    unimodular_completion,
+    unimodular_substitute,
 )
 
 X = LaurentPoly.variable(ZZ, 1)
@@ -123,16 +116,6 @@ def test_mul_f2_expansion():
 
 def test_divexact_basic():
     assert poly_divexact(P("x^2 - 1"), P("x - 1")) == P("x + 1")
-
-
-def test_divexact_not_divisible():
-    with pytest.raises(NotDivisible):
-        poly_divexact(P("x^2 - 1"), P("x - 2"))
-
-
-def test_divexact_by_zero():
-    with pytest.raises(DivisionByZero):
-        poly_divexact(P("x"), LaurentPoly.zero(ZZ))
 
 
 def test_divexact_self():
@@ -263,16 +246,12 @@ def test_substitute_multiplicative():
         ) * unimodular_substitute(g, m)
 
 
-def test_unimodular_rejects_bad_matrix():
-    with pytest.raises(NotUnimodular):
-        UnimodularMatrix(((2, 0), (0, 1)))
-
-
 def test_completion_maps_e1_to_direction():
-    for u in [(1, 0), (0, 1), (2, 3), (3, -5), (-2, 7)]:
+    for u in [(1, 0), (0, 1), (-1, 0), (0, -1), (2, 3), (3, -5), (-2, 7), (-3, -4)]:
         m = unimodular_completion(u)
+        (a, b), (c, d) = m.rows
         assert m.apply((1, 0)) == u
-        assert m.det == 1
+        assert a * d - b * c == 1
 
 
 # -- direction content ----------------------------------------------------

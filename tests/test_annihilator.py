@@ -29,7 +29,7 @@ from gridalgebra.formats import poly_from_text
 
 from helpers import binomial_product_annihilator_oracle, fraction_rank, random_torus
 
-CHECKER = TorusConfig.checkerboard()
+CHECKER = TorusConfig([[0, 1], [1, 0]])
 DOMINO = Shape([(0, 0), (1, 0)])
 
 

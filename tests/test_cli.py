@@ -526,6 +526,18 @@ def test_verify_of_an_empty_claim_at_window_1000_exits_input_too_large(tmp_path)
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
 
 
+def test_verify_of_an_empty_claim_without_patterns_at_window_1000_passes(tmp_path):
+    # with no allowed pattern every translate is refuted before any mask
+    spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": []}
+    claim = {"certificate": "sft_decision", "spec": spec, "decision": "empty", "window": 1000}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(claim))
+    code, out, err = _run_capped(["verify", str(cert)])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["passed"] and result["checks"] == {"window_unfillable": True}
+
+
 @pytest.mark.parametrize("kind", ["sft_decision", "cotiler"])
 def test_verify_rejects_a_witness_that_is_not_a_torus(capsys, tmp_path, kind):
     cert = {
@@ -562,6 +574,25 @@ _GRIDS = [
 _POLYS = [
     {"domain": "Z", "terms": [[0, 0, "1"], [1, 0, "1"], [0, 1, "-1"], [1, 1, "-1"]]},
     {"domain": "F3", "terms": [[-1, 0, "2"], [0, 2, "1"]]},
+]
+_DOMINO = [[0, 0], [1, 0]]
+_CHECKER_SPEC = {"shape": _DOMINO, "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}
+# a horizontal domino that must read 0 1: a window of width 3 is unfillable
+_LEFT_ZERO_SPEC = {"shape": _DOMINO, "alphabet": [0, 1], "allowed": [[0, 1]]}
+_SPECS = [_CHECKER_SPEC, _LEFT_ZERO_SPEC]
+_DOMINO_TORUS = {"kind": "torus", "k": 2, "l": 1, "values": [[0, 1]]}
+# one certificate of every kind verify reads, as decide-sft, cotiler find,
+# cotiler verify and antenna verify write them
+_CERTIFICATES = [
+    {"certificate": "sft_decision", "decision": "empty", "spec": _LEFT_ZERO_SPEC, "window": 3},
+    {"certificate": "sft_decision", "decision": "nonempty", "spec": _CHECKER_SPEC,
+     "witness": _DOMINO_TORUS},
+    {"certificate": "cotiler", "decision": "nonempty", "tile": _DOMINO, "witness": _DOMINO_TORUS,
+     "exact_cover_verified": True},
+    {"certificate": "cotiler", "tile": _DOMINO, "exact_cover_verified": True,
+     "config": {"kind": "torus", "k": 2, "l": 1, "values": [[1, 0]]}},
+    {"certificate": "antenna", "shape": _DOMINO, "a": 1, "b": 1, "valid": True,
+     "config": {"kind": "torus", "k": 2, "l": 2, "values": [[0, 1], [1, 0]]}},
 ]
 # no run of five digits, so every exponent stays far below MAX_DENSE_ENTRIES
 _POLY_TEXT = (
@@ -647,3 +678,22 @@ def test_poly_commands_keep_the_exit_contract_on_drawn_text(
         Path(text).write_text(json.dumps(doc))
     # after "--" a text with a leading "-" is the polynomial, not an option
     _assert_exit_contract([command, "--field", field, "--", text])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.binary(max_size=200) | _mutated(_SPECS).map(lambda d: json.dumps(d).encode()))
+def test_decide_sft_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_spec"
+    path.write_bytes(data)
+    budget = ["--max-window", "4", "--max-torus", "3", "--max-nodes", "20000"]
+    _assert_exit_contract(["decide-sft", str(path), *budget])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.binary(max_size=200) | _mutated(_CERTIFICATES).map(lambda d: json.dumps(d).encode())
+)
+def test_verify_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_certificate"
+    path.write_bytes(data)
+    _assert_exit_contract(["verify", str(path)])

@@ -12,12 +12,10 @@ from gridalgebra.errors import InputFormatError
 from gridalgebra.formats import (
     annihilator_result_from_json,
     grid_from_text,
-    grid_to_text,
     parse_shape_spec,
     poly_from_json,
     poly_from_text,
     poly_to_json,
-    poly_to_text,
     shape_from_json,
     shape_to_json,
     source_from_json,
@@ -30,7 +28,7 @@ from helpers import random_poly
 def test_poly_text_examples():
     f = poly_from_text("1 + x^-1 + y^2")
     assert f.terms == {(0, 0): 1, (-1, 0): 1, (0, 2): 1}
-    assert poly_from_text(poly_to_text(f)) == f
+    assert poly_from_text(str(f)) == f
 
 
 def test_poly_text_signs_and_coefficients():
@@ -43,12 +41,12 @@ def test_poly_text_rational():
     from fractions import Fraction
 
     assert f.terms == {(1, 0): Fraction(3, 2), (0, 0): Fraction(-1, 3)}
-    assert poly_from_text(poly_to_text(f), QQ) == f
+    assert poly_from_text(str(f), QQ) == f
 
 
 def test_poly_text_zero():
     assert poly_from_text("0").is_zero
-    assert poly_to_text(LaurentPoly.zero(ZZ)) == "0"
+    assert str(LaurentPoly.zero(ZZ)) == "0"
 
 
 def test_poly_text_rejects_garbage():
@@ -113,7 +111,7 @@ def test_poly_text_roundtrip_random():
     for dom in (ZZ, QQ, GF(7)):
         for _ in range(40):
             f = random_poly(rng, dom, max_terms=6, span=4)
-            assert poly_from_text(poly_to_text(f), dom) == f
+            assert poly_from_text(str(f), dom) == f
 
 
 def test_poly_json_roundtrip_random():
@@ -148,7 +146,7 @@ def test_shape_specs():
 
 def test_grid_text_roundtrip():
     rows = [[1, -2, 3], [4, 5, -6]]
-    assert grid_from_text(grid_to_text(rows)) == rows
+    assert grid_from_text("\n".join(" ".join(map(str, row)) for row in rows)) == rows
     for bad in ("1 2\nx y\n", "1 2\n3\n"):
         with pytest.raises(InputFormatError):
             grid_from_text(bad)
@@ -176,7 +174,7 @@ def test_annihilator_result_json_roundtrip():
         annihilator_result_to_json,
     )
 
-    for torus in (TorusConfig.checkerboard(), TorusConfig.constant(4)):
+    for torus in (TorusConfig([[0, 1], [1, 0]]), TorusConfig.constant(4)):
         result = find_annihilator(extract_patterns(torus, Shape([(0, 0), (1, 0)])))
         data = annihilator_result_to_json(result)
         back = annihilator_result_from_json(data)

@@ -209,7 +209,7 @@ def test_elimination_soundness_on_tori():
 
 
 def test_period_from_horizontal_binomial():
-    assert period_from_line_annihilator(P("x^2 - 1"), TorusConfig.checkerboard()) == 2
+    assert period_from_line_annihilator(P("x^2 - 1"), TorusConfig([[0, 1], [1, 0]])) == 2
 
 
 def test_period_from_constant_config():
@@ -231,4 +231,4 @@ def test_period_rejects_non_line_polynomial():
 
 def test_period_rejects_non_annihilator():
     with pytest.raises(NotAnnihilated):
-        period_from_line_annihilator(P("x - 1"), TorusConfig.checkerboard())
+        period_from_line_annihilator(P("x - 1"), TorusConfig([[0, 1], [1, 0]]))

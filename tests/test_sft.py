@@ -439,6 +439,15 @@ def test_symbol_count_area():
     assert _CompiledSpec(plus_cotiler_spec()).area == 5
 
 
+def test_decide_reports_a_refused_mask_as_unknown_with_what_it_settled():
+    # window 98 would take 1,106,899,416 keep-mask bits, past MAX_MASK_BITS;
+    # windows 2-97 fill first, and their nodes stay counted
+    decision = decide(CHECKER_SPEC, Budget(max_window=100, max_torus=0))
+    assert decision.kind == UNKNOWN
+    assert decision.budget_spent.windows_tried == tuple(range(2, 99))
+    assert decision.budget_spent.nodes == 462_216
+
+
 def test_window_and_torus_masks_are_sized_before_they_are_built():
     # 2 values x 10^6 cells x about 6 * 10^6 bits each: refused at once
     with pytest.raises(InputTooLarge):
