@@ -5,7 +5,9 @@ A certificate is the ``result`` object of ``annihilate``, ``decide-sft``,
 ``certificate`` key. ``check`` re-checks every claim it makes with the
 library's independent checks and returns them by name; it passes iff all
 are true. Every key a checker reads is required, so a missing key is an
-InputFormatError and never reads as "no claim".
+InputFormatError and never reads as "no claim". An emptiness claim whose
+re-confirmation runs out of nodes gets the single false check
+``BUDGET_CHECK``: it is neither confirmed nor refuted.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .formats import (
 )
 from .sft import EMPTY, NONEMPTY, UNKNOWN, reconfirm_empty, verify_witness
 
+BUDGET_CHECK = "window_reconfirmed_within_budget"
+
 
 def _field(cert: dict, key: str, kind: type | None = None):
     """cert[key], which must be present, and of JSON type kind if given."""
@@ -41,7 +45,7 @@ def _field(cert: dict, key: str, kind: type | None = None):
     return value
 
 
-def _annihilator(cert: dict, source, seed: int) -> dict[str, bool]:
+def _annihilator(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, bool]:
     result = annihilator_result_from_json(_field(cert, "result"))
     # on a patch the claims hold only where the pattern shape fits
     result = replace(result, shape=shape_from_json(_field(cert, "shape")))
@@ -55,14 +59,20 @@ def _annihilator(cert: dict, source, seed: int) -> dict[str, bool]:
     return checks
 
 
-def _sft_decision(cert: dict, source, seed: int, tile: ClusterTile | None = None):
+def _sft_decision(
+    cert: dict, source, seed: int, max_nodes: int | None, tile: ClusterTile | None = None
+):
     """A decision of decide-sft, or of cotiler find for the co-tiler SFT of
     tile: nonempty is checked on its witness torus (with the exact cover of
-    a co-tiler), empty by re-confirming its window; unknown claims nothing."""
+    a co-tiler), empty by re-confirming its window within max_nodes nodes;
+    unknown claims nothing."""
     spec = cotiler_sft(tile) if tile is not None else sft_spec_from_json(_field(cert, "spec"))
     decision = _field(cert, "decision")
     if decision == EMPTY:
-        return {"window_unfillable": reconfirm_empty(spec, _field(cert, "window", int), seed)}
+        unfillable = reconfirm_empty(spec, _field(cert, "window", int), seed, max_nodes)
+        if unfillable is None:
+            return {BUDGET_CHECK: False}
+        return {"window_unfillable": unfillable}
     if decision == UNKNOWN:
         return {"unknown_makes_no_claim": True}
     if decision != NONEMPTY:
@@ -83,16 +93,16 @@ def _sft_decision(cert: dict, source, seed: int, tile: ClusterTile | None = None
     }
 
 
-def _cotiler(cert: dict, source, seed: int) -> dict[str, bool]:
+def _cotiler(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, bool]:
     tile = ClusterTile(shape_from_json(_field(cert, "tile")))
     if "config" not in cert:  # written by `cotiler find`
-        return _sft_decision(cert, source, seed, tile)
+        return _sft_decision(cert, source, seed, max_nodes, tile)
     # written by `cotiler verify`: one grid and whether it is an exact cover
     cover = exact_cover_on_torus(tile, source_from_json(_field(cert, "config")))
     return {"exact_cover_claim": cover == _field(cert, "exact_cover_verified", bool)}
 
 
-def _antenna(cert: dict, source, seed: int) -> dict[str, bool]:
+def _antenna(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, bool]:
     shape = shape_from_json(_field(cert, "shape"))
     try:
         problem = AntennaProblem(shape, _field(cert, "a", int), _field(cert, "b", int))
@@ -110,13 +120,14 @@ CHECKERS = {
 }
 
 
-def check(cert, source=None, seed: int = 0) -> dict[str, bool]:
+def check(cert, source=None, seed: int = 0, max_nodes: int | None = None) -> dict[str, bool]:
     """Named checks of one certificate. ``source`` replaces an annihilator
     certificate's own grid; ``seed`` varies the order of an emptiness
-    re-confirmation and never its verdict."""
+    re-confirmation and never its verdict; ``max_nodes`` bounds that
+    re-confirmation (unbounded if None)."""
     if not isinstance(cert, dict):
         raise InputFormatError("certificate must be a JSON object")
     kind = _field(cert, "certificate", str)
     if kind not in CHECKERS:
         raise InputFormatError(f"unknown certificate kind {kind!r}")
-    return CHECKERS[kind](cert, source, seed)
+    return CHECKERS[kind](cert, source, seed, max_nodes)

@@ -6,8 +6,9 @@ inputs and flags produce identical bytes. Wall time goes to stderr so it
 never perturbs the payload.
 
 Exit codes: 0 success (decide-sft: nonempty; verify: pass), 1 decide-sft
-empty / verify fail, 2 decide-sft unknown, 64 usage error, 65 input format
-error, 70 domain errors and internal errors (any other exception).
+empty / verify fail, 2 decide-sft unknown / verify out of nodes, 64 usage
+error, 65 input format error, 70 domain errors and internal errors (any
+other exception).
 """
 
 from __future__ import annotations
@@ -243,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", nargs="?")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-nodes", type=int, default=5_000_000)
     p.add_argument("--out")
 
     return parser
@@ -381,9 +383,11 @@ def _verify_certificate(args, inputs) -> tuple[str, dict, int]:
     if isinstance(cert, dict) and "certificate" not in cert and "result" in cert:
         cert = cert["result"]  # a full report wraps the certificate
     source = _load_source(args.grid, inputs, args.torus) if args.grid else None
-    checks = certificates.check(cert, source, args.seed)
+    checks = certificates.check(cert, source, args.seed, args.max_nodes)
     passed = all(checks.values())
     result = {"certificate": cert["certificate"], "checks": checks, "passed": passed}
+    if certificates.BUDGET_CHECK in checks:  # out of nodes: neither pass nor fail
+        return "verify", result, 2
     return "verify", result, 0 if passed else 1
 
 

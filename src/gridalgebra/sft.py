@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import MAX_MASK_BITS, convex_hull, _cross
+from .algebra import MAX_MASK_BITS, _cross, _dense_trim, _gcd_primitive_prs, _primitive, convex_hull
 from .configuration import Pattern, Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
@@ -101,11 +101,13 @@ class _CompiledSpec:
 
     ``area`` is the lcm of |D| / gcd(|D|, m) over the values that sit m
     times in every allowed pattern of shape D (1 if none does): it divides
-    the area of every torus that has a periodic point (see
-    ``find_periodic_point``).
+    the area of every torus that has a periodic point, and its width
+    (height) too when ``coprime`` holds for its height (width) (see
+    ``find_periodic_point``). ``coprime`` is memoized per (axis, period),
+    so the tori of one ``decide`` run share each gcd.
     """
 
-    __slots__ = ("values", "count", "clear", "cells", "box", "area")
+    __slots__ = ("values", "count", "clear", "cells", "box", "area", "_coprime")
 
     def __init__(self, spec: SftSpec):
         self.values = sorted(spec.alphabet)
@@ -128,6 +130,19 @@ class _CompiledSpec:
                     break
             else:
                 self.area = lcm(self.area, size // gcd(size, m))
+        self._coprime: dict[tuple[int, int], bool] = {}
+
+    def coprime(self, axis: int, n: int) -> bool:
+        """Whether the shape projected on ``axis`` (0: D(x, 1), 1: D(1, y)),
+        exponents mod n, is coprime to z^n - 1 over Q."""
+        key = (axis, n)
+        if key not in self._coprime:
+            r = [0] * n
+            for cell in self.cells:
+                r[cell[axis] % n] += 1
+            g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+            self._coprime[key] = len(g) == 1
+        return self._coprime[key]
 
     def window(self, w: int, h: int) -> tuple[list[list[int]], int]:
         """Keep masks ``keeps[vi][cell]`` and the guard of a w x h window.
@@ -296,18 +311,31 @@ def find_periodic_point(
     """Exhaustive search for a k x l torus all of whose wraparound
     shape-patterns are allowed.
 
-    Some tori are refuted by a symbol count, before any mask is built or
+    Some tori are refuted by symbol counts, before any mask is built or
     node spent. If value v sits m times in every allowed pattern of shape
     D, count the pairs (translate, cell of D) that carry v on a periodic
     point with N_v cells v: each shift by a cell of D permutes the torus
     (tori narrower than the shape included), so |D| * N_v = m * k * l and
     |D| / gcd(|D|, m) divides k * l. A torus whose area k * l is not a
     multiple of the lcm of these, ``_CompiledSpec.area``, is answered None.
+
+    The same count over one torus row (Coven and Meyerowitz's cyclotomic
+    argument on the projection): with N(j) the cells v in row j, the sum of
+    N(y + d_y mod l) over the cells d of D is m * k for every row y. If
+    D(1, y), exponents mod l, is coprime to y^l - 1, no l-th root of unity
+    can carry a nonconstant N, so N is the integer m * k / |D| and
+    ``area`` divides k. By symmetry ``area`` divides l when D(x, 1) is
+    coprime to x^k - 1. A torus that fails either is answered None too.
     """
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
     compiled = _compiled or _CompiledSpec(spec)
-    if k * l % compiled.area:
+    area = compiled.area
+    if (
+        k * l % area
+        or (k % area and compiled.coprime(1, l))
+        or (l % area and compiled.coprime(0, k))
+    ):
         return None
     rows = _search(compiled, k, l, True, _counter or _NodeCounter(None))
     return None if rows is None else TorusConfig(rows)
@@ -321,9 +349,9 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     so the outcome is deterministic. Unknown reports the spent budget; a
     window or torus whose masks would pass ``MAX_MASK_BITS`` ends the
     search there too, as the last one tried. The spec is compiled once and
-    shared by every window and torus. A torus refuted by the symbol count
-    (see ``find_periodic_point``) is still listed in ``tori_tried`` but
-    spends 0 nodes.
+    shared by every window and torus. A torus refuted by a symbol count
+    of its area, rows or columns (see ``find_periodic_point``) is still
+    listed in ``tori_tried`` but spends 0 nodes.
     """
     compiled = _CompiledSpec(spec)
     counter = _NodeCounter(budget.max_nodes)
@@ -375,15 +403,22 @@ def verify_witness(spec: SftSpec, torus: TorusConfig) -> bool:
     return True
 
 
-def reconfirm_empty(spec: SftSpec, n: int, seed: int = 0) -> bool:
+def reconfirm_empty(
+    spec: SftSpec, n: int, seed: int = 0, max_nodes: int | None = None
+) -> bool | None:
     """Re-confirm an emptiness certificate by an independent exhaustive
-    search at size n with randomized cell and value order."""
+    search at size n with randomized cell and value order. None when the
+    search would spend more than ``max_nodes`` nodes (unbounded if None)."""
     import random
 
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
     compiled = _CompiledSpec(spec)
-    return _search(compiled, n, n, False, _NodeCounter(None), random.Random(seed)) is None
+    try:
+        rows = _search(compiled, n, n, False, _NodeCounter(max_nodes), random.Random(seed))
+    except _BudgetExhausted:
+        return None
+    return rows is None
 
 
 def is_discrete_convex(shape: Shape) -> bool:

@@ -30,7 +30,7 @@ from gridalgebra import (
     verify,
 )
 from gridalgebra.applications import cotiler_decision
-from gridalgebra.certificates import CHECKERS, check
+from gridalgebra.certificates import BUDGET_CHECK, CHECKERS, check
 from gridalgebra.cli import run
 from gridalgebra.configuration import Pattern
 from gridalgebra.errors import GridAlgebraError, InputFormatError
@@ -316,3 +316,4 @@ def test_readme_table_names_every_checker():
     table = readme.split("| Kind |", 1)[1].split("\n\n", 1)[0]
     kinds = set(re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.M))
     assert kinds == set(CHECKERS)
+    assert f"`{BUDGET_CHECK}`" in table

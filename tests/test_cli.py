@@ -538,6 +538,37 @@ def test_verify_of_an_empty_claim_without_patterns_at_window_1000_passes(tmp_pat
     assert result["passed"] and result["checks"] == {"window_unfillable": True}
 
 
+@pytest.mark.parametrize("budget", [[], ["--max-nodes", "20000"]], ids=["default", "20000"])
+def test_verify_of_a_forged_empty_claim_runs_out_of_nodes(capsys, tmp_path, budget):
+    # the checkerboard domino fills every window, and the shuffled re-check
+    # of window 10 passes 20,000,000 nodes before it finds a filling
+    spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        json.dumps({"certificate": "sft_decision", "spec": spec, "decision": "empty", "window": 10})
+    )
+    code, report = run_json(capsys, ["verify", str(cert), *budget])
+    assert code == 2
+    assert report["result"]["checks"] == {"window_reconfirmed_within_budget": False}
+    assert report["result"]["passed"] is False
+
+
+def test_verify_node_budget_boundary_is_exact(capsys, tmp_path):
+    tile = tmp_path / "u.json"
+    tile.write_text(json.dumps(U_PENTOMINO))
+    cert = tmp_path / "u_cert.json"
+    argv = ["cotiler", "find", "--tile", str(tile), "--max-window", "8", "--max-torus", "6"]
+    assert run(argv + ["--out", str(cert)]) == 1
+    capsys.readouterr()
+    # the re-check of window 6 in the order of seed 0 takes 132,268 nodes
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "132267"])
+    assert code == 2
+    assert report["result"]["checks"] == {"window_reconfirmed_within_budget": False}
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "132268"])
+    assert code == 0
+    assert report["result"]["checks"] == {"window_unfillable": True}
+
+
 @pytest.mark.parametrize("kind", ["sft_decision", "cotiler"])
 def test_verify_rejects_a_witness_that_is_not_a_torus(capsys, tmp_path, kind):
     cert = {

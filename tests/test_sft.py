@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from gridalgebra import (
@@ -38,6 +38,7 @@ from helpers import (
     brute_force_window_filling,
     discrete_convex_oracle,
     forward_checking_search,
+    fraction_rank,
 )
 
 DOMINO = Shape([(0, 0), (1, 0)])
@@ -118,7 +119,7 @@ def test_decide_domino_cotiler_nonempty():
     assert verify_witness(spec, decision.witness)
     # the first witness under the schedule is the 2x1 stripe
     assert decision.witness == TorusConfig([[0, 1]])
-    assert decision.budget_spent.nodes == 23
+    assert decision.budget_spent.nodes == 21
 
 
 def test_decide_plus_pentomino_cotiler():
@@ -134,7 +135,7 @@ def test_decide_plus_pentomino_cotiler():
     assert exact_cover_on_torus(tile, witness)
     assert period_lattice_index(witness) == 5
     spent = decision.budget_spent
-    assert spent.nodes == 1088
+    assert spent.nodes == 146
     assert spent.windows_tried == (3, 4)
     assert len(spent.tori_tried) == 32
     assert spent.tori_tried[-1] == (5, 5)
@@ -302,8 +303,8 @@ PLUS_WITNESS = [
 @pytest.mark.parametrize(
     "make_spec, budget, nodes, witness",
     [
-        (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 23, [[0, 1]]),
-        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 1088, PLUS_WITNESS),
+        (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 21, [[0, 1]]),
+        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 146, PLUS_WITNESS),
     ],
     ids=["domino", "plus"],
 )
@@ -326,6 +327,20 @@ def _kernel(spec, w, h, wrap, seed=None, limit=None):
     except _BudgetExhausted:
         rows = "exhausted"
     return rows, counter.used
+
+
+def test_reconfirm_empty_stops_at_its_node_limit():
+    from gridalgebra import ClusterTile, cotiler_sft
+
+    # the U-pentomino tiles the plane only with rotations: window 6 is unfillable
+    spec = cotiler_sft(ClusterTile(Shape([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])))
+    rows, nodes = _kernel(spec, 6, 6, False, seed=3)
+    assert rows is None
+    assert reconfirm_empty(spec, 6, seed=3, max_nodes=nodes) is True
+    assert reconfirm_empty(spec, 6, seed=3, max_nodes=nodes - 1) is None
+    # a forged claim on a spec that fills every window ends at its limit, not in hours
+    assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=20_000) is None
+    assert reconfirm_empty(CHECKER_SPEC, 3, max_nodes=20_000) is False
 
 
 def test_forward_checking_reference_finds_far_translates():
@@ -378,20 +393,45 @@ def _fixed_polyominoes(size):
     return sorted(shapes)
 
 
-def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
+def _projection_nonsingular(spec, axis, n):
+    """Whether the circulant of the shape's projection on axis (0: columns
+    x, 1: rows y), taken mod n, is nonsingular: that is, whether the
+    projection has no n-th root of unity as a root."""
+    r = [0] * n
+    for cell in spec.shape.cells:
+        r[cell[axis] % n] += 1
+    return fraction_rank([[r[(j - i) % n] for j in range(n)] for i in range(n)]) == n
+
+
+def _count_refutes(spec, area, k, l):
+    """Whether a symbol count refutes the k x l torus, by the reference's
+    reading: area must divide k * l, and k (l) when the row (column)
+    projection is nonsingular mod l (k)."""
+    return bool(
+        k * l % area
+        or (k % area and _projection_nonsingular(spec, 1, l))
+        or (l % area and _projection_nonsingular(spec, 0, k))
+    )
+
+
+def _sweep_cotiler_tori(size, count):
     """Every torus up to 6 x 6 (the bench's max_torus, tori narrower and
     shorter than the tile included) gives the reference's first filling
-    and node count on the co-tiler SFT of each fixed tetromino, and
-    find_periodic_point gives the same filling, spending no node on a torus
-    whose area the symbol count refutes (4 must divide k * l)."""
+    and node count on the co-tiler SFT of each fixed polyomino of size
+    cells, and find_periodic_point gives the same filling. It spends no
+    node exactly where a count of the tile's 1s refutes the torus (size
+    must divide k * l, and k or l where the row or column projection allows
+    no other row or column counts), and the reference finds no point
+    there."""
     from gridalgebra import ClusterTile, cotiler_sft
 
-    tetrominoes = _fixed_polyominoes(4)
-    assert len(tetrominoes) == 19
-    for cells in tetrominoes:
+    tiles = _fixed_polyominoes(size)
+    assert len(tiles) == count
+    refuted = 0
+    for cells in tiles:
         spec = cotiler_sft(ClusterTile(Shape(cells)))
         compiled = _CompiledSpec(spec)
-        assert compiled.area == 4
+        assert compiled.area == size
         for k in range(1, 7):
             for l in range(1, 7):
                 expected = forward_checking_search(spec, k, l, True)
@@ -400,7 +440,43 @@ def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
                 torus = find_periodic_point(spec, k, l, counter, compiled)
                 rows, nodes = expected
                 assert torus == (None if rows is None else TorusConfig(rows)), (cells, k, l)
-                assert counter.used == (0 if k * l % 4 else nodes), (cells, k, l)
+                if _count_refutes(spec, size, k, l):
+                    refuted += k * l % size == 0
+                    assert rows is None and counter.used == 0, (cells, k, l)
+                else:
+                    assert counter.used == nodes > 0, (cells, k, l)
+    assert refuted  # some torus of fitting area is refuted by its rows or columns
+
+
+def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
+    _sweep_cotiler_tori(4, 19)
+
+
+def test_torus_kernel_matches_reference_on_every_pentomino_cotiler():
+    _sweep_cotiler_tori(5, 63)
+
+
+def test_counted_specs_reach_the_row_and_column_count():
+    """The counted strategy of the property test below draws specs whose
+    area divides k * l but not k, with rows nonsingular mod l, and the
+    same with columns, so that test runs the row and the column refutation."""
+    strategy = small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.just(True))
+    tori = [(k, l) for k in range(1, 5) for l in range(1, 5)]
+
+    def reaches(axis):
+        def refuted_by(spec):
+            area = _CompiledSpec(spec).area
+            return any(
+                k * l % area == 0
+                and (l, k)[axis] % area
+                and _projection_nonsingular(spec, axis, (k, l)[axis])
+                for k, l in tori
+            )
+
+        return refuted_by
+
+    for axis in (0, 1):
+        find(strategy, reaches(axis), settings=settings(database=None, max_examples=500))
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,8 +484,9 @@ def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
     spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.booleans()),
 )
 def test_periodic_point_matches_reference_on_every_small_torus(spec):
-    """The symbol-count refutation never loses a periodic point: on every
-    torus up to 4 x 4, find_periodic_point finds the reference's filling."""
+    """The symbol-count refutations (of the area, the rows and the columns)
+    never lose a periodic point: on every torus up to 4 x 4,
+    find_periodic_point finds the reference's filling."""
     compiled = _CompiledSpec(spec)
     for k in range(1, 5):
         for l in range(1, 5):
@@ -418,7 +495,7 @@ def test_periodic_point_matches_reference_on_every_small_torus(spec):
             assert find_periodic_point(spec, k, l, _compiled=compiled) == expected, (k, l)
 
 
-@pytest.mark.parametrize("size, count, nodes", [(4, 19, 8_001), (5, 63, 121_804)])
+@pytest.mark.parametrize("size, count, nodes", [(4, 19, 5_567), (5, 63, 53_070)])
 def test_fixed_cotilers_spend_pinned_nodes(size, count, nodes):
     """Total decide nodes at Budget(6, 6) over the co-tiler SFTs of every
     fixed tetromino and pentomino: a change that does more search work
