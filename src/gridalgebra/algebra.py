@@ -196,12 +196,6 @@ class LaurentPoly:
         return cls(domain, {tuple(exp): coeff})
 
     @classmethod
-    def variable(cls, domain: Domain, var: int) -> "LaurentPoly":
-        if var not in (1, 2):
-            raise ValueError("var must be 1 or 2")
-        return cls(domain, {(1, 0) if var == 1 else (0, 1): 1})
-
-    @classmethod
     def difference_binomial(cls, domain: Domain, t: ExponentVector) -> "LaurentPoly":
         """x^t - 1, the annihilator of exactly the t-periodic configurations."""
         if tuple(t) == (0, 0):
@@ -218,9 +212,6 @@ class LaurentPoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def support(self) -> set[ExponentVector]:
-        return set(self.terms)
-
     def min_exponents(self) -> ExponentVector:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no support")
@@ -235,17 +226,6 @@ class LaurentPoly:
         return LaurentPoly._trusted(
             self.domain, {(a + dx, b + dy): c for (a, b), c in self.terms.items()}
         )
-
-    def scale(self, c) -> "LaurentPoly":
-        dom = self.domain
-        c = dom.coerce(c)
-        if c == 0:
-            return LaurentPoly.zero(dom)
-        # a product of nonzero elements of a domain is nonzero
-        p = dom.p
-        if p is None:
-            return LaurentPoly._trusted(dom, {e: v * c for e, v in self.terms.items()})
-        return LaurentPoly._trusted(dom, {e: v * c % p for e, v in self.terms.items()})
 
     # -- ring operations ----------------------------------------------
 
@@ -433,11 +413,6 @@ def line_direction_candidates(f: LaurentPoly) -> set[ExponentVector]:
 # and _coefficients_in_var refuse to lay out an input in more dense entries
 # than this (32 MB of list slots).
 MAX_DENSE_ENTRIES = 1 << 22
-
-# The SFT search lays a window's or torus's keep masks out as integers, whose
-# bits grow as the fourth power of its side; sft refuses a window or torus
-# whose masks would take more bits than this (128 MB).
-MAX_MASK_BITS = 1 << 30
 
 
 def _check_dense(entries: int):

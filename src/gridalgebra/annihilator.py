@@ -115,7 +115,6 @@ class VerificationReport:
     passed: bool
     annihilation: AnnihilationCheck
     constant_ok: bool | None = None
-    observed_constant: int | None = None
     identity_ok: bool | None = None
 
 
@@ -143,7 +142,6 @@ def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> Verificati
         passed=check.annihilated and constant_ok and identity_ok,
         annihilation=check,
         constant_ok=constant_ok,
-        observed_constant=observed,
         identity_ok=identity_ok,
     )
 

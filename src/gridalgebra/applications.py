@@ -56,7 +56,7 @@ def antenna_classify(problem: AntennaProblem) -> PeriodicityVerdict:
     f = antenna_polynomial(problem)
     if f.is_zero:
         return PeriodicityVerdict(kind=UNDETERMINED)
-    return classify(f, role="periodizes")
+    return classify(f)
 
 
 def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:

@@ -160,9 +160,9 @@ def _emit(command: str, inputs: dict, result: dict, args, start: float) -> None:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-window", type=int, default=8)
-    p.add_argument("--max-torus", type=int, default=6)
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
+    p.add_argument("--max-window", type=int, default=Budget.max_window)
+    p.add_argument("--max-torus", type=int, default=Budget.max_torus)
+    p.add_argument("--max-nodes", type=int, default=Budget.max_nodes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", nargs="?")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
+    p.add_argument("--max-nodes", type=int, default=Budget.max_nodes)
     p.add_argument("--out")
 
     return parser
@@ -318,7 +318,7 @@ def _dispatch(args, inputs) -> tuple[str, dict, int]:
 
     if cmd == "classify":
         f = _load_poly(args.poly, inputs, args.field)
-        verdict = classify(f, role=args.role)
+        verdict = classify(f)
         return cmd, {"input": poly_to_json(f), "role": args.role, **verdict_to_json(verdict)}, 0
 
     if cmd == "eliminate-fp":

@@ -186,10 +186,6 @@ class TorusConfig:
     def __setattr__(self, name, value):
         raise AttributeError("TorusConfig is immutable")
 
-    @classmethod
-    def constant(cls, value, k: int = 1, l: int = 1) -> "TorusConfig":
-        return cls([[value] * k for _ in range(l)])
-
     def value_at(self, cell):
         x, y = cell
         return self.rows[y % self.l][x % self.k]

@@ -21,7 +21,6 @@ from .algebra import (
     split_direction,
     univariate_resultant,
 )
-from .configuration import period_from_line_annihilator  # noqa: F401  (public re-export)
 from .errors import DomainMismatch, ZeroPolynomial
 
 TWO_PERIODIC = "two_periodic"
@@ -84,11 +83,11 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
     return LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)
 
 
-def classify(f: LaurentPoly, role: str = "annihilates") -> PeriodicityVerdict:
-    """Periodicity forced on any configuration annihilated (or periodized)
-    by f, read off from the line-factor structure."""
-    if role not in ("annihilates", "periodizes"):
-        raise ValueError("role must be 'annihilates' or 'periodizes'")
+def classify(f: LaurentPoly) -> PeriodicityVerdict:
+    """Periodicity forced on any configuration that f annihilates or
+    periodizes, read off from the line-factor structure. The verdict is one
+    for both roles: if f * c is constant, (x^t - 1) * f annihilates c for
+    every t, and its line factors outside direction t are f's."""
     decomp = line_factor_decomposition(f)
     dirs = decomp.directions()
     if not dirs:

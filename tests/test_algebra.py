@@ -45,8 +45,8 @@ from helpers import (
     unimodular_substitute,
 )
 
-X = LaurentPoly.variable(ZZ, 1)
-Y = LaurentPoly.variable(ZZ, 2)
+X = LaurentPoly.monomial(ZZ, (1, 0))
+Y = LaurentPoly.monomial(ZZ, (0, 1))
 ONE = LaurentPoly.one(ZZ)
 
 
@@ -493,7 +493,6 @@ def test_ring_ops_match_public_constructor(data):
     dom = data.draw(st.sampled_from(DOMAINS))
     f, g = data.draw(polys(dom)), data.draw(polys(dom, nonzero=True))
     t = data.draw(EXPONENTS)
-    k = data.draw(st.integers(-4, 4))
 
     def rebuilt(pairs):
         acc = {}
@@ -506,7 +505,6 @@ def test_ring_ops_match_public_constructor(data):
         ("add", f + g, rebuilt(fi + gi)),
         ("neg", -g, rebuilt((e, -c) for e, c in gi)),
         ("sub", f - g, rebuilt(fi + [(e, -c) for e, c in gi])),
-        ("scale", f.scale(k), rebuilt((e, c * k) for e, c in fi)),
         ("mul", f * g, rebuilt(((a + c, b + d), u * v) for (a, b), u in fi for (c, d), v in gi)),
         ("shift", f.shift(t), rebuilt(((a + t[0], b + t[1]), u) for (a, b), u in fi)),
         ("divexact", poly_divexact(f * g, g), f),

@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridalgebra
+from gridalgebra import Budget, ClusterTile, Pattern, Shape, SftSpec, decide
+from gridalgebra.applications import cotiler_decision
 from gridalgebra.cli import run
+from gridalgebra.formats import budget_spent_to_json, sft_spec_to_json
 
 
 def run_json(capsys, argv):
@@ -125,6 +128,27 @@ def test_decide_sft_exit_codes(capsys, tmp_path):
     assert report["result"]["decision"] == "unknown"
 
 
+@pytest.mark.parametrize("command", ["decide-sft", "cotiler find"])
+def test_budget_flags_default_to_budget(capsys, tmp_path, command):
+    if command == "decide-sft":
+        # rows count up mod 7: every window fills and no torus narrower than
+        # 7 closes, so the search spends its budget to the last window and torus
+        domino = Shape([(0, 0), (1, 0)])
+        spec = SftSpec(domino, range(7), {Pattern(domino, (i, (i + 1) % 7)) for i in range(7)})
+        path = tmp_path / "count7.json"
+        path.write_text(json.dumps(sft_spec_to_json(spec)))
+        expected = decide(spec, Budget())
+        assert expected.budget_spent.windows_tried == tuple(range(2, 9))
+        assert expected.budget_spent.tori_tried[-1] == (6, 6)
+        argv = ["decide-sft", str(path)]
+    else:
+        expected = cotiler_decision(ClusterTile(Shape.plus()), Budget())
+        argv = ["cotiler", "find", "--tile", "plus"]
+    code, report = run_json(capsys, argv)
+    assert report["result"]["decision"] == expected.kind
+    assert report["budget_spent"] == budget_spent_to_json(expected.budget_spent)
+
+
 def test_decide_sft_certificate_verifies(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(
@@ -144,9 +168,17 @@ def test_factor_lines_and_classify(capsys):
     assert decomp["factors"] == []
     assert decomp["remainder"] == report["result"]["input"]
 
-    code, report = run_json(capsys, ["classify", "1 + x + y", "--role", "periodizes"])
-    assert code == 0
-    assert report["result"]["verdict"] == "two_periodic"
+    # the verdict does not depend on the role, which the payload only echoes
+    for poly, verdict in [("1 + x + y", "two_periodic"), ("x*y - y", "periodic_in_direction")]:
+        results = {}
+        for role in ("annihilates", "periodizes"):
+            code, report = run_json(capsys, ["classify", poly, "--role", role])
+            assert code == 0
+            results[role] = report["result"]
+            assert results[role].pop("role") == role
+        assert results["annihilates"] == results["periodizes"]
+        assert results["periodizes"]["verdict"] == verdict
+    assert run(["classify", "1 + x + y", "--role", "bogus"]) == 64
 
 
 def test_eliminate_fp(capsys):

@@ -24,10 +24,9 @@ from gridalgebra import (
     period_lattice_index,
     rectangle_complexity_profile,
 )
-from gridalgebra.configuration import AnnihilationCheck
+from gridalgebra.configuration import AnnihilationCheck, period_from_line_annihilator
 from gridalgebra.errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
-from gridalgebra.linestructure import period_from_line_annihilator
 
 from helpers import (
     apply_poly_oracle,
@@ -72,7 +71,7 @@ def test_extract_checkerboard_two_phases():
 
 def test_extract_constant_single_pattern():
     for shape in (Shape.rectangle(3, 2), Shape.plus()):
-        assert len(extract_patterns(TorusConfig.constant(7), shape)) == 1
+        assert len(extract_patterns(TorusConfig([[7]]), shape)) == 1
 
 
 def test_extract_distinct_patch_cells():
@@ -97,11 +96,11 @@ def test_complexity_distinct_dominoes():
 
 
 def test_complexity_constant():
-    assert complexity(TorusConfig.constant(0), Shape.rectangle(4, 4)) == (1, True)
+    assert complexity(TorusConfig([[0]]), Shape.rectangle(4, 4)) == (1, True)
 
 
 def test_profile_constant_all_low():
-    table = rectangle_complexity_profile(TorusConfig.constant(3), 4, 4)
+    table = rectangle_complexity_profile(TorusConfig([[3]]), 4, 4)
     assert all(entry == (1, True) for entry in table.values())
 
 
@@ -184,7 +183,7 @@ def test_is_annihilated_checkerboard_x_squared():
 
 
 def test_is_annihilated_constant_counterexample():
-    check = is_annihilated(TorusConfig.constant(1), P("x - 2"))
+    check = is_annihilated(TorusConfig([[1]]), P("x - 2"))
     assert check.kind == "no" and check.witness == (0, 0)
 
 
@@ -221,7 +220,7 @@ def test_detect_periods_examples():
     cb = detect_periods(CHECKER)
     assert cb[(1, 0)] == 2 and cb[(0, 1)] == 2 and cb[(1, 1)] == 1
 
-    const = detect_periods(TorusConfig.constant(4))
+    const = detect_periods(TorusConfig([[4]]))
     assert const[(1, 0)] == 1 and const[(0, 1)] == 1
 
     stripes = detect_periods(TorusConfig([[0], [1]]))  # rows alternate in y

@@ -174,7 +174,7 @@ def test_annihilator_result_json_roundtrip():
         annihilator_result_to_json,
     )
 
-    for torus in (TorusConfig([[0, 1], [1, 0]]), TorusConfig.constant(4)):
+    for torus in (TorusConfig([[0, 1], [1, 0]]), TorusConfig([[4]])):
         result = find_annihilator(extract_patterns(torus, Shape([(0, 0), (1, 0)])))
         data = annihilator_result_to_json(result)
         back = annihilator_result_from_json(data)

@@ -213,7 +213,7 @@ def test_period_from_horizontal_binomial():
 
 
 def test_period_from_constant_config():
-    assert period_from_line_annihilator(P("x - 1"), TorusConfig.constant(3)) == 1
+    assert period_from_line_annihilator(P("x - 1"), TorusConfig([[3]])) == 1
 
 
 def test_period_from_cubic_on_stripes():
@@ -226,7 +226,7 @@ def test_period_from_cubic_on_stripes():
 
 def test_period_rejects_non_line_polynomial():
     with pytest.raises(NotALinePolynomial):
-        period_from_line_annihilator(P("1 + x + y"), TorusConfig.constant(0))
+        period_from_line_annihilator(P("1 + x + y"), TorusConfig([[0]]))
 
 
 def test_period_rejects_non_annihilator():

@@ -29,7 +29,6 @@ from gridalgebra.sft import (
     UNKNOWN,
     _BudgetExhausted,
     _CompiledSpec,
-    _NodeCounter,
     _search,
 )
 
@@ -177,12 +176,6 @@ def test_witness_pattern_set_is_exact():
     assert {p for p in extract_patterns(torus, spec.shape)} <= spec.allowed
 
 
-def test_low_complexity_flag():
-    assert EMPTY_DOMINO.low_complexity
-    assert CHECKER_SPEC.low_complexity
-    assert not FULL_DOMINO.low_complexity  # 4 patterns on 2 cells
-
-
 def test_random_specs_decided_within_budget():
     rng = random.Random(83)
     for _ in range(10):
@@ -278,16 +271,17 @@ def test_search_matches_brute_force(spec, data):
 
 
 def test_plus_cotiler_window_12_spends_pinned_nodes():
-    counter = _NodeCounter(None)
-    assert window_fillable(plus_cotiler_spec(), 12, _counter=counter) is not None
-    assert counter.used == 44_224
+    spec = plus_cotiler_spec()
+    compiled = _CompiledSpec(spec)
+    assert window_fillable(spec, 12, compiled) is not None
+    assert compiled.used == 44_224
 
 
 def test_checkerboard_window_40_has_no_depth_limit():
     # 1,600 cells deep, past the interpreter's default recursion limit
-    counter = _NodeCounter(None)
-    filling = window_fillable(CHECKER_SPEC, 40, _counter=counter)
-    assert counter.used == 2_400
+    compiled = _CompiledSpec(CHECKER_SPEC)
+    filling = window_fillable(CHECKER_SPEC, 40, compiled)
+    assert compiled.used == 2_400
     assert all(row[i] != row[i + 1] for row in filling for i in range(39))
 
 
@@ -320,13 +314,13 @@ def test_node_budget_boundary_is_exact(make_spec, budget, nodes, witness):
 
 
 def _kernel(spec, w, h, wrap, seed=None, limit=None):
-    counter = _NodeCounter(limit)
+    compiled = _CompiledSpec(spec, limit)
     rng = None if seed is None else random.Random(seed)
     try:
-        rows = _search(_CompiledSpec(spec), w, h, wrap, counter, rng)
+        rows = _search(compiled, w, h, wrap, rng)
     except _BudgetExhausted:
         rows = "exhausted"
-    return rows, counter.used
+    return rows, compiled.used
 
 
 def test_reconfirm_empty_stops_at_its_node_limit():
@@ -436,15 +430,16 @@ def _sweep_cotiler_tori(size, count):
             for l in range(1, 7):
                 expected = forward_checking_search(spec, k, l, True)
                 assert _kernel(spec, k, l, True) == expected, (cells, k, l)
-                counter = _NodeCounter(None)
-                torus = find_periodic_point(spec, k, l, counter, compiled)
+                before = compiled.used
+                torus = find_periodic_point(spec, k, l, compiled)
+                spent = compiled.used - before
                 rows, nodes = expected
                 assert torus == (None if rows is None else TorusConfig(rows)), (cells, k, l)
                 if _count_refutes(spec, size, k, l):
                     refuted += k * l % size == 0
-                    assert rows is None and counter.used == 0, (cells, k, l)
+                    assert rows is None and spent == 0, (cells, k, l)
                 else:
-                    assert counter.used == nodes > 0, (cells, k, l)
+                    assert spent == nodes > 0, (cells, k, l)
     assert refuted  # some torus of fitting area is refuted by its rows or columns
 
 
