@@ -122,9 +122,10 @@ CHECKERS = {
 
 def check(cert, source=None, seed: int = 0, max_nodes: int | None = None) -> dict[str, bool]:
     """Named checks of one certificate. ``source`` replaces an annihilator
-    certificate's own grid; ``seed`` varies the order of an emptiness
-    re-confirmation and never its verdict; ``max_nodes`` bounds that
-    re-confirmation (unbounded if None)."""
+    certificate's own grid. An emptiness claim is re-confirmed by arc
+    consistency (``reconfirm_empty``): ``seed`` permutes the values tried at
+    its branches and never its verdict; ``max_nodes`` bounds its revisions
+    and values tried (unbounded if None)."""
     if not isinstance(cert, dict):
         raise InputFormatError("certificate must be a JSON object")
     kind = _field(cert, "certificate", str)

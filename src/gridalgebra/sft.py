@@ -5,16 +5,18 @@ unfillable n x n window certifies emptiness by compactness) and exhaustive
 two-periodic point search over torus fundamental domains (a valid torus
 certifies non-emptiness). For a low-complexity spec over a discrete convex
 shape one of the two must eventually fire, so Unknown only ever reports an
-exhausted budget, the cap on mask bits included.
+exhausted budget, the cap on mask bits included. Certificates are re-checked
+by code the kernels do not share: ``verify_witness`` and ``reconfirm_empty``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from .algebra import _cross, _dense_trim, _gcd_primitive_prs, _primitive, convex_hull
-from .configuration import Pattern, Shape, TorusConfig
+from .configuration import Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
 EMPTY = "empty"
@@ -92,8 +94,7 @@ class _CompiledSpec:
     the area of every torus that has a periodic point, and its width
     (height) too when ``coprime`` holds for its height (width) (see
     ``find_periodic_point``). ``coprime`` is memoized per (axis, period),
-    so the tori of one ``decide`` run share each gcd: a seed-1 pass of the
-    cotiler bench makes 1,753 calls and computes 813 gcds (54% hits).
+    so the tori of one ``decide`` run share each gcd.
 
     ``used`` counts the nodes every search of this spec has spent, and
     ``_search`` raises ``_BudgetExhausted`` rather than pass ``limit``
@@ -154,8 +155,7 @@ class _CompiledSpec:
         x0, y0, x1, y1 = self.box
         base = (y1 - y0) * w + (x1 - x0)
         top = w * h * f
-        width = top + (w * h + base) * f  # of a stencil, and so of each keep mask
-        _check_mask_bits(len(self.values) * w * h * width)
+        width = _window_width(len(self.values), self.count, self.box, w, h)
         stencils = [(1 << width) - 1] * len(self.values)
         for (cx, cy), masks in zip(self.cells, self.clear):
             shift = top + (base - (cy - y0) * w - (cx - x0)) * f
@@ -207,14 +207,19 @@ def _check_mask_bits(bits: int):
         raise InputTooLarge(f"{bits} keep-mask bits exceed the limit of {MAX_MASK_BITS}")
 
 
+def _window_width(nvalues: int, count: int, box, w: int, h: int) -> int:
+    """Bits of each of the nvalues * w * h window keep masks, refused past MAX_MASK_BITS."""
+    width = (2 * w * h + (box[3] - box[1]) * w + box[2] - box[0]) * (count + 1)
+    _check_mask_bits(nvalues * w * h * width)
+    return width
+
+
 def _repunit(count: int, step: int) -> int:
     """The sum of 1 << (i * step) over 0 <= i < count."""
     return ((1 << (count * step)) - 1) // ((1 << step) - 1)
 
 
-def _search(
-    compiled: _CompiledSpec, w: int, h: int, wrap: bool, rng=None
-) -> list[list[int]] | None:
+def _search(compiled: _CompiledSpec, w: int, h: int, wrap: bool) -> list[list[int]] | None:
     """Backtracking fill of a w x h grid, forward checking on one integer.
 
     With ``wrap`` the grid is a torus and every translate of the shape is
@@ -231,22 +236,12 @@ def _search(
     recursion limit. A node is one value tried at one cell and is charged
     to ``compiled.used`` before the state is touched. Deterministic: cells in
     row-major order, values in sorted order, first solution returned as
-    rows. With ``rng`` the cell and value orders are shuffled and the rows
-    come back in shuffled cell coordinates, so only whether the result
-    ``is None`` is meaningful. Patterns are not shuffled: their order only
-    permutes mask bits and cannot change the tree.
+    rows.
     """
     if not compiled.count:
         return None  # every translate is refuted before any mask or node
     keeps, guard = compiled.torus(w, h) if wrap else compiled.window(w, h)
     values = compiled.values
-    if rng is not None:
-        order = list(range(w * h))
-        rng.shuffle(order)
-        value_order = list(range(len(values)))
-        rng.shuffle(value_order)
-        values = [values[vi] for vi in value_order]
-        keeps = [[keeps[vi][c] for c in order] for vi in value_order]
     ones = (guard >> compiled.count) * ((1 << compiled.count) - 1)
     last = w * h - 1
     nvalues = len(values)
@@ -338,14 +333,14 @@ def find_periodic_point(
 def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     """Dovetail window emptiness checks and torus witness search.
 
-    Alternates one window size and one torus diagonal (k + l constant)
-    per round and returns the first certificate under that fixed schedule,
-    so the outcome is deterministic. Unknown reports the spent budget; a
-    window or torus whose masks would pass ``MAX_MASK_BITS`` ends the
-    search there too, as the last one tried. The spec is compiled once,
-    shared by every window and torus, and counts their nodes. A torus refuted by a symbol count
-    of its area, rows or columns (see ``find_periodic_point``) is still
-    listed in ``tori_tried`` but spends 0 nodes.
+    Alternates one window size and one torus diagonal (k + l constant) per
+    round and returns the first certificate under that fixed schedule, so
+    the outcome is deterministic. Unknown reports the spent budget; a window
+    or torus whose masks would pass ``MAX_MASK_BITS`` ends the search there
+    too, as the last one tried. The spec is compiled once, shared by every
+    window and torus, and counts their nodes. A torus refuted by a symbol
+    count of its area, rows or columns (see ``find_periodic_point``) is
+    still listed in ``tori_tried`` but spends 0 nodes.
     """
     compiled = _CompiledSpec(spec, budget.max_nodes)
     windows_tried: list[int] = []
@@ -385,32 +380,96 @@ def _spent(compiled: _CompiledSpec, windows, tori) -> BudgetSpent:
 
 
 def verify_witness(spec: SftSpec, torus: TorusConfig) -> bool:
-    """Independent full-pattern check of a non-emptiness certificate."""
+    """Independent check of a non-emptiness certificate, translate by translate."""
     if not isinstance(torus, TorusConfig):
         raise InputFormatError("a witness must be a torus")
-    for ty in range(torus.l):
-        for tx in range(torus.k):
-            values = tuple(torus.value_at((tx + cx, ty + cy)) for (cx, cy) in spec.shape.cells)
-            if Pattern(spec.shape, values) not in spec.allowed:
-                return False
-    return True
+    allowed = {p.values for p in spec.allowed}
+    rows, k, l = torus.rows, torus.k, torus.l
+    return all(
+        tuple(rows[(ty + cy) % l][(tx + cx) % k] for cx, cy in spec.shape.cells) in allowed
+        for ty in range(l)
+        for tx in range(k)
+    )
 
 
 def reconfirm_empty(
     spec: SftSpec, n: int, seed: int = 0, max_nodes: int | None = None
 ) -> bool | None:
-    """Re-confirm an emptiness certificate by an independent exhaustive
-    search at size n with randomized cell and value order. None when the
-    search would spend more than ``max_nodes`` nodes (unbounded if None)."""
-    import random
-
+    """Whether no n x n window filling exists, by arc consistency kept in
+    backtracking (MAC), sharing no mask, cell order or code with ``_search``.
+    Translates keep the allowed tuples that fit their cells' domains; a
+    revision shrinks the domains to what the kept tuples hold and queues the
+    other translates of each shrunk cell. Branches take a covered cell of
+    least domain, try its values in an order that ``seed`` permutes, and are
+    undone from a trail. A node is one revision or one value tried: None
+    past ``max_nodes`` (unbounded if None). Windows are refused exactly as
+    by ``window_fillable``."""
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
-    try:
-        rows = _search(_CompiledSpec(spec, max_nodes), n, n, False, random.Random(seed))
-    except _BudgetExhausted:
-        return None
-    return rows is None
+    if not spec.allowed:
+        return True  # every translate is refuted before anything is built
+    box = x0, y0, x1, y1 = spec.shape.bounding_box()
+    _window_width(len(spec.alphabet), len(spec.allowed), box, n, n)
+    allowed = [p.values for p in spec.allowed]
+    # translate a holds cells a + offset; the first revision gives each cell
+    # (None off every translate) the values allowed tuples hold there
+    offsets = [cy * n + cx for cx, cy in spec.shape.cells]
+    anchors = [ty * n + tx for ty in range(-y0, n - y1) for tx in range(-x0, n - x1)]
+    domains: list[set | None] = [None] * (n * n)
+    for offset, projection in zip(offsets, map(set, zip(*allowed))):
+        for c in (a + offset for a in anchors):
+            domains[c] = projection if domains[c] is None else domains[c] & projection
+    if set() in domains:
+        return True
+    tuples = dict.fromkeys(anchors, allowed)  # kept per translate
+    queue = dict.fromkeys(anchors)  # to revise, each once, last in first out
+    trail = []  # (dict or list, key, old value) of every change
+    branches = []  # (cell, its untried values, trail length) per depth
+    rng, nodes, limit = None, 0, float("inf") if max_nodes is None else max_nodes
+    while True:
+        while queue:
+            if nodes >= limit:
+                return None
+            nodes += 1
+            a, _ = queue.popitem()
+            cells = [a + offset for offset in offsets]
+            kept = [v for v in tuples[a] if all(x in domains[c] for x, c in zip(v, cells))]
+            if not kept:
+                queue.clear()
+                break
+            if len(kept) < len(tuples[a]):
+                trail.append((tuples, a, tuples[a]))
+                tuples[a] = kept
+                for c, support in zip(cells, map(set, zip(*kept))):
+                    if len(support) < len(domains[c]):
+                        trail.append((domains, c, domains[c]))
+                        domains[c] = support
+                        queue.update((c - o, None) for o in offsets if c - o in tuples)
+                queue.pop(a, None)
+        else:
+            open_cells = ((len(d), c) for c, d in enumerate(domains) if d and len(d) > 1)
+            size, c = min(open_cells, default=(0, 0))
+            if not size:
+                return False  # every covered cell holds one value
+            rng = rng or random.Random(seed)
+            branches.append((c, iter(rng.sample(sorted(domains[c]), size)), len(trail)))
+        while branches:
+            c, values, mark = branches[-1]
+            while len(trail) > mark:
+                store, index, old = trail.pop()
+                store[index] = old
+            v = next(values, None)
+            if v is not None:
+                if nodes >= limit:
+                    return None
+                nodes += 1
+                trail.append((domains, c, domains[c]))
+                domains[c] = {v}
+                queue = {c - o: None for o in offsets if c - o in tuples}
+                break
+            branches.pop()
+        else:
+            return True
 
 
 def is_discrete_convex(shape: Shape) -> bool:

@@ -14,8 +14,14 @@ extended Euclid frame of ``split_direction``.
 import functools
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import gridalgebra
 from gridalgebra import (
     GF,
     ClusterTile,
@@ -34,6 +40,24 @@ from gridalgebra.formats import (
     source_from_json,
 )
 from gridalgebra.linestructure import LineDecomposition
+
+
+def run_capped(code, limit=1 << 30):
+    """Run the Python source ``code`` in a child interpreter that imports
+    this checkout's gridalgebra, capped at ``limit`` bytes of address space
+    and 60 s, so a size guard that fails ends in MemoryError or a timeout
+    and never takes the machine's memory; returns the exit code and the
+    child's stdout and stderr."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gridalgebra.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def torus_cells(torus):
@@ -636,22 +660,17 @@ def brute_force_torus_filling(spec, k, l):
     return [[fill[(x, y)] for x in range(k)] for y in range(l)]
 
 
-def forward_checking_search(spec, w, h, wrap, rng=None, limit=None):
+def forward_checking_search(spec, w, h, wrap, limit=None):
     """Reference for the SFT search kernel: the same backtracking over the
     cells of a w x h grid, with each translate's viable patterns kept as an
     explicit list that every assignment filters.
 
-    Cells are taken row by row and values in sorted order; with ``rng`` the
-    cell order is shuffled first, then the values. Every value tried at a
-    cell is one node. Returns ``(rows, nodes)``: rows list the values in
-    search order (row-major when unshuffled), None when no filling exists,
-    and the string "exhausted" when a further node would pass ``limit``."""
+    Cells are taken row by row and values in sorted order. Every value
+    tried at a cell is one node. Returns ``(rows, nodes)``: rows in
+    row-major order, None when no filling exists, and the string
+    "exhausted" when a further node would pass ``limit``."""
     cells = [(x, y) for y in range(h) for x in range(w)]
-    order = list(range(len(cells)))
     values = sorted(spec.alphabet)
-    if rng is not None:
-        rng.shuffle(order)
-        rng.shuffle(values)
     if wrap:
         translates = [
             [((x + cx) % w, (y + cy) % h) for (cx, cy) in spec.shape.cells] for (x, y) in cells
@@ -679,7 +698,7 @@ def forward_checking_search(spec, w, h, wrap, rng=None, limit=None):
 
     def step(k):
         nonlocal nodes
-        if k == len(order):
+        if k == len(cells):
             return True
         for v in values:
             if limit is not None and nodes >= limit:
@@ -687,7 +706,7 @@ def forward_checking_search(spec, w, h, wrap, rng=None, limit=None):
             nodes += 1
             saved = []
             ok = True
-            for t, pos in touching[cells[order[k]]]:
+            for t, pos in touching[cells[k]]:
                 saved.append((t, viable[t]))
                 viable[t] = [p for p in viable[t] if p[pos] == v]
                 if not viable[t]:

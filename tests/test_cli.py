@@ -4,22 +4,19 @@ import contextlib
 import copy
 import io
 import json
-import os
 import re
-import resource
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gridalgebra
 from gridalgebra import Budget, ClusterTile, Pattern, Shape, SftSpec, decide
 from gridalgebra.applications import cotiler_decision
 from gridalgebra.cli import run
 from gridalgebra.formats import budget_spent_to_json, sft_spec_to_json
+
+from helpers import run_capped
 
 
 def run_json(capsys, argv):
@@ -509,21 +506,8 @@ def test_crash_exits_internal_not_a_verdict(capsys, monkeypatch, checker_grid):
 
 def _run_capped(argv):
     """cli.run(argv) in a child process capped at 1 GiB of address space
-    and 60 s, so a size guard that fails ends in MemoryError or a timeout
-    and never takes the machine's memory; returns the exit code and the
-    child's stdout and stderr."""
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(gridalgebra.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys; from gridalgebra.cli import run; sys.exit(run({argv!r}))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    and 60 s (see ``run_capped``)."""
+    return run_capped(f"import sys; from gridalgebra.cli import run; sys.exit(run({argv!r}))")
 
 
 @pytest.mark.parametrize(
@@ -572,17 +556,25 @@ def test_verify_of_an_empty_claim_without_patterns_at_window_1000_passes(tmp_pat
 
 @pytest.mark.parametrize("budget", [[], ["--max-nodes", "20000"]], ids=["default", "20000"])
 def test_verify_of_a_forged_empty_claim_runs_out_of_nodes(capsys, tmp_path, budget):
-    # the checkerboard domino fills every window, and the shuffled re-check
-    # of window 10 passes 20,000,000 nodes before it finds a filling
+    # the checkerboard domino fills every window: the re-check of window 10
+    # finds a filling in 190 nodes (10 branch values, 180 revisions), and
+    # runs out of nodes one node short of that
     spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}
     cert = tmp_path / "cert.json"
     cert.write_text(
         json.dumps({"certificate": "sft_decision", "spec": spec, "decision": "empty", "window": 10})
     )
     code, report = run_json(capsys, ["verify", str(cert), *budget])
+    assert code == 1
+    assert report["result"]["checks"] == {"window_unfillable": False}
+    assert report["result"]["passed"] is False
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "189"])
     assert code == 2
     assert report["result"]["checks"] == {"window_reconfirmed_within_budget": False}
     assert report["result"]["passed"] is False
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "190"])
+    assert code == 1
+    assert report["result"]["checks"] == {"window_unfillable": False}
 
 
 def test_verify_node_budget_boundary_is_exact(capsys, tmp_path):
@@ -592,11 +584,11 @@ def test_verify_node_budget_boundary_is_exact(capsys, tmp_path):
     argv = ["cotiler", "find", "--tile", str(tile), "--max-window", "8", "--max-torus", "6"]
     assert run(argv + ["--out", str(cert)]) == 1
     capsys.readouterr()
-    # the re-check of window 6 in the order of seed 0 takes 132,268 nodes
-    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "132267"])
+    # the re-check of window 6 in the order of seed 0 takes 629 nodes
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "628"])
     assert code == 2
     assert report["result"]["checks"] == {"window_reconfirmed_within_budget": False}
-    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "132268"])
+    code, report = run_json(capsys, ["verify", str(cert), "--max-nodes", "629"])
     assert code == 0
     assert report["result"]["checks"] == {"window_unfillable": True}
 

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from gridalgebra import (
@@ -38,6 +38,7 @@ from helpers import (
     discrete_convex_oracle,
     forward_checking_search,
     fraction_rank,
+    run_capped,
 )
 
 DOMINO = Shape([(0, 0), (1, 0)])
@@ -255,10 +256,7 @@ def test_search_matches_brute_force(spec, data):
     for n in range(spec.shape.extent, 4):
         if a ** (n * n) > MAX_FILLINGS:
             break
-        expected = brute_force_window_filling(spec, n)
-        assert window_fillable(spec, n) == expected
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        assert reconfirm_empty(spec, n, seed=seed) == (expected is None)
+        assert window_fillable(spec, n) == brute_force_window_filling(spec, n)
     k = data.draw(st.integers(1, 4), label="k")
     l_max = max(l for l in range(1, 5) if a ** (k * l) <= MAX_FILLINGS)
     l = data.draw(st.integers(1, l_max), label="l")
@@ -313,11 +311,10 @@ def test_node_budget_boundary_is_exact(make_spec, budget, nodes, witness):
     assert enough.witness == TorusConfig(witness)
 
 
-def _kernel(spec, w, h, wrap, seed=None, limit=None):
+def _kernel(spec, w, h, wrap, limit=None):
     compiled = _CompiledSpec(spec, limit)
-    rng = None if seed is None else random.Random(seed)
     try:
-        rows = _search(compiled, w, h, wrap, rng)
+        rows = _search(compiled, w, h, wrap)
     except _BudgetExhausted:
         rows = "exhausted"
     return rows, compiled.used
@@ -326,15 +323,87 @@ def _kernel(spec, w, h, wrap, seed=None, limit=None):
 def test_reconfirm_empty_stops_at_its_node_limit():
     from gridalgebra import ClusterTile, cotiler_sft
 
-    # the U-pentomino tiles the plane only with rotations: window 6 is unfillable
+    # the U-pentomino tiles the plane only with rotations: window 6 is
+    # unfillable, and its re-check in the order of seed 3 spends 629 nodes
+    # (44 branch values, 585 revisions)
     spec = cotiler_sft(ClusterTile(Shape([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])))
-    rows, nodes = _kernel(spec, 6, 6, False, seed=3)
-    assert rows is None
-    assert reconfirm_empty(spec, 6, seed=3, max_nodes=nodes) is True
-    assert reconfirm_empty(spec, 6, seed=3, max_nodes=nodes - 1) is None
-    # a forged claim on a spec that fills every window ends at its limit, not in hours
-    assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=20_000) is None
+    assert window_fillable(spec, 6) is None
+    assert reconfirm_empty(spec, 6, seed=3, max_nodes=629) is True
+    assert reconfirm_empty(spec, 6, seed=3, max_nodes=628) is None
+    # a forged claim on a spec that fills every window is refuted, in 190
+    # nodes at window 10, and a smaller budget ends at its limit
+    assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=20_000) is False
+    assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=189) is None
     assert reconfirm_empty(CHECKER_SPEC, 3, max_nodes=20_000) is False
+
+
+# -- the emptiness re-check: arc consistency against both searches ---------
+
+
+# Window 4 is unfillable. A re-check that revised each translate only when
+# it was first queued, and not again after a domain of its cells shrank,
+# would call it fillable in the order of every seed.
+_REQUEUE_SHAPE = Shape([(-1, 0), (0, 0), (1, 0), (1, 1)])
+REQUEUE_SPEC = SftSpec(
+    _REQUEUE_SHAPE,
+    {0, 2},
+    {Pattern(_REQUEUE_SHAPE, v) for v in [(0, 2, 2, 0), (0, 2, 2, 2), (2, 0, 0, 0), (2, 2, 0, 2)]},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=REQUEUE_SPEC, seed=0)
+def test_reconfirm_empty_matches_brute_force_and_the_search(spec, seed):
+    """The re-check answers as window_fillable on every window up to 4 x 4
+    (as wide as the shape included) and as the brute-force enumeration
+    where that stays small, for shapes moved off the origin and in the
+    order of any seed."""
+    a = len(spec.alphabet)
+    for n in range(spec.shape.extent, 5):
+        unfillable = window_fillable(spec, n) is None
+        if a ** (n * n) <= MAX_FILLINGS:
+            assert (brute_force_window_filling(spec, n) is None) == unfillable
+        assert reconfirm_empty(spec, n, seed=seed) is unfillable
+
+
+def test_reconfirm_empty_matches_the_search_on_every_small_cotiler_window():
+    """Every window up to 6 x 6 of the co-tiler SFT of each fixed tetromino
+    and pentomino (299 windows): the re-check, in the order of a seed per
+    window, answers as window_fillable."""
+    from gridalgebra import ClusterTile, cotiler_sft
+
+    windows = unfillable = 0
+    for size in (4, 5):
+        for cells in _fixed_polyominoes(size):
+            spec = cotiler_sft(ClusterTile(Shape(cells)))
+            for n in range(spec.shape.extent, 7):
+                expected = window_fillable(spec, n) is None
+                assert reconfirm_empty(spec, n, seed=n) is expected, (cells, n)
+                windows += 1
+                unfillable += expected
+    assert (windows, unfillable) == (299, 4)
+
+
+def test_reconfirm_empty_of_window_97_stays_small():
+    """The checkerboard domino fills window 97, the largest whose keep
+    masks fit MAX_MASK_BITS (1,062,407,826 bits, 127 MiB, for
+    window_fillable). The re-check builds no mask: a child capped at
+    96 MiB of address space finds the filling in 18,721 nodes, and runs
+    out one node short. Each of the 9,312 translates is revised once at
+    the start and once after its row's one branch value."""
+    code = (
+        "from gridalgebra import Pattern, Shape, SftSpec, reconfirm_empty\n"
+        "d = Shape([(0, 0), (1, 0)])\n"
+        "spec = SftSpec(d, {0, 1}, {Pattern(d, (0, 1)), Pattern(d, (1, 0))})\n"
+        "print(reconfirm_empty(spec, 97, max_nodes=18_721), "
+        "reconfirm_empty(spec, 97, max_nodes=18_720))\n"
+    )
+    returncode, out, err = run_capped(code, 96 << 20)
+    assert (returncode, out) == (0, "False None\n"), err
 
 
 def test_forward_checking_reference_finds_far_translates():
@@ -350,15 +419,12 @@ def test_forward_checking_reference_finds_far_translates():
 def test_search_matches_forward_checking_reference(spec, data):
     """Same first filling and the same node count as the list-based
     forward-checking reference, for windows (as wide as the shape
-    included), tori (narrower than the shape included) and seeded shuffled
-    orders, and the same exhaustion node."""
+    included) and tori (narrower than the shape included), and the same
+    exhaustion node."""
     limit = data.draw(st.sampled_from([None, 20_000, 1, 7, 40]), label="limit")
     for n in range(spec.shape.extent, 5):
         expected = forward_checking_search(spec, n, n, False, limit=limit)
         assert _kernel(spec, n, n, False, limit=limit) == expected
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        expected = forward_checking_search(spec, n, n, False, random.Random(seed), limit)
-        assert _kernel(spec, n, n, False, seed, limit) == expected
     k = data.draw(st.integers(1, 4), label="k")
     l = data.draw(st.integers(1, 4), label="l")
     assert _kernel(spec, k, l, True, limit=limit) == forward_checking_search(
@@ -521,8 +587,12 @@ def test_decide_reports_a_refused_mask_as_unknown_with_what_it_settled():
 
 
 def test_window_and_torus_masks_are_sized_before_they_are_built():
-    # 2 values x 10^6 cells x about 6 * 10^6 bits each: refused at once
-    with pytest.raises(InputTooLarge):
-        window_fillable(CHECKER_SPEC, 1000)
+    # 2 values x 10^6 cells x about 6 * 10^6 bits each: refused at once, and
+    # window 98 is the first whose masks pass MAX_MASK_BITS; the re-check
+    # builds no masks but refuses the same windows
+    for n in (98, 1000):
+        for check in (window_fillable, reconfirm_empty):
+            with pytest.raises(InputTooLarge):
+                check(CHECKER_SPEC, n)
     with pytest.raises(InputTooLarge):
         find_periodic_point(CHECKER_SPEC, 1000, 1000)
