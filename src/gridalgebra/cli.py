@@ -159,10 +159,18 @@ def _emit(command: str, inputs: dict, result: dict, args, start: float) -> None:
     print(f"wall_time_s: {time.monotonic() - start:.3f}", file=sys.stderr)
 
 
+def _budget_value(text: str) -> int:
+    """A budget flag's value: a non-negative integer, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget must not be negative: {value}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-window", type=int, default=Budget.max_window)
-    p.add_argument("--max-torus", type=int, default=Budget.max_torus)
-    p.add_argument("--max-nodes", type=int, default=Budget.max_nodes)
+    p.add_argument("--max-window", type=_budget_value, default=Budget.max_window)
+    p.add_argument("--max-torus", type=_budget_value, default=Budget.max_torus)
+    p.add_argument("--max-nodes", type=_budget_value, default=Budget.max_nodes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", nargs="?")
     p.add_argument("--torus", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=Budget.max_nodes)
+    p.add_argument("--max-nodes", type=_budget_value, default=Budget.max_nodes)
     p.add_argument("--out")
 
     return parser

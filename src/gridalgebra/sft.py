@@ -2,11 +2,12 @@
 
 Two search kernels are dovetailed: exhaustive window filling (an
 unfillable n x n window certifies emptiness by compactness) and exhaustive
-two-periodic point search over torus fundamental domains (a valid torus
-certifies non-emptiness). For a low-complexity spec over a discrete convex
-shape one of the two must eventually fire, so Unknown only ever reports an
-exhausted budget, the cap on mask bits included. Certificates are re-checked
-by code the kernels do not share: ``verify_witness`` and ``reconfirm_empty``.
+two-periodic point search over the fundamental domains of period lattices
+(a valid torus certifies non-emptiness). For a low-complexity spec over a
+discrete convex shape one of the two must eventually fire, so Unknown only
+ever reports an exhausted budget, the cap on mask bits included.
+Certificates are re-checked by code the kernels do not share:
+``verify_witness`` and ``reconfirm_empty``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import _cross, _dense_trim, _gcd_primitive_prs, _primitive, convex_hull
+from .algebra import _cross, _dense_trim, _gcd_primitive_prs, _is_prime, _primitive, convex_hull
 from .configuration import Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
@@ -66,7 +67,7 @@ class Budget:
 class BudgetSpent:
     nodes: int
     windows_tried: tuple[int, ...]
-    tori_tried: tuple[tuple[int, int], ...]
+    tori_tried: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,23 @@ class _CompiledSpec:
 
     def coprime(self, axis: int, n: int) -> bool:
         """Whether the shape projected on ``axis`` (0: D(x, 1), 1: D(1, y)),
-        exponents mod n, is coprime to z^n - 1 over Q."""
+        exponents mod n, is coprime to z^n - 1 over Q.
+
+        The projection r sums to |D| > 0, so z - 1 never divides it. For
+        n = 1 that settles it; for prime n, z^n - 1 = (z - 1) Phi_n with
+        Phi_n irreducible of degree n - 1, which divides r (of degree
+        < n) only when its n coefficients are equal. Other n take the gcd.
+        """
         key = (axis, n)
         if key not in self._coprime:
             r = [0] * n
             for cell in self.cells:
                 r[cell[axis] % n] += 1
-            g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
-            self._coprime[key] = len(g) == 1
+            if n == 1 or _is_prime(n):
+                self._coprime[key] = n == 1 or r.count(r[0]) < n
+            else:
+                g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+                self._coprime[key] = len(g) == 1
         return self._coprime[key]
 
     def window(self, w: int, h: int) -> tuple[list[list[int]], int]:
@@ -165,34 +175,48 @@ class _CompiledSpec:
         guard = _repunit(w - x1 + x0, f) * _repunit(h - y1 + y0, w * f)
         return keeps, guard << (base * f + self.count)
 
-    def torus(self, w: int, h: int) -> tuple[list[list[int]], int]:
-        """Keep masks ``keeps[vi][cell]`` and the guard of a w x h torus.
+    def torus(self, k: int, l: int, b: int = 0) -> tuple[list[list[int]], int]:
+        """Keep masks ``keeps[vi][cell]`` and the guard of the torus of the
+        lattice with basis (k, 0), (b, l), over its k x l fundamental domain.
 
-        Translate t = (tx, ty) owns field ty * 2w + tx: rows are 2w fields
-        apart, w live ones and w dead ones, which stay 0 in the state. Each
+        Translate t = (tx, ty) owns field ty * 2k + tx: rows are 2k fields
+        apart, k live ones and k dead ones, which stay 0 in the state. Each
         value's stencil ORs the clear masks of cell (0, 0) at the translates
-        covering it, copies that block one torus width and one torus height
-        up, and complements the 2w x 2h block, so the keep mask of cell
-        (x, y) is one right shift by h - y rows and w - x fields. Several
-        shape cells on one translate (tori narrower than the shape) OR their
-        clears, which is the AND of their keeps. Bits above the live rows
-        are garbage that the state's zeros mask off.
+        covering it; an anchor q periods of l below row 0 moves q * b fields
+        up, mod k, since (x, y - l) is (x + b, y). That block is copied one
+        torus height up as it is. In place, each of its rows is turned b
+        fields down, mod k, for the translates that reach the cell across
+        the wrap (for b = 0 the two are one block, copied by one
+        multiplication). Both are copied one torus width up and the 2k x 2l
+        block is complemented, so the keep mask of cell (x, y) is one right
+        shift by l - y rows and k - x fields. Several shape cells on one
+        translate (tori narrower than the shape) OR their clears, which is
+        the AND of their keeps. Bits above the live rows are garbage that
+        the state's zeros mask off.
         """
         f = self.count + 1
-        stride = 2 * w * f
-        # each keep mask is narrower than the 2w x 2h block
-        _check_mask_bits(len(self.values) * w * h * 2 * h * stride)
-        copies = (1 + (1 << (w * f))) * (1 + (1 << (h * stride)))
-        block = (1 << (2 * h * stride)) - 1
+        stride = 2 * k * f
+        # each keep mask is narrower than the 2k x 2l block
+        _check_mask_bits(len(self.values) * k * l * 2 * l * stride)
+        up = l * stride
         stencils = [0] * len(self.values)
         for (cx, cy), masks in zip(self.cells, self.clear):
-            shift = (-cy % h) * stride + (-cx % w) * f
+            shift = -cy % l * stride + (-cx - -cy // l * b) % k * f
             for vi, mask in enumerate(masks):
                 stencils[vi] |= mask << shift
+        if b:
+            right = _repunit(l, stride) * ((1 << (k - b) * f) - 1) << b * f
+            stencils = [
+                s << up | (s & right) >> b * f | (s & ~right) << (k - b) * f for s in stencils
+            ]
+            copies = 1 + (1 << (k * f))
+        else:
+            copies = (1 + (1 << (k * f))) * (1 + (1 << up))
+        block = (1 << (2 * up)) - 1
         stencils = [s * copies ^ block for s in stencils]
-        shifts = [(h - y) * stride + (w - x) * f for y in range(h) for x in range(w)]
+        shifts = [(l - y) * stride + (k - x) * f for y in range(l) for x in range(k)]
         keeps = [[s >> shift for shift in shifts] for s in stencils]
-        return keeps, _repunit(w, f) * _repunit(h, stride) << self.count
+        return keeps, _repunit(k, f) * _repunit(l, stride) << self.count
 
 
 # The keep masks are integers whose bits grow as the fourth power of the
@@ -219,11 +243,14 @@ def _repunit(count: int, step: int) -> int:
     return ((1 << (count * step)) - 1) // ((1 << step) - 1)
 
 
-def _search(compiled: _CompiledSpec, w: int, h: int, wrap: bool) -> list[list[int]] | None:
+def _search(
+    compiled: _CompiledSpec, w: int, h: int, wrap: bool, b: int = 0
+) -> list[list[int]] | None:
     """Backtracking fill of a w x h grid, forward checking on one integer.
 
-    With ``wrap`` the grid is a torus and every translate of the shape is
-    constrained (cells taken mod w and h); otherwise every translate lying
+    With ``wrap`` the grid is the fundamental domain of the lattice with
+    basis (w, 0), (b, h), and every translate of the shape is constrained
+    (cells reduced modulo the lattice); otherwise every translate lying
     fully inside the window is. The whole state at one depth is one int:
     each translate owns a field of B + 1 bits (B allowed patterns) whose
     low B bits are the patterns that agree with every assigned cell it
@@ -240,7 +267,7 @@ def _search(compiled: _CompiledSpec, w: int, h: int, wrap: bool) -> list[list[in
     """
     if not compiled.count:
         return None  # every translate is refuted before any mask or node
-    keeps, guard = compiled.torus(w, h) if wrap else compiled.window(w, h)
+    keeps, guard = compiled.torus(w, h, b) if wrap else compiled.window(w, h)
     values = compiled.values
     ones = (guard >> compiled.count) * ((1 << compiled.count) - 1)
     last = w * h - 1
@@ -295,56 +322,77 @@ def window_fillable(
 
 
 def find_periodic_point(
-    spec: SftSpec, k: int, l: int, _compiled: _CompiledSpec | None = None
+    spec: SftSpec, k: int, l: int, _compiled: _CompiledSpec | None = None, *, shear: int = 0
 ) -> TorusConfig | None:
-    """Exhaustive search for a k x l torus all of whose wraparound
-    shape-patterns are allowed.
+    """Exhaustive search for a point with periods (k, 0) and (shear, l) all
+    of whose shape-patterns are allowed, over the k x l fundamental domain
+    of that lattice (0 <= shear < k; 0 gives the k x l rectangle torus).
+    The point is returned as the k x (l * k / gcd(k, shear)) rectangle
+    torus it also fills: row y + j * l is row y rotated right by j * shear.
 
-    Some tori are refuted by symbol counts, before any mask is built or
+    Some lattices are refuted by symbol counts, before any mask is built or
     node spent. If value v sits m times in every allowed pattern of shape
     D, count the pairs (translate, cell of D) that carry v on a periodic
-    point with N_v cells v: each shift by a cell of D permutes the torus
-    (tori narrower than the shape included), so |D| * N_v = m * k * l and
-    |D| / gcd(|D|, m) divides k * l. A torus whose area k * l is not a
-    multiple of the lcm of these, ``_CompiledSpec.area``, is answered None.
+    point with N_v cells v in a fundamental domain: each shift by a cell of
+    D permutes the domain (tori narrower than the shape included), so
+    |D| * N_v = m * k * l and |D| / gcd(|D|, m) divides k * l. A lattice
+    whose index k * l is not a multiple of the lcm of these,
+    ``_CompiledSpec.area``, is answered None.
 
-    The same count over one torus row (Coven and Meyerowitz's cyclotomic
-    argument on the projection): with N(j) the cells v in row j, the sum of
-    N(y + d_y mod l) over the cells d of D is m * k for every row y. If
-    D(1, y), exponents mod l, is coprime to y^l - 1, no l-th root of unity
-    can carry a nonconstant N, so N is the integer m * k / |D| and
-    ``area`` divides k. By symmetry ``area`` divides l when D(x, 1) is
-    coprime to x^k - 1. A torus that fails either is answered None too.
+    The same count over one row (Coven and Meyerowitz's cyclotomic argument
+    on the projection): with N(j) the cells v in row j of one period k,
+    N(j + l) = N(j), and the sum of N(y + d_y mod l) over the cells d of D
+    is m * k for every row y. If D(1, y), exponents mod l, is coprime to
+    y^l - 1, no l-th root of unity can carry a nonconstant N, so N is the
+    integer m * k / |D| and ``area`` divides k. Over columns, with
+    g = gcd(k, shear), the cells v of column x in one period L = l * k / g
+    are a count of period g, summing to m * L over D's column offsets: when
+    D(x, 1), exponents mod g, is coprime to x^g - 1, ``area`` divides L. A
+    lattice that fails either is answered None too.
     """
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
+    if not 0 <= shear < k:
+        raise ValueError("the shear must lie in [0, k)")
     compiled = _compiled or _CompiledSpec(spec)
     area = compiled.area
-    if (
-        k * l % area
-        or (k % area and compiled.coprime(1, l))
-        or (l % area and compiled.coprime(0, k))
-    ):
+    if area > 1:
+        g = gcd(k, shear)
+        if (
+            k * l % area
+            or (k % area and compiled.coprime(1, l))
+            or (l * k // g % area and compiled.coprime(0, g))
+        ):
+            return None
+    rows = _search(compiled, k, l, True, shear)
+    if rows is None:
         return None
-    rows = _search(compiled, k, l, True)
-    return None if rows is None else TorusConfig(rows)
+    if shear:
+        turns = [-j * shear % k for j in range(k // gcd(k, shear))]
+        rows = [row[t:] + row[:t] for t in turns for row in rows]
+    return TorusConfig(rows)
 
 
 def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
-    """Dovetail window emptiness checks and torus witness search.
+    """Dovetail window emptiness checks and periodic point search.
 
     Alternates one window size and one torus diagonal (k + l constant) per
     round and returns the first certificate under that fixed schedule, so
-    the outcome is deterministic. Unknown reports the spent budget; a window
-    or torus whose masks would pass ``MAX_MASK_BITS`` ends the search there
-    too, as the last one tried. The spec is compiled once, shared by every
-    window and torus, and counts their nodes. A torus refuted by a symbol
-    count of its area, rows or columns (see ``find_periodic_point``) is
-    still listed in ``tori_tried`` but spends 0 nodes.
+    the outcome is deterministic. Within a diagonal each k x l rectangle
+    torus (shear 0) comes first, then, when k * l <= ``max_torus``, the
+    sheared lattices with basis (k, 0), (b, l) for b = 1..k-1: rectangles
+    up to ``max_torus`` on a side, plus every lattice of index at most
+    ``max_torus``. ``tori_tried`` lists each as (k, l, b). Unknown reports
+    the spent budget; a window or torus whose masks would pass
+    ``MAX_MASK_BITS`` ends the search there too, as the last one tried.
+    The spec is compiled once, shared by every window and torus, and counts
+    their nodes. A lattice refuted by a symbol count of its index, rows or
+    columns (see ``find_periodic_point``) is still listed in ``tori_tried``
+    but spends 0 nodes.
     """
     compiled = _CompiledSpec(spec, budget.max_nodes)
     windows_tried: list[int] = []
-    tori_tried: list[tuple[int, int]] = []
+    tori_tried: list[tuple[int, int, int]] = []
     n = spec.shape.extent
     s = 2
     try:
@@ -361,14 +409,15 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
             if s <= 2 * budget.max_torus:
                 for k in range(max(1, s - budget.max_torus), min(s - 1, budget.max_torus) + 1):
                     l = s - k
-                    tori_tried.append((k, l))
-                    witness = find_periodic_point(spec, k, l, compiled)
-                    if witness is not None:
-                        return Decision(
-                            kind=NONEMPTY,
-                            witness=witness,
-                            budget_spent=_spent(compiled, windows_tried, tori_tried),
-                        )
+                    for b in range(k if k * l <= budget.max_torus else 1):
+                        tori_tried.append((k, l, b))
+                        witness = find_periodic_point(spec, k, l, compiled, shear=b)
+                        if witness is not None:
+                            return Decision(
+                                kind=NONEMPTY,
+                                witness=witness,
+                                budget_spent=_spent(compiled, windows_tried, tori_tried),
+                            )
                 s += 1
     except (_BudgetExhausted, InputTooLarge):
         pass

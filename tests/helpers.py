@@ -31,6 +31,7 @@ from gridalgebra import (
     ZZ,
     cotiler_sft,
     line_direction_candidates,
+    verify_witness,
 )
 from gridalgebra.errors import EmptyValidRegion
 from gridalgebra.formats import (
@@ -647,23 +648,47 @@ def brute_force_window_filling(spec, n):
     return [[fill[(x, y)] for x in range(n)] for y in range(n)]
 
 
-def brute_force_torus_filling(spec, k, l):
-    """Enumerate every filling of the k x l torus; return the first as
-    rows, or None. Every translate wraps around, one per cell."""
+def lattice_cell(x, y, k, l, b):
+    """The cell of the k x l fundamental domain of the lattice with basis
+    (k, 0), (b, l) that (x, y) is congruent to."""
+    q, y = divmod(y, l)
+    return (x - q * b) % k, y
+
+
+def expand_lattice_rows(rows, b):
+    """The rows of the k x (l * k / gcd(k, b)) rectangle torus filled by
+    the point whose fundamental domain of the lattice (k, 0), (b, l) holds
+    ``rows``: every cell read back through ``lattice_cell``."""
+    k, l = len(rows[0]), len(rows)
+    height = l * k // math.gcd(k, b)
+    cells = [[lattice_cell(x, y, k, l, b) for x in range(k)] for y in range(height)]
+    return [[rows[cy][cx] for cx, cy in row] for row in cells]
+
+
+def brute_force_torus_filling(spec, k, l, b=0):
+    """Enumerate every filling of the k x l fundamental domain of the
+    lattice with basis (k, 0), (b, l) (b = 0: the k x l torus); return the
+    first, expanded to its rectangle torus by ``expand_lattice_rows`` and
+    re-checked there by ``verify_witness``, as rows, or None. Every
+    translate wraps around the lattice, one per cell."""
     cells = [(x, y) for y in range(l) for x in range(k)]
     translates = [
-        [((x + cx) % k, (y + cy) % l) for (cx, cy) in spec.shape.cells] for (x, y) in cells
+        [lattice_cell(x + cx, y + cy, k, l, b) for (cx, cy) in spec.shape.cells]
+        for (x, y) in cells
     ]
     fill = _first_filling(spec.alphabet, cells, translates, spec.allowed)
     if fill is None:
         return None
-    return [[fill[(x, y)] for x in range(k)] for y in range(l)]
+    rows = expand_lattice_rows([[fill[(x, y)] for x in range(k)] for y in range(l)], b)
+    assert verify_witness(spec, TorusConfig(rows)), (k, l, b)
+    return rows
 
 
-def forward_checking_search(spec, w, h, wrap, limit=None):
+def forward_checking_search(spec, w, h, wrap, limit=None, shear=0):
     """Reference for the SFT search kernel: the same backtracking over the
     cells of a w x h grid, with each translate's viable patterns kept as an
-    explicit list that every assignment filters.
+    explicit list that every assignment filters. With ``wrap`` the grid is
+    the fundamental domain of the lattice with basis (w, 0), (shear, h).
 
     Cells are taken row by row and values in sorted order. Every value
     tried at a cell is one node. Returns ``(rows, nodes)``: rows in
@@ -673,7 +698,8 @@ def forward_checking_search(spec, w, h, wrap, limit=None):
     values = sorted(spec.alphabet)
     if wrap:
         translates = [
-            [((x + cx) % w, (y + cy) % h) for (cx, cy) in spec.shape.cells] for (x, y) in cells
+            [lattice_cell(x + cx, y + cy, w, h, shear) for (cx, cy) in spec.shape.cells]
+            for (x, y) in cells
         ]
     else:
         inside = set(cells)

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import re
 from pathlib import Path
@@ -128,7 +129,7 @@ def test_decide_sft_exit_codes(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["decide-sft", "cotiler find"])
 def test_budget_flags_default_to_budget(capsys, tmp_path, command):
     if command == "decide-sft":
-        # rows count up mod 7: every window fills and no torus narrower than
+        # rows count up mod 7: every window fills and no lattice narrower than
         # 7 closes, so the search spends its budget to the last window and torus
         domino = Shape([(0, 0), (1, 0)])
         spec = SftSpec(domino, range(7), {Pattern(domino, (i, (i + 1) % 7)) for i in range(7)})
@@ -136,7 +137,7 @@ def test_budget_flags_default_to_budget(capsys, tmp_path, command):
         path.write_text(json.dumps(sft_spec_to_json(spec)))
         expected = decide(spec, Budget())
         assert expected.budget_spent.windows_tried == tuple(range(2, 9))
-        assert expected.budget_spent.tori_tried[-1] == (6, 6)
+        assert expected.budget_spent.tori_tried[-1] == (6, 6, 0)
         argv = ["decide-sft", str(path)]
     else:
         expected = cotiler_decision(ClusterTile(Shape.plus()), Budget())
@@ -696,6 +697,7 @@ def _assert_exit_contract(argv):
     if code <= 2:
         assert json.loads(out.getvalue())["command"] == argv[0], argv
     assert '"error": "internal"' not in err.getvalue(), (argv, err.getvalue())
+    return code
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -735,20 +737,58 @@ def test_poly_commands_keep_the_exit_contract_on_drawn_text(
     _assert_exit_contract([command, "--field", field, "--", text])
 
 
+# A budget flag's drawn value: negative ones are usage errors. A huge
+# --max-window is bounded by --max-nodes (each fillable window spends one
+# node per cell) and --max-nodes by the other two; a huge --max-torus is not
+# drawn, since tori a symbol count refutes spend no node.
+_HUGE = str(10**30)
+_BUDGET_VALUES = st.sampled_from(["-1", "-20001", "0", "2", _HUGE])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(data=st.binary(max_size=200) | _mutated(_SPECS).map(lambda d: json.dumps(d).encode()))
-def test_decide_sft_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data):
+@given(
+    data=st.binary(max_size=200) | _mutated(_SPECS).map(lambda d: json.dumps(d).encode()),
+    flag=st.sampled_from(["--max-window", "--max-torus", "--max-nodes"]),
+    value=_BUDGET_VALUES,
+)
+def test_decide_sft_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data, flag, value):
     path = tmp_path_factory.getbasetemp() / "fuzz_spec"
     path.write_bytes(data)
-    budget = ["--max-window", "4", "--max-torus", "3", "--max-nodes", "20000"]
-    _assert_exit_contract(["decide-sft", str(path), *budget])
+    budget = {"--max-window": "4", "--max-torus": "3", "--max-nodes": "20000"}
+    if not (flag == "--max-torus" and value == _HUGE):
+        budget[flag] = value
+    argv = ["decide-sft", str(path), *itertools.chain(*budget.items())]
+    code = _assert_exit_contract(argv)
+    if budget[flag].startswith("-"):
+        assert code == 64, argv
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(
-    data=st.binary(max_size=200) | _mutated(_CERTIFICATES).map(lambda d: json.dumps(d).encode())
+    data=st.binary(max_size=200) | _mutated(_CERTIFICATES).map(lambda d: json.dumps(d).encode()),
+    nodes=st.none() | _BUDGET_VALUES,
 )
-def test_verify_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data):
+def test_verify_keeps_the_exit_contract_on_drawn_bytes(tmp_path_factory, data, nodes):
     path = tmp_path_factory.getbasetemp() / "fuzz_certificate"
     path.write_bytes(data)
-    _assert_exit_contract(["verify", str(path)])
+    budget = [] if nodes is None else ["--max-nodes", nodes]
+    code = _assert_exit_contract(["verify", str(path), *budget])
+    if nodes and nodes.startswith("-"):
+        assert code == 64, nodes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*command, flag, "-1"]
+        for command in (["decide-sft", "{spec}"], ["cotiler", "find", "--tile", "plus"])
+        for flag in ("--max-window", "--max-torus", "--max-nodes")
+    ]
+    + [["verify", "{spec}", "--max-nodes", "-1"]],
+    ids=lambda argv: " ".join(arg for arg in argv[:-1] if arg not in ("{spec}", "--tile", "plus")),
+)
+def test_negative_budgets_are_usage_errors(capsys, tmp_path, argv):
+    spec = tmp_path / "checker.json"
+    spec.write_text(json.dumps(_CHECKER_SPEC))
+    assert run([arg.replace("{spec}", str(spec)) for arg in argv]) == 64
+    assert capsys.readouterr().out == ""

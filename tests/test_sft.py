@@ -1,6 +1,7 @@
 """Window filling, periodic points, the dovetailed decision procedure."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from gridalgebra import (
     verify_witness,
     window_fillable,
 )
+from gridalgebra.algebra import _dense_trim, _gcd_primitive_prs, _primitive
 from gridalgebra.errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 from gridalgebra.sft import (
     EMPTY,
@@ -36,6 +38,7 @@ from helpers import (
     brute_force_torus_filling,
     brute_force_window_filling,
     discrete_convex_oracle,
+    expand_lattice_rows,
     forward_checking_search,
     fraction_rank,
     run_capped,
@@ -100,6 +103,15 @@ def test_periodic_point_checkerboard_spec():
     assert verify_witness(CHECKER_SPEC, torus)
 
 
+def test_periodic_point_on_a_sheared_lattice():
+    # the checkerboard has periods (2, 0) and (1, 1): one row of the lattice
+    # domain, shown as the 2 x 2 torus it fills
+    assert find_periodic_point(CHECKER_SPEC, 2, 1, shear=1) == TorusConfig([[0, 1], [1, 0]])
+    for shear in (-1, 2):
+        with pytest.raises(ValueError, match="shear"):
+            find_periodic_point(CHECKER_SPEC, 2, 1, shear=shear)
+
+
 def test_periodic_point_empty_spec():
     for k, l in [(1, 1), (2, 2), (3, 2)]:
         assert find_periodic_point(EMPTY_DOMINO, k, l) is None
@@ -135,10 +147,12 @@ def test_decide_plus_pentomino_cotiler():
     assert exact_cover_on_torus(tile, witness)
     assert period_lattice_index(witness) == 5
     spent = decision.budget_spent
-    assert spent.nodes == 146
+    assert spent.nodes == 48
     assert spent.windows_tried == (3, 4)
-    assert len(spent.tori_tried) == 32
-    assert spent.tori_tried[-1] == (5, 5)
+    assert len(spent.tori_tried) == 27
+    # the 1-cell-high lattice (5, 0), (2, 1), shown as the 5 x 5 torus it fills
+    assert spent.tori_tried[-1] == (5, 1, 2)
+    assert find_periodic_point(spec, 5, 1, shear=2) == witness
 
 
 def test_decide_unknown_when_budget_exhausted():
@@ -285,10 +299,10 @@ def test_checkerboard_window_40_has_no_depth_limit():
 
 PLUS_WITNESS = [
     [0, 0, 0, 0, 1],
-    [0, 0, 1, 0, 0],
-    [1, 0, 0, 0, 0],
-    [0, 0, 0, 1, 0],
     [0, 1, 0, 0, 0],
+    [0, 0, 0, 1, 0],
+    [1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0],
 ]
 
 
@@ -296,7 +310,7 @@ PLUS_WITNESS = [
     "make_spec, budget, nodes, witness",
     [
         (domino_cotiler_spec, Budget(max_window=4, max_torus=4), 21, [[0, 1]]),
-        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 146, PLUS_WITNESS),
+        (plus_cotiler_spec, Budget(max_window=4, max_torus=6), 48, PLUS_WITNESS),
     ],
     ids=["domino", "plus"],
 )
@@ -311,10 +325,10 @@ def test_node_budget_boundary_is_exact(make_spec, budget, nodes, witness):
     assert enough.witness == TorusConfig(witness)
 
 
-def _kernel(spec, w, h, wrap, limit=None):
+def _kernel(spec, w, h, wrap, limit=None, shear=0):
     compiled = _CompiledSpec(spec, limit)
     try:
-        rows = _search(compiled, w, h, wrap)
+        rows = _search(compiled, w, h, wrap, shear)
     except _BudgetExhausted:
         rows = "exhausted"
     return rows, compiled.used
@@ -463,54 +477,75 @@ def _projection_nonsingular(spec, axis, n):
     return fraction_rank([[r[(j - i) % n] for j in range(n)] for i in range(n)]) == n
 
 
-def _count_refutes(spec, area, k, l):
-    """Whether a symbol count refutes the k x l torus, by the reference's
-    reading: area must divide k * l, and k (l) when the row (column)
-    projection is nonsingular mod l (k)."""
+def _count_refutes(spec, area, k, l, b=0):
+    """Whether a symbol count refutes the lattice with basis (k, 0), (b, l),
+    by the reference's reading: area must divide k * l, k when the row
+    projection is nonsingular mod l, and the column period l * k / g when
+    the column projection is nonsingular mod g = gcd(k, b)."""
+    g = math.gcd(k, b)
     return bool(
         k * l % area
         or (k % area and _projection_nonsingular(spec, 1, l))
-        or (l % area and _projection_nonsingular(spec, 0, k))
+        or (l * k // g % area and _projection_nonsingular(spec, 0, g))
     )
 
 
+# (k, l, b) of what decide tries at the bench's max_torus of 6: every torus
+# up to 6 x 6, then every sheared lattice (k, 0), (b, l) of index up to 6
+BENCH_LATTICES = [(k, l, 0) for k in range(1, 7) for l in range(1, 7)] + [
+    (k, l, b) for k in range(2, 7) for l in range(1, 6 // k + 1) for b in range(1, k)
+]
+
+# every torus up to 4 x 4 with each of its shears
+SMALL_LATTICES = [(k, l, b) for k in range(1, 5) for l in range(1, 5) for b in range(k)]
+
+
+def _expanded(rows, b):
+    return None if rows is None else TorusConfig(expand_lattice_rows(rows, b))
+
+
 def _sweep_cotiler_tori(size, count):
-    """Every torus up to 6 x 6 (the bench's max_torus, tori narrower and
-    shorter than the tile included) gives the reference's first filling
-    and node count on the co-tiler SFT of each fixed polyomino of size
-    cells, and find_periodic_point gives the same filling. It spends no
-    node exactly where a count of the tile's 1s refutes the torus (size
-    must divide k * l, and k or l where the row or column projection allows
-    no other row or column counts), and the reference finds no point
-    there."""
+    """Every torus up to 6 x 6 and every sheared lattice of index up to 6
+    (the bench's max_torus, tori narrower and shorter than the tile
+    included) gives the reference's first filling and node count on the
+    co-tiler SFT of each fixed polyomino of size cells, and
+    find_periodic_point gives the same filling, expanded. It spends no node
+    exactly where a count of the tile's 1s refutes the lattice (size must
+    divide k * l, and k or the column period where the row or column
+    projection allows no other row or column counts), and the reference
+    finds no point there. Returns how many sheared lattices of fitting
+    index the columns alone refute."""
     from gridalgebra import ClusterTile, cotiler_sft
 
     tiles = _fixed_polyominoes(size)
     assert len(tiles) == count
-    refuted = 0
+    refuted = sheared = 0
     for cells in tiles:
         spec = cotiler_sft(ClusterTile(Shape(cells)))
         compiled = _CompiledSpec(spec)
         assert compiled.area == size
-        for k in range(1, 7):
-            for l in range(1, 7):
-                expected = forward_checking_search(spec, k, l, True)
-                assert _kernel(spec, k, l, True) == expected, (cells, k, l)
-                before = compiled.used
-                torus = find_periodic_point(spec, k, l, compiled)
-                spent = compiled.used - before
-                rows, nodes = expected
-                assert torus == (None if rows is None else TorusConfig(rows)), (cells, k, l)
-                if _count_refutes(spec, size, k, l):
-                    refuted += k * l % size == 0
-                    assert rows is None and spent == 0, (cells, k, l)
-                else:
-                    assert spent == nodes > 0, (cells, k, l)
+        for k, l, b in BENCH_LATTICES:
+            expected = forward_checking_search(spec, k, l, True, shear=b)
+            assert _kernel(spec, k, l, True, shear=b) == expected, (cells, k, l, b)
+            before = compiled.used
+            torus = find_periodic_point(spec, k, l, compiled, shear=b)
+            spent = compiled.used - before
+            rows, nodes = expected
+            assert torus == _expanded(rows, b), (cells, k, l, b)
+            if _count_refutes(spec, size, k, l, b):
+                refuted += k * l % size == 0
+                sheared += k * l % size == 0 and b > 0 and k % size == 0
+                assert rows is None and spent == 0, (cells, k, l, b)
+            else:
+                assert spent == nodes > 0, (cells, k, l, b)
     assert refuted  # some torus of fitting area is refuted by its rows or columns
+    return sheared
 
 
 def test_torus_kernel_matches_reference_on_every_tetromino_cotiler():
-    _sweep_cotiler_tori(4, 19)
+    # the lattice (4, 0), (2, 1) has columns of period 2 and 4 | 4 * 1: the
+    # columns alone refute it for the 11 tetrominoes unbalanced mod 2
+    assert _sweep_cotiler_tori(4, 19) == 11
 
 
 def test_torus_kernel_matches_reference_on_every_pentomino_cotiler():
@@ -518,26 +553,26 @@ def test_torus_kernel_matches_reference_on_every_pentomino_cotiler():
 
 
 def test_counted_specs_reach_the_row_and_column_count():
-    """The counted strategy of the property test below draws specs whose
-    area divides k * l but not k, with rows nonsingular mod l, and the
-    same with columns, so that test runs the row and the column refutation."""
+    """The counted strategy of the property tests below draws specs whose
+    area divides k * l but not k, with rows nonsingular mod l; the same
+    with the column period l * k / gcd(k, b) and columns nonsingular mod
+    gcd(k, b), on a rectangle and on a sheared lattice: so those tests run
+    the row, the column and the sheared column refutation."""
     strategy = small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.just(True))
-    tori = [(k, l) for k in range(1, 5) for l in range(1, 5)]
 
-    def reaches(axis):
-        def refuted_by(spec):
-            area = _CompiledSpec(spec).area
-            return any(
-                k * l % area == 0
-                and (l, k)[axis] % area
-                and _projection_nonsingular(spec, axis, (k, l)[axis])
-                for k, l in tori
-            )
+    def refuted(spec, axis, k, l, b):
+        area = _CompiledSpec(spec).area
+        g = math.gcd(k, b)
+        period, n = ((l * k // g, g), (k, l))[axis]
+        return k * l % area == 0 and period % area and _projection_nonsingular(spec, axis, n)
 
-        return refuted_by
-
-    for axis in (0, 1):
-        find(strategy, reaches(axis), settings=settings(database=None, max_examples=500))
+    for axis, sheared in ((1, False), (0, False), (0, True)):
+        lattices = [(k, l, b) for k, l, b in SMALL_LATTICES if (b > 0) == sheared]
+        find(
+            strategy,
+            lambda spec: any(refuted(spec, axis, *lattice) for lattice in lattices),
+            settings=settings(database=None, max_examples=500),
+        )
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,28 +580,82 @@ def test_counted_specs_reach_the_row_and_column_count():
     spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.booleans()),
 )
 def test_periodic_point_matches_reference_on_every_small_torus(spec):
-    """The symbol-count refutations (of the area, the rows and the columns)
-    never lose a periodic point: on every torus up to 4 x 4,
-    find_periodic_point finds the reference's filling."""
+    """The symbol-count refutations (of the area, the rows and the sheared
+    columns) never lose a periodic point: on every torus up to 4 x 4 and
+    every shear of it, find_periodic_point finds the reference's filling,
+    expanded to its rectangle."""
     compiled = _CompiledSpec(spec)
-    for k in range(1, 5):
-        for l in range(1, 5):
-            rows, _ = forward_checking_search(spec, k, l, True)
-            expected = None if rows is None else TorusConfig(rows)
-            assert find_periodic_point(spec, k, l, _compiled=compiled) == expected, (k, l)
+    for k, l, b in SMALL_LATTICES:
+        rows, _ = forward_checking_search(spec, k, l, True, shear=b)
+        found = find_periodic_point(spec, k, l, _compiled=compiled, shear=b)
+        assert found == _expanded(rows, b), (k, l, b)
 
 
-@pytest.mark.parametrize("size, count, nodes", [(4, 19, 5_567), (5, 63, 53_070)])
-def test_fixed_cotilers_spend_pinned_nodes(size, count, nodes):
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=small_specs(coords=range(-1, 2), offsets=st.integers(-6, 6), counted=st.booleans()),
+)
+def test_periodic_point_matches_brute_force_on_every_lattice_of_index_8(spec):
+    """On every lattice (k, 0), (b, l) of index k * l <= 8 (tori narrower
+    than the shape included), find_periodic_point returns the first filling
+    of the fundamental domain that enumeration finds, expanded to its
+    rectangle, and None exactly where enumeration finds none."""
+    compiled = _CompiledSpec(spec)
+    for k in range(1, 9):
+        for l in range(1, 8 // k + 1):
+            if len(spec.alphabet) ** (k * l) > MAX_FILLINGS:
+                continue
+            for b in range(k):
+                rows = brute_force_torus_filling(spec, k, l, b)
+                found = find_periodic_point(spec, k, l, compiled, shear=b)
+                assert found == (None if rows is None else TorusConfig(rows)), (k, l, b)
+
+
+@pytest.mark.parametrize(
+    "size, count, nodes, kinds",
+    [
+        (4, 19, 4_698, (19, 0, 0)),
+        (5, 63, 43_444, (47, 4, 12)),
+        (6, 216, 264_930, (144, 4, 68)),
+    ],
+    ids=["tetromino", "pentomino", "hexomino"],
+)
+def test_fixed_cotilers_spend_pinned_nodes(size, count, nodes, kinds):
     """Total decide nodes at Budget(6, 6) over the co-tiler SFTs of every
-    fixed tetromino and pentomino: a change that does more search work
-    fails here on any machine."""
+    fixed tetromino, pentomino and hexomino, and how many end nonempty,
+    empty and unknown: a change that does more search work fails here on
+    any machine, the 68 hexominoes that exhaust the schedule included."""
     from gridalgebra import ClusterTile, cotiler_sft
 
     tiles = _fixed_polyominoes(size)
     assert len(tiles) == count
-    spent = (decide(cotiler_sft(ClusterTile(Shape(c))), Budget(6, 6)).budget_spent for c in tiles)
-    assert sum(s.nodes for s in spent) == nodes
+    decisions = [decide(cotiler_sft(ClusterTile(Shape(c))), Budget(6, 6)) for c in tiles]
+    assert sum(d.budget_spent.nodes for d in decisions) == nodes
+    counts = tuple(sum(d.kind == kind for d in decisions) for kind in (NONEMPTY, EMPTY, UNKNOWN))
+    assert counts == kinds
+
+
+def test_coprime_shortcut_agrees_with_the_gcd():
+    """For n = 1 and prime n, coprime reads whether the folded projection's
+    coefficients are all equal instead of taking a gcd: on random shapes it
+    agrees with the primitive remainder sequence for every n <= 12, and
+    both answers occur for prime n."""
+    rng = random.Random(22)
+    box = [(x, y) for y in range(-3, 6) for x in range(-3, 6)]
+    answers = set()
+    for _ in range(300):
+        shape = Shape(rng.sample(box, rng.randint(1, 8)))
+        compiled = _CompiledSpec(SftSpec(shape, {0}, set()))
+        for axis in (0, 1):
+            for n in range(1, 13):
+                r = [0] * n
+                for cell in shape.cells:
+                    r[cell[axis] % n] += 1
+                g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+                assert compiled.coprime(axis, n) == (len(g) == 1), (shape.cells, axis, n)
+                if n in (2, 3, 5, 7, 11):
+                    answers.add(len(g) == 1)
+    assert answers == {False, True}
 
 
 def test_symbol_count_area():
