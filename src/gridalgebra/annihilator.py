@@ -22,7 +22,8 @@ from .configuration import (
     Shape,
     TorusConfig,
     _domain_rows,
-    _periods,
+    _is_period,
+    _period_basis,
     apply_poly,
     is_annihilated,
 )
@@ -146,6 +147,18 @@ def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> Verificati
     )
 
 
+def _shift_agrees(rows, t: ExponentVector) -> bool:
+    """Whether x^t - 1 annihilates the patch with these rows on the valid region
+    of is_annihilated: rows[y][x0:x1] == rows[y - t1][x0 - t0 : x1 - t0] for
+    each row y of it. Raises EmptyValidRegion, reading no symbol, if it is empty."""
+    tx, ty = t
+    x0, x1 = max(tx, 0), len(rows[0]) + min(tx, 0)
+    y0, y1 = max(ty, 0), len(rows) + min(ty, 0)
+    if x0 >= x1 or y0 >= y1:
+        raise EmptyValidRegion("support of the binomial exceeds the patch")
+    return all(rows[y][x0:x1] == rows[y - ty][x0 - tx : x1 - tx] for y in range(y0, y1))
+
+
 def find_binomial_product_annihilator(
     source: Patch | TorusConfig,
     max_norm: int,
@@ -162,8 +175,10 @@ def find_binomial_product_annihilator(
     the prefix difference (x^t1 - 1)...(x^t(m-1) - 1) c, and lexicographic
     order builds each prefix difference once, from its own prefix's. On a
     torus, x^t - 1 annihilates a prefix iff t is a period of it, so each
-    prefix keeps its period set. Tuples that outgrow a patch are skipped;
-    EmptyValidRegion only if all do.
+    prefix keeps its period basis; on a patch, iff its rows agree with
+    themselves shifted by t. Tuples that outgrow a patch are skipped;
+    EmptyValidRegion only if all do; at the first tuple that fits, a symbol
+    outside Z raises as in is_annihilated.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
@@ -172,10 +187,8 @@ def find_binomial_product_annihilator(
     candidates = _half_plane(max_norm)
     binomial = partial(LaurentPoly.difference_binomial, ZZ)
     torus = isinstance(source, TorusConfig)
-    if torus:  # a symbol outside Z raises as in is_annihilated; equal ones stay equal
-        _domain_rows(source, ZZ)
-    # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its periods on a torus)
-    root = (None, source, _periods(source) if torus else None)
+    # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its period basis on a torus)
+    root = (None, source, _period_basis(source) if torus else None)
     skipped_all = True
     for m in range(1, max_factors + 1):
         chain = [root]
@@ -187,14 +200,13 @@ def find_binomial_product_annihilator(
             try:
                 for t in ts[keep:-1]:
                     prefix = apply_poly(binomial(t), chain[-1][1])
-                    chain.append((t, prefix, _periods(prefix) if torus else None))
-                (_, prefix, periods), t = chain[-1], ts[-1]
-                if torus:
-                    hit = (t[0] % prefix.k, t[1] % prefix.l) in periods
-                else:
-                    hit = is_annihilated(prefix, binomial(t)).annihilated
+                    chain.append((t, prefix, _period_basis(prefix) if torus else None))
+                (_, prefix, basis), t = chain[-1], ts[-1]
+                hit = _is_period(basis, t) if torus else _shift_agrees(prefix.rows, t)
             except EmptyValidRegion:
                 continue
+            if skipped_all:  # Z coerces a symbol to an equal value or raises, as in is_annihilated
+                _domain_rows(source, ZZ)
             skipped_all = False
             if hit:
                 return ts

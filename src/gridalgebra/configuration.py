@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExponentVector, LaurentPoly, _half_plane, is_primitive, line_direction_of
+from .algebra import ExponentVector, LaurentPoly, _half_plane, line_direction_of
 from .errors import (
     EmptyValidRegion,
     NotALinePolynomial,
@@ -388,35 +388,44 @@ def is_annihilated(source: Source, f: LaurentPoly, fit: Shape | None = None) -> 
 # -- periodicity ----------------------------------------------------------
 
 
-def _periods(torus: TorusConfig) -> set[ExponentVector]:
-    """Fundamental cells t with c_{u+t} = c_u for every u: the period
-    lattice of the torus, reduced modulo (k, 0) and (0, l)."""
+def _period_basis(torus: TorusConfig) -> tuple[int, int, int]:
+    """Hermite basis (a, 0), (c, d) of the period lattice of the torus, the
+    t with c_{u+t} = c_u for every u: 0 <= c < a, a | k and d | l. a is the
+    least rotation that fixes every row, and d the least row step for which
+    some c < a rotates row j + d onto row j for every j."""
     rows, k, l = torus.rows, torus.k, torus.l
-    out = set()
-    for tx in range(k):
-        shifted = [row[tx:] + row[:tx] for row in rows]
-        for ty in range(l):
-            if all(rows[j] == shifted[(j + ty) % l] for j in range(l)):
-                out.add((tx, ty))
-    return out
+    a = next(a for a in range(1, k + 1) if k % a == 0 and all(r[a:] + r[:a] == r for r in rows))
+    return next(
+        (a, c, d)
+        for d in range(1, l + 1)
+        if l % d == 0
+        for c in range(a)
+        if all(rows[j] == rows[(j + d) % l][c:] + rows[(j + d) % l][:c] for j in range(l))
+    )
 
 
-def _least_period_multiple(torus: TorusConfig, periods, u: ExponentVector) -> int:
-    """Minimal n >= 1 such that n*u is a period, given _periods(torus): one
-    walk of v = n*u mod (k, l), a step of u at a time, to the first period."""
-    k, l = torus.k, torus.l
-    x, y, n = u[0] % k, u[1] % l, 1
-    while (x, y) not in periods:  # n = k*l lands on (0, 0), which is a period
-        x, y, n = (x + u[0]) % k, (y + u[1]) % l, n + 1
-    return n
+def _is_period(basis: tuple[int, int, int], t: ExponentVector) -> bool:
+    """Whether t is in the lattice of the period basis (a, c, d), that is
+    t = (t1 / d) (c, d) + m (a, 0) for an integer m."""
+    a, c, d = basis
+    return t[1] % d == 0 and (t[0] - t[1] // d * c) % a == 0
+
+
+def _least_period_multiple(basis: tuple[int, int, int], u: ExponentVector) -> int:
+    """Minimal n >= 1 such that n*u is a period, in closed form: d | n*u1 iff
+    n1 = d / gcd(d, u1) divides n, and then a | (n / n1) e, with
+    e = n1*u0 - (n1*u1 / d) c, iff a / gcd(a, e) divides n / n1."""
+    a, c, d = basis
+    n1 = d // math.gcd(d, u[1])
+    return n1 * a // math.gcd(a, n1 * u[0] - n1 * u[1] // d * c)
 
 
 def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:
     """Minimal multiple n per primitive direction u such that n*u is a
     period, for every direction with max-norm at most max(k, l)."""
-    periods = _periods(torus)
-    dirs = sorted(u for u in _half_plane(max(torus.k, torus.l)) if is_primitive(u))
-    return {u: _least_period_multiple(torus, periods, u) for u in dirs}
+    basis = _period_basis(torus)
+    dirs = sorted(u for u in _half_plane(max(torus.k, torus.l)) if math.gcd(*u) == 1)
+    return {u: _least_period_multiple(basis, u) for u in dirs}
 
 
 def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
@@ -427,12 +436,13 @@ def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
         raise NotALinePolynomial(f"{f} is not a line polynomial")
     if not is_annihilated(source, f).annihilated:
         raise NotAnnihilated(f"{f} does not annihilate the torus")
-    return _least_period_multiple(source, _periods(source), u)
+    return _least_period_multiple(_period_basis(source), u)
 
 
 def period_lattice_index(torus: TorusConfig) -> int:
     """Index in Z^2 of the full period lattice of the configuration."""
-    return torus.k * torus.l // len(_periods(torus))
+    a, _, d = _period_basis(torus)
+    return a * d
 
 
 __all__ = [

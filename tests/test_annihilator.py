@@ -23,7 +23,12 @@ from gridalgebra import (
     is_annihilated,
     verify,
 )
-from gridalgebra.annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, _kernel_vector
+from gridalgebra.annihilator import (
+    DIRECT,
+    PERIODIZER_TIMES_BINOMIAL,
+    _kernel_vector,
+    _shift_agrees,
+)
 from gridalgebra.errors import EmptyValidRegion, NotLowComplexity
 from gridalgebra.formats import poly_from_text
 
@@ -263,6 +268,46 @@ def test_binomial_search_on_a_torus_rejects_symbols_outside_z(s, t, error, messa
     torus = TorusConfig([[s, t], [t, s]])
     with pytest.raises(error, match=re.escape(message)):
         find_binomial_product_annihilator(torus, max_norm=2)
+
+
+@pytest.mark.parametrize(
+    "rows, max_norm, max_factors, error, message",
+    [
+        ([["a"]], 2, 1, EmptyValidRegion, "every candidate product outgrows the patch"),
+        ([["a", "b"], ["b", "a"]], 3, 3, TypeError, "cannot coerce 'a' into Z"),
+        ([[Fraction(1, 2), 1], [1, 1]], 3, 3, ValueError, "1/2 is not an integer"),
+    ],
+    ids=["one-cell", "string", "fraction"],
+)
+def test_binomial_search_on_a_patch_reads_symbols_only_once_a_tuple_fits(
+    rows, max_norm, max_factors, error, message
+):
+    # no tuple fits a 1x1 patch, so its symbol is never read; otherwise the
+    # first tuple that fits raises the error Z's coercion gives the symbol
+    with pytest.raises(error, match=re.escape(message)):
+        find_binomial_product_annihilator(Patch((0, 0), rows), max_norm, max_factors=max_factors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(0, 1), min_size=w, max_size=w), min_size=1, max_size=4
+        )
+    ),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t != (0, 0)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+def test_shift_agrees_matches_is_annihilated(rows, t, origin):
+    # vectors of max-norm up to 3 on patches of side up to 4: many outgrow them
+    patch = Patch(origin, rows)
+    try:
+        expected = is_annihilated(patch, LaurentPoly.difference_binomial(ZZ, t)).annihilated
+    except EmptyValidRegion:
+        with pytest.raises(EmptyValidRegion):
+            _shift_agrees(patch.rows, t)
+        return
+    assert _shift_agrees(patch.rows, t) == expected
 
 
 @st.composite

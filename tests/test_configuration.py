@@ -24,12 +24,18 @@ from gridalgebra import (
     period_lattice_index,
     rectangle_complexity_profile,
 )
-from gridalgebra.configuration import AnnihilationCheck, period_from_line_annihilator
+from gridalgebra.configuration import (
+    AnnihilationCheck,
+    _is_period,
+    _period_basis,
+    period_from_line_annihilator,
+)
 from gridalgebra.errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
 
 from helpers import (
     apply_poly_oracle,
+    brute_force_is_period,
     brute_force_least_period,
     brute_force_patch_patterns,
     brute_force_torus_patterns,
@@ -423,15 +429,29 @@ def test_extract_patterns_matches_brute_force(source_and_periods, cells):
 @st.composite
 def tori(draw):
     """Tori tiled from a small block, so most have periods shorter than
-    their sides."""
-    k0, l0 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    block = [[draw(st.integers(0, 2)) for _ in range(k0)] for _ in range(l0)]
-    k, l = k0 * draw(st.integers(1, 2)), l0 * draw(st.integers(1, 2))
-    # a sheared tiling gives diagonal periods as well
+    their sides. Each band of l0 rows is the one below it shifted by
+    ``shift``, and the torus holds whole turns of that shear, so the
+    diagonal (-shift, l0) is a period too."""
+    k0 = draw(st.integers(1, 4))
     shift = draw(st.integers(0, k0 - 1))
+    turn = k0 // math.gcd(k0, shift)  # bands until the shear comes round
+    l0 = draw(st.integers(1, 4 // turn))
+    block = [[draw(st.integers(0, 2)) for _ in range(k0)] for _ in range(l0)]
+    k, l = k0 * draw(st.integers(1, 2)), l0 * turn * draw(st.integers(1, 2))
     return TorusConfig(
         [[block[j % l0][(i + shift * (j // l0)) % k0] for i in range(k)] for j in range(l)]
     )
+
+
+@PROPERTY
+@given(tori())
+def test_period_basis_is_hermite_and_matches_oracle(torus):
+    k, l = torus.k, torus.l
+    a, c, d = basis = _period_basis(torus)
+    assert k % a == 0 and l % d == 0 and 0 <= c < a
+    assert _is_period(basis, (k, 0)) and _is_period(basis, (0, l))
+    for t in torus_cells(torus):
+        assert _is_period(basis, t) == brute_force_is_period(torus, t), t
 
 
 @PROPERTY

@@ -1,0 +1,52 @@
+"""Two source rules, checked over src: no line is longer than 100
+characters, and every module-level import of a library module is used in
+that module (the package ``__init__`` is exempt: it imports to re-export)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gridalgebra"
+MODULES = sorted(SRC.glob("*.py"))
+MAX_LINE = 100
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_over_100_characters(path):
+    lines = path.read_text().splitlines()
+    long = [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+    assert not long, f"{path.name}: lines {long} are over {MAX_LINE} characters"
+
+
+def _imported_names(tree):
+    """Name -> line of every name a top-level import statement binds."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree):
+    """The strings listed in a top-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but unused: {unused}"
