@@ -59,15 +59,27 @@ class PeriodicityVerdict:
     order_upper_bound: int | None = None
 
 
+# (domain, copy of terms, decomposition) of the last polynomial decomposed;
+# replaced by one assignment, so threads need no lock
+_last: tuple | None = None
+
+
 def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
     """Split off all line-polynomial factors of f, one direction at a time.
 
     Candidate directions come from parallel edge pairs of the Newton
     polygon; extracting the full per-direction content removes every line
     factor in that direction at once, and the same pass gives the cofactor.
+    The last decomposition is kept and returned again for the next call
+    whose f has an equal domain and equal terms, so decomposing and then
+    classifying f decomposes it once.
     """
+    global _last
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
+    last = _last
+    if last is not None and last[0] == f.domain and last[1] == f.terms:
+        return last[2]
     work = f
     factors = []
     for u in sorted(line_direction_candidates(f)):
@@ -80,14 +92,18 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
         leftover = direction_content(remainder, u)
         if leftover.num_terms >= 2:
             raise AssertionError(f"remainder kept a line factor in direction {u}")
-    return LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)
+    decomp = LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)
+    _last = (f.domain, dict(f.terms), decomp)
+    return decomp
 
 
 def classify(f: LaurentPoly) -> PeriodicityVerdict:
     """Periodicity forced on any configuration that f annihilates or
     periodizes, read off from the line-factor structure. The verdict is one
     for both roles: if f * c is constant, (x^t - 1) * f annihilates c for
-    every t, and its line factors outside direction t are f's."""
+    every t, and its line factors outside direction t are f's. Right after
+    ``line_factor_decomposition`` of an equal polynomial (same domain and
+    terms) it reuses that kept decomposition instead of decomposing again."""
     decomp = line_factor_decomposition(f)
     dirs = decomp.directions()
     if not dirs:

@@ -6,6 +6,7 @@ import pytest
 
 from gridalgebra import (
     GF,
+    QQ,
     LaurentPoly,
     TorusConfig,
     ZZ,
@@ -23,6 +24,7 @@ from gridalgebra.errors import (
     NotAnnihilated,
     ZeroPolynomial,
 )
+from gridalgebra import linestructure
 from gridalgebra.formats import poly_from_text
 from gridalgebra.linestructure import (
     INCONCLUSIVE,
@@ -118,6 +120,83 @@ def test_classify_verdict_matches_decomposition_structure():
             assert len(set(decomp.directions())) == 1
         else:
             assert verdict.order_upper_bound == len(decomp.directions()) > 1
+
+
+# -- the kept decomposition ---------------------------------------------------
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Empty the kept decomposition and count the directions split."""
+    monkeypatch.setattr(linestructure, "_last", None, raising=False)
+    calls = []
+    real = linestructure.split_direction
+
+    def counting(f, u):
+        calls.append(u)
+        return real(f, u)
+
+    monkeypatch.setattr(linestructure, "split_direction", counting)
+    return calls
+
+
+def test_classify_after_decomposing_splits_each_direction_once(split_calls):
+    f = P("x - 1") * P("y - 1") * P("1 + x + y")
+    candidates = sorted(line_direction_candidates(f))
+    decomp = line_factor_decomposition(f)
+    verdict = classify(f)
+    assert split_calls == candidates
+    assert verdict.kind == UNDETERMINED
+    assert verdict.order_upper_bound == len(decomp.directions()) == 2
+
+
+def test_kept_decomposition_is_keyed_by_domain(split_calls):
+    # the same terms dict: irreducible over Z and Q, (1 + 2x)(1 + 3y) over F5
+    text = "1 + 2*x + 3*y + x*y"
+    over_z, over_f5, over_q = P(text), P(text, GF(5)), P(text, QQ)
+    assert over_z.terms == over_f5.terms == over_q.terms
+    line_factor_decomposition(over_z)
+    verdict = classify(over_f5)
+    assert verdict.kind == UNDETERMINED
+    assert verdict.order_upper_bound == 2
+    line_factor_decomposition(over_f5)
+    assert classify(over_z).kind == TWO_PERIODIC
+    decomp = line_factor_decomposition(over_q)
+    assert decomp.remainder == over_q
+    assert decomp.remainder.domain == QQ
+
+
+def test_equal_distinct_polynomial_reuses_kept_decomposition(split_calls):
+    f = P("x^2 - 1") * P("1 + x + y")
+    g = P("x^2 - 1") * P("1 + x + y")
+    assert f is not g
+    decomp = line_factor_decomposition(f)
+    done = len(split_calls)
+    assert line_factor_decomposition(g) is decomp
+    assert len(split_calls) == done
+    assert classify(g).direction == (1, 0)
+
+
+def test_alternating_polynomials_each_get_their_own_decomposition(split_calls):
+    f = P("x - 1") * P("1 + x + y")
+    g = P("y - 1") * P("x*y - 1")
+    expected = {id(f): ((1, 0),), id(g): ((0, 1), (1, 1))}
+    for h in (f, g, f, g, f):
+        decomp = line_factor_decomposition(h)
+        assert decomp.directions() == expected[id(h)]
+        assert decomp.product() == h
+    per_call = len(line_direction_candidates(f)), len(line_direction_candidates(g))
+    assert len(split_calls) == 3 * per_call[0] + 2 * per_call[1]
+
+
+def test_zero_still_raises_after_a_kept_decomposition(split_calls):
+    f = P("x - 1")
+    line_factor_decomposition(f)
+    with pytest.raises(ZeroPolynomial):
+        line_factor_decomposition(LaurentPoly.zero(ZZ))
+    with pytest.raises(ZeroPolynomial):
+        classify(LaurentPoly.zero(ZZ))
+    assert linestructure._last[2] is line_factor_decomposition(f)
 
 
 # -- prime-field elimination -----------------------------------------------
