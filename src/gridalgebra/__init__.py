@@ -14,14 +14,12 @@ from .algebra import (
     Domain,
     GF,
     LaurentPoly,
-    NewtonPolygon,
     QQ,
     ZZ,
-    direction_content,
     line_direction_candidates,
     line_direction_of,
-    newton_polygon,
     normalize_direction,
+    split_direction,
     univariate_resultant,
 )
 from .annihilator import (

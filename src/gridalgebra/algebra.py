@@ -7,9 +7,9 @@ anywhere. Values are immutable after construction and all operations are
 pure functions, so everything here is safe to share between threads.
 
 The module also provides the geometric helpers built on top of the raw
-arithmetic: Newton polygons, parallel-edge direction detection,
-per-direction line-polynomial content (``split_direction``), and the
-resultant that eliminates one variable.
+arithmetic: Newton polygons as convex hulls, parallel-edge direction
+detection, per-direction line-polynomial content (``split_direction``), and
+the resultant that eliminates one variable.
 
 The content's gcds over Z and Q never leave the integers: each column is
 cleared to a primitive integer polynomial and the gcd comes from the
@@ -330,40 +330,6 @@ def convex_hull(points) -> list[ExponentVector]:
     return lower[:-1] + upper[:-1]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Convex hull of a polynomial's support; degenerate forms allowed."""
-
-    vertices: tuple[ExponentVector, ...]
-
-    @property
-    def kind(self) -> str:
-        if len(self.vertices) == 1:
-            return "point"
-        if len(self.vertices) == 2:
-            return "segment"
-        return "polygon"
-
-    def edges(self) -> list[ExponentVector]:
-        """Edge vectors in counterclockwise traversal order."""
-        if self.kind == "point":
-            return []
-        verts = self.vertices
-        out = []
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            out.append((w[0] - v[0], w[1] - v[1]))
-        return out
-
-
-def newton_polygon(f: LaurentPoly) -> NewtonPolygon:
-    if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no Newton polygon")
-    # the monotone chain never pops its first point, so the lexicographically
-    # smallest vertex comes first
-    return NewtonPolygon(tuple(convex_hull(f.terms.keys())))
-
-
 def normalize_direction(v: ExponentVector) -> ExponentVector:
     """Primitive direction with a > 0, or a = 0 and b > 0."""
     a, b = v
@@ -386,21 +352,21 @@ def _half_plane(bound: int) -> list[ExponentVector]:
     return out
 
 
-def is_primitive(v: ExponentVector) -> bool:
-    return v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1
-
-
 def line_direction_candidates(f: LaurentPoly) -> set[ExponentVector]:
     """Directions that could carry a line-polynomial factor of f.
 
     Factor polygons Minkowski-sum to the product polygon, and a segment
     summand forces a pair of parallel edges, so every direction of an
-    actual line-polynomial factor shows up here.
+    actual line-polynomial factor shows up on the hull of f's support.
     """
+    if f.is_zero:
+        raise ZeroPolynomial("zero polynomial has no Newton polygon")
+    hull = convex_hull(f.terms)
     counts: dict[ExponentVector, int] = {}
-    for e in newton_polygon(f).edges():
-        d = normalize_direction(e)
-        counts[d] = counts.get(d, 0) + 1
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if a != b:
+            d = normalize_direction((b[0] - a[0], b[1] - a[1]))
+            counts[d] = counts.get(d, 0) + 1
     return {d for d, n in counts.items() if n >= 2}
 
 
@@ -537,24 +503,11 @@ def line_direction_of(f: LaurentPoly) -> ExponentVector | None:
     return u
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s * a + t * b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, LaurentPoly]:
-    """Content of f in direction u (as ``direction_content``) and the
-    cofactor f / content, in one pass over the frame where u is (1, 0).
+    """Content of f in direction u, the product (with multiplicity) of all
+    line-polynomial factors of f in direction u, normalized (the constant 1
+    when there are none), and the cofactor f / content, in one pass over
+    the frame where u is (1, 0).
 
     There the line factors in direction u are the common factors of the
     columns (terms sharing one transverse exponent, dense in x). The gcd of
@@ -567,14 +520,17 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no content")
-    if not is_primitive(u):
+    if math.gcd(*u) != 1:
         raise ValueError(f"{u} is not a primitive direction")
     dom = f.domain
     p = dom.p
-    # a * u0 + b * u1 = 1: a term's column is u0 * y - u1 * x, its position
-    # along u is a * x + b * y, and (i, t) maps back to i * u + t * (-b, a)
+    # a * u0 + b * u1 = 1, a the inverse of u0 mod |u1|: a term's column is
+    # u0 * y - u1 * x, its position along u is a * x + b * y, and (i, t) maps
+    # back to i * u + t * (-b, a); another Bezout pair shifts each column's
+    # positions by a constant, which the column's least position absorbs
     u0, u1 = u
-    _, a, b = _egcd(u0, u1)
+    a = pow(u0, -1, abs(u1)) if u1 else u0
+    b = (1 - a * u0) // u1 if u1 else 0
     columns: dict[int, dict[int, object]] = {}
     for (x, y), v in f.terms.items():
         columns.setdefault(u0 * y - u1 * x, {})[a * x + b * y] = v
@@ -642,17 +598,6 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
     # and is a line polynomial; x^(i,0) maps back to x^(i*u)
     line = LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})
     return line, cofactor
-
-
-def direction_content(f: LaurentPoly, u: ExponentVector) -> LaurentPoly:
-    """Product (with multiplicity) of all line-polynomial factors of f in
-    direction u, normalized; the constant 1 when there are none.
-
-    Works by a coordinate change sending u to (1,0): line factors in
-    direction u become factors involving only x, and those are exactly the
-    content of f viewed as a polynomial in y over the x-Laurent ring.
-    """
-    return split_direction(f, u)[0]
 
 
 # -- resultants ----------------------------------------------------------

@@ -255,11 +255,15 @@ def rectangle_complexity_profile(
         raise ValueError("rectangle bounds must be positive")
     if isinstance(source, Patch) and (nmax > source.width or mmax > source.height):
         raise ShapeTooLarge("requested rectangles exceed the patch")
+    # on a k x l torus an n x m pattern repeats its min(n, k) x min(m, l)
+    # corner, so the two count alike and only the corners are counted
+    torus = isinstance(source, TorusConfig)
     table = {}
     for n in range(1, nmax + 1):
         for m in range(1, mmax + 1):
-            count, low = complexity(source, Shape.rectangle(n, m))
-            table[(n, m)] = (count, low)
+            corner = table.get((min(n, source.k), min(m, source.l))) if torus else None
+            count = corner[0] if corner else len(_value_tuples(source, Shape.rectangle(n, m)))
+            table[(n, m)] = (count, count <= n * m)
     return table
 
 

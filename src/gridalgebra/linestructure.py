@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .algebra import (
     ExponentVector,
     LaurentPoly,
-    direction_content,
     line_direction_candidates,
     split_direction,
     univariate_resultant,
@@ -89,7 +88,7 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
     monomial = work.min_exponents()
     remainder = work.shift((-monomial[0], -monomial[1]))
     for u in sorted(line_direction_candidates(remainder)):
-        leftover = direction_content(remainder, u)
+        leftover = split_direction(remainder, u)[0]
         if leftover.num_terms >= 2:
             raise AssertionError(f"remainder kept a line factor in direction {u}")
     decomp = LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)

@@ -7,8 +7,8 @@ The unimodular substitutions (``UnimodularMatrix``,
 ``unimodular_completion``, ``unimodular_substitute``) and the sparse exact
 division ``poly_divexact`` live here, not in the library: only the
 direction-content and line-decomposition oracles and the random directions
-use them, and the completion comes from a modular inverse, not from the
-extended Euclid frame of ``split_direction``.
+use them. The oracles' gcds run Euclid over Q or F_p in a substituted ring,
+not the primitive remainder sequence of ``split_direction``.
 """
 
 import functools

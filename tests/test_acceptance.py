@@ -26,7 +26,6 @@ from gridalgebra import (
     cotiler_sft,
     decide,
     detect_periods,
-    direction_content,
     eliminate_and_classify_fp,
     exact_cover_on_torus,
     extract_patterns,
@@ -38,6 +37,7 @@ from gridalgebra import (
     normalize_direction,
     period_lattice_index,
     reconfirm_empty,
+    split_direction,
     univariate_resultant,
     verify_witness,
     window_fillable,
@@ -226,7 +226,7 @@ def payload_criterion_4():
         else:
             recovered += len(planted)
         for u in line_direction_candidates(decomp.remainder):
-            if direction_content(decomp.remainder, u).num_terms >= 2:
+            if split_direction(decomp.remainder, u)[0].num_terms >= 2:
                 failures.append(f"composite {i}: remainder kept a line factor")
     return {"composites": 100, "directions_recovered": recovered, "failures": failures}
 

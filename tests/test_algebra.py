@@ -12,15 +12,14 @@ from gridalgebra import (
     LaurentPoly,
     QQ,
     ZZ,
-    direction_content,
     is_annihilated,
     line_direction_candidates,
     line_factor_decomposition,
-    newton_polygon,
+    split_direction,
     univariate_resultant,
 )
 from gridalgebra import algebra
-from gridalgebra.algebra import _is_prime, convex_hull, domain_from_name, split_direction
+from gridalgebra.algebra import _is_prime, convex_hull, domain_from_name
 from gridalgebra.formats import decomposition_to_json
 from gridalgebra.errors import DomainMismatch, InputTooLarge, ZeroPolynomial
 
@@ -152,32 +151,7 @@ def test_divexact_roundtrip_random():
             assert poly_divexact(f * g, g) == f
 
 
-# -- Newton polygon -------------------------------------------------------
-
-
-def test_newton_triangle():
-    np_ = newton_polygon(P("1 + x + y"))
-    assert np_.kind == "polygon"
-    assert set(np_.vertices) == {(0, 0), (1, 0), (0, 1)}
-
-
-def test_newton_point():
-    np_ = newton_polygon(P("x^3"))
-    assert np_.kind == "point" and np_.vertices == ((3, 0),)
-    assert np_.edges() == []
-
-
-def test_newton_segment_collinear():
-    np_ = newton_polygon(P("1 + x*y^2 + x^2*y^4"))
-    assert np_.kind == "segment"
-    assert set(np_.vertices) == {(0, 0), (2, 4)}
-    a, b = np_.vertices
-    assert np_.edges() == [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
-
-
-def test_newton_rejects_zero():
-    with pytest.raises(ZeroPolynomial):
-        newton_polygon(LaurentPoly.zero(ZZ))
+# -- line direction candidates ----------------------------------------------
 
 
 def test_direction_candidates_triangle_empty():
@@ -187,7 +161,18 @@ def test_direction_candidates_triangle_empty():
     # (checked by trying all products of degree-1 line polys times units)
     f = P("1 + x + y", QQ)
     for u in [(1, 0), (0, 1), (1, 1), (1, -1)]:
-        assert direction_content(f, u) == LaurentPoly.one(QQ)
+        assert split_direction(f, u)[0] == LaurentPoly.one(QQ)
+
+
+def test_direction_candidates_monomial_is_empty():
+    # a one-point hull has no edges
+    assert line_direction_candidates(P("x^3")) == set()
+    assert line_direction_candidates(P("-5")) == set()
+
+
+def test_direction_candidates_reject_zero():
+    with pytest.raises(ZeroPolynomial):
+        line_direction_candidates(LaurentPoly.zero(ZZ))
 
 
 def test_direction_candidates_two_lines():
@@ -259,26 +244,26 @@ def test_completion_maps_e1_to_direction():
 
 def test_content_extracts_planted_factor():
     f = (X - ONE) * P("1 + x + y")
-    g = direction_content(f, (1, 0))
+    g = split_direction(f, (1, 0))[0]
     assert g == X - ONE
     assert poly_divexact(f, g) == P("1 + x + y")
 
 
 def test_content_trivial():
-    assert direction_content(P("1 + x + y"), (1, 0)) == ONE
+    assert split_direction(P("1 + x + y"), (1, 0))[0] == ONE
 
 
 def test_content_fp_monic_for_one_column():
     # one line factor reads one way whether or not columns are combined
     line = P("2 + 2*x", GF(3))
-    assert direction_content(line, (1, 0)) == P("1 + x", GF(3))
-    assert direction_content(line * P("1 + y", GF(3)), (1, 0)) == P("1 + x", GF(3))
+    assert split_direction(line, (1, 0))[0] == P("1 + x", GF(3))
+    assert split_direction(line * P("1 + y", GF(3)), (1, 0))[0] == P("1 + x", GF(3))
 
 
 def test_content_full_line_polynomial():
     f = P("1 - 2*x*y^2 + x^2*y^4")  # (x*y^2 - 1)^2
     assert f == (P("x*y^2") - ONE) * (P("x*y^2") - ONE)
-    assert direction_content(f, (1, 2)) == f
+    assert split_direction(f, (1, 2))[0] == f
 
 
 def test_content_divides_random_products():
@@ -287,7 +272,7 @@ def test_content_divides_random_products():
         for _ in range(25):
             f = random_poly(rng, dom)
             for u in sorted(line_direction_candidates(f)):
-                g = direction_content(f, u)
+                g = split_direction(f, u)[0]
                 assert poly_divexact(f, g) * g == f
 
 
@@ -296,12 +281,12 @@ def test_content_primitive_prs_with_nonconstant_cofactors():
     # the pseudo-remainders grow and must be made primitive along the way
     line = P("1 + 2*x")
     f = line * P("3 + x + 5*x^2 + 2*y - 7*x^2*y + x^3*y")
-    assert direction_content(f, (1, 0)) == line
-    assert direction_content(P("-2 - 4*x") * P("3 + y + x*y"), (1, 0)) == line
+    assert split_direction(f, (1, 0))[0] == line
+    assert split_direction(P("-2 - 4*x") * P("3 + y + x*y"), (1, 0))[0] == line
     for dom in (QQ, GF(7)):
         g = unimodular_substitute(f, UnimodularMatrix(((1, 0), (2, 1))))
         g = LaurentPoly(dom, g.terms)
-        assert direction_content(g, (1, 2)) == direction_content_oracle(g, (1, 2))
+        assert split_direction(g, (1, 2))[0] == direction_content_oracle(g, (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -335,7 +320,7 @@ def test_resultant_with_zero_pivot(domain, f, g):
 
 def test_content_rejects_zero():
     with pytest.raises(ZeroPolynomial):
-        direction_content(LaurentPoly.zero(ZZ), (1, 0))
+        split_direction(LaurentPoly.zero(ZZ), (1, 0))
 
 
 def test_split_refines_the_edge_column_gcd():
@@ -344,7 +329,6 @@ def test_split_refines_the_edge_column_gcd():
     f = P("2 + 3*x + x^2 + 3*y + 4*x*y + x^2*y + 2*y^2 + 3*x*y^2 + x^2*y^2")
     remainder = P("2 + 3*y + 2*y^2 + x + x*y + x*y^2")
     assert split_direction(f, (1, 0)) == (P("1 + x"), remainder)
-    assert direction_content(f, (1, 0)) == P("1 + x")
     decomp = line_factor_decomposition(f)
     assert decomp.factors == (((1, 0), P("1 + x")),)
     assert decomp.remainder == remainder
@@ -358,19 +342,33 @@ def test_split_refines_on_an_inexact_integer_step():
     cofactor = P("1 + 3*x + y + 3*x*y + x^2*y + y^2 + 3*x*y^2")
     f = P("1 + 2*x") * cofactor
     assert split_direction(f, (1, 0)) == (P("1 + 2*x"), cofactor)
-    assert direction_content(f, (1, 0)) == P("1 + 2*x")
 
 
 def test_split_stops_on_coprime_edge_columns():
     # the x-columns 1 + x and 1 + 2x are coprime, so the middle is never read
     f = P("1 + x + 7*y + 5*x*y + y^2 + 2*x*y^2")
     assert split_direction(f, (1, 0)) == (ONE, f)
-    assert direction_content(f, (1, 0)) == ONE
 
 
 def test_split_single_column_is_monic_over_fp():
     f = P("2 + 2*x", GF(3))
     assert split_direction(f, (1, 0)) == (P("1 + x", GF(3)), P("2", GF(3)))
+
+
+@pytest.mark.parametrize("u", [(1, 0), (-1, 0), (0, -1), (1, -1), (2, 3), (-2, 3)])
+def test_split_frame_cases(u):
+    # u1 = 0, |u1| = 1 and |u1| > 1, with u0 negative in two of them: the
+    # frame's Bezout pair comes from a modular inverse of u0 mod |u1|
+    rng = random.Random(str(u))
+    for dom in (ZZ, QQ, GF(5)):
+        for _ in range(5):
+            f = random_line_poly(rng, u, dom) * LaurentPoly(dom, random_triangle_poly(rng).terms)
+            if f.is_zero:
+                continue
+            content, cofactor = split_direction(f, u)
+            assert content.num_terms >= 2
+            assert content == direction_content_oracle(f, u)
+            assert content * cofactor == f
 
 
 # -- resultants -----------------------------------------------------------
@@ -529,11 +527,9 @@ def test_direction_content_matches_euclid_oracle(data):
         return
     tried = set(planted) | line_direction_candidates(f) | {data.draw(directions())}
     for u in sorted(tried):
-        got = direction_content(f, u)
-        assert_canonical(got)
-        assert got == direction_content_oracle(f, u)
         content, cofactor = split_direction(f, u)
-        assert content == got
+        assert_canonical(content)
+        assert content == direction_content_oracle(f, u)
         assert_canonical(cofactor)
         assert cofactor == poly_divexact(f, content)
     assert decomposition_to_json(line_factor_decomposition(f)) == decomposition_to_json(
@@ -594,8 +590,9 @@ def test_resultant_fp_matches_laplace_oracle(data):
 @PROPERTY
 @given(st.dictionaries(EXPONENTS, st.integers(1, 3), min_size=1, max_size=8))
 def test_newton_polygon_starts_at_least_exponent(terms):
+    # the monotone chain never pops its first point
     f = LaurentPoly(ZZ, terms)
-    assert newton_polygon(f).vertices[0] == min(f.terms)
+    assert convex_hull(f.terms)[0] == min(f.terms)
 
 
 @settings(PROPERTY, max_examples=60)

@@ -24,6 +24,7 @@ from gridalgebra import (
     period_lattice_index,
     rectangle_complexity_profile,
 )
+from gridalgebra import configuration
 from gridalgebra.configuration import (
     AnnihilationCheck,
     _is_period,
@@ -120,13 +121,38 @@ def test_profile_period3_stripes():
 
 
 def test_profile_matches_brute_force():
+    # the 8 x 8 torus keeps the rectangles inside it, the small ones do not
     rng = random.Random(3)
-    torus = TorusConfig([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)])
-    table = rectangle_complexity_profile(torus, 3, 3)
-    for (n, m), (count, low) in table.items():
-        expected = len(brute_force_torus_patterns(torus, Shape.rectangle(n, m)))
-        assert count == expected
-        assert low == (count <= n * m)
+    tori = [(TorusConfig([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)]), 3)]
+    for _ in range(20):
+        k, l = rng.randint(1, 4), rng.randint(1, 4)
+        tori.append((TorusConfig([[rng.randint(0, 2) for _ in range(k)] for _ in range(l)]), 6))
+    for torus, bound in tori:
+        table = rectangle_complexity_profile(torus, bound, bound)
+        for (n, m), (count, low) in table.items():
+            expected = len(brute_force_torus_patterns(torus, Shape.rectangle(n, m)))
+            assert count == expected
+            assert low == (count <= n * m)
+
+
+def test_profile_counts_each_torus_corner_once(monkeypatch):
+    # an n x m pattern on a k x l torus repeats its min(n, k) x min(m, l)
+    # corner, so large bounds count at most k * l shapes; the check runs
+    # before the count, since counting every 300 x 300 shape takes gigabytes
+    calls = []
+    real = configuration._value_tuples
+
+    def counting(source, shape):
+        calls.append(shape)
+        assert len(calls) <= source.k * source.l, shape.bounding_box()
+        return real(source, shape)
+
+    monkeypatch.setattr(configuration, "_value_tuples", counting)
+    table = rectangle_complexity_profile(CHECKER, 300, 300)
+    assert table[(1, 1)] == (2, False) and table[(300, 300)] == (2, True)
+    calls.clear()
+    table = rectangle_complexity_profile(TorusConfig([[0, 1, 2]]), 50, 40)
+    assert table[(2, 40)] == (3, True)
 
 
 def test_profile_patch_bounds():

@@ -11,12 +11,12 @@ from gridalgebra import (
     TorusConfig,
     ZZ,
     classify,
-    direction_content,
     eliminate_and_classify_fp,
     is_annihilated,
     line_direction_candidates,
     line_factor_decomposition,
     period_from_line_annihilator,
+    split_direction,
 )
 from gridalgebra.errors import (
     DomainMismatch,
@@ -86,7 +86,7 @@ def test_decomposition_roundtrip_random():
         assert decomp.product() == f
         assert set(planted) <= set(decomp.directions())
         for u in line_direction_candidates(decomp.remainder):
-            assert direction_content(decomp.remainder, u) == LaurentPoly.one(ZZ)
+            assert split_direction(decomp.remainder, u)[0] == LaurentPoly.one(ZZ)
 
 
 def test_classify_no_line_factors():
