@@ -71,9 +71,8 @@ def _range_sum_is(config: TorusConfig, shape: Shape, d: int, a: int) -> bool:
     """Whether the range sum, the sum of c_(u - v) over the shape cells v,
     equals d * c_u + a at every cell u of the torus."""
     # the range sum, not antenna_polynomial: that is zero when D = {0}, b - a = 1
-    _, _, cells = _product(LaurentPoly(ZZ, {cell: 1 for cell in shape.cells}), config)
-    rows = config.rows
-    return all(s == d * rows[y][x] + a for x, y, s in cells)
+    _, _, rows = _product(LaurentPoly(ZZ, {cell: 1 for cell in shape.cells}), config)
+    return all(s == [d * v + a for v in config.rows[y]] for y, s in rows)
 
 
 def cotiler_sft(tile: ClusterTile) -> SftSpec:

@@ -12,8 +12,9 @@ therefore pair cell d with coefficient f_{-d}.
 
 One product kernel serves ``is_annihilated``, ``apply_poly``, the periodizer
 check, ``antenna_verify`` and ``exact_cover_on_torus`` (the antenna
-condition with a = b = 1); its cells come in fundamental order on a torus
-and row-major over the valid region on a patch, the witness order.
+condition with a = b = 1). It sums whole rows, one row slice per term, in
+fundamental order on a torus and bottom up over the valid region on a
+patch; the rectangle profile likewise stacks row segments.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 
 from .algebra import ExponentVector, LaurentPoly, _half_plane, line_direction_of
 from .errors import (
@@ -54,7 +57,10 @@ class Shape:
     def rectangle(cls, n: int, m: int) -> "Shape":
         if n < 1 or m < 1:
             raise ValueError("rectangle sides must be positive")
-        return cls((i, j) for i in range(n) for j in range(m))
+        shape = object.__new__(cls)  # the cells in canonical order, with the box
+        object.__setattr__(shape, "cells", tuple((i, j) for j in range(m) for i in range(n)))
+        object.__setattr__(shape, "_box", (0, 0, n - 1, m - 1))
+        return shape
 
     @classmethod
     def plus(cls) -> "Shape":
@@ -208,12 +214,19 @@ def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
 
     Both carriers reduce to one grid read at offsets (cx - x0, cy - y0) from
     an nx x ny block of positions: a patch is its own grid, and a torus is
-    unrolled so that the grid covers every translate of the bounding box.
+    unrolled to cover every translate of the bounding box, whose cells it
+    reads once per residue mod (k, l), mapping the tuples back to them.
     """
     x0, y0, x1, y1 = shape.bounding_box()
+    cells, back = shape.cells, None
     if isinstance(source, TorusConfig):
         k, l = source.k, source.l
         nx, ny = k, l
+        if x1 - x0 >= k or y1 - y0 >= l:
+            residues = [(x0 + (cx - x0) % k, y0 + (cy - y0) % l) for cx, cy in cells]
+            cells = list(dict.fromkeys(residues))
+            back = itemgetter(*map({c: i for i, c in enumerate(cells)}.get, residues))
+            x1, y1 = min(x1, x0 + k - 1), min(y1, y0 + l - 1)
         grid = [
             [source.rows[j % l][i % k] for i in range(x0, x1 + k)] for j in range(y0, y1 + l)
         ]
@@ -226,9 +239,10 @@ def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
         grid = source.rows
     columns = [
         [v for row in grid[cy - y0 : cy - y0 + ny] for v in row[cx - x0 : cx - x0 + nx]]
-        for cx, cy in shape.cells
+        for cx, cy in cells
     ]
-    return set(zip(*columns))
+    tuples = set(zip(*columns))
+    return set(map(back, tuples)) if back else tuples
 
 
 def extract_patterns(source: Source, shape: Shape) -> set[Pattern]:
@@ -250,19 +264,34 @@ def complexity(source: Source, shape: Shape) -> tuple[int, bool]:
 def rectangle_complexity_profile(
     source: Source, nmax: int, mmax: int
 ) -> dict[tuple[int, int], tuple[int, bool]]:
-    """Complexity of every n x m rectangle with n <= nmax, m <= mmax."""
+    """Complexity of every n x m rectangle with n <= nmax, m <= mmax: each
+    row is cut once per width n into its length-n segments, and the n x m
+    patterns are the tuples of m stacked segments."""
     if nmax < 1 or mmax < 1:
         raise ValueError("rectangle bounds must be positive")
-    if isinstance(source, Patch) and (nmax > source.width or mmax > source.height):
-        raise ShapeTooLarge("requested rectangles exceed the patch")
-    # on a k x l torus an n x m pattern repeats its min(n, k) x min(m, l)
-    # corner, so the two count alike and only the corners are counted
     torus = isinstance(source, TorusConfig)
+    if not torus and (nmax > source.width or mmax > source.height):
+        raise ShapeTooLarge("requested rectangles exceed the patch")
+    w, h = (source.k, source.l) if torus else (source.width, source.height)
+    nk, ml = min(nmax, w), min(mmax, h)
+    rows = source.rows
+    if torus:
+        # an n x m pattern on a k x l torus repeats its min(n, k) x min(m, l)
+        # corner, so only the corners are counted, on rows extended to hold them
+        rows = [r + r[: nk - 1] for r in rows]
+        rows += rows[: ml - 1]
+    counts = {}
+    for n in range(1, nk + 1):
+        segments = [[r[i : i + n] for i in range(w if torus else w - n + 1)] for r in rows]
+        for m in range(1, ml + 1):
+            seen = set()
+            for j in range(h if torus else h - m + 1):
+                seen.update(zip(*segments[j : j + m]))
+            counts[(n, m)] = len(seen)
     table = {}
     for n in range(1, nmax + 1):
         for m in range(1, mmax + 1):
-            corner = table.get((min(n, source.k), min(m, source.l))) if torus else None
-            count = corner[0] if corner else len(_value_tuples(source, Shape.rectangle(n, m)))
+            count = counts[(min(n, nk), min(m, ml))]
             table[(n, m)] = (count, count <= n * m)
     return table
 
@@ -271,12 +300,12 @@ def rectangle_complexity_profile(
 
 
 def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
-    """The product f c from the raw rows: (region, den, cells).
+    """The product f c from the raw rows: (region, den, rows).
 
-    ``cells`` yields (x, y, num) with den * (f c) at (x, y) equal to num,
-    in fundamental order on a torus and row-major over the valid region
-    ``region`` on a patch (None on a torus); over F_p num is reduced to
-    [0, p). With a shape ``fit``, the region of a patch keeps only the
+    ``rows`` yields (y, values), y increasing, with den * (f c) at (x0 + i,
+    y) equal to values[i]: x0 is 0 on a torus (region None) and region[0]
+    on a patch, whose valid region is ``region``. Over F_p values are
+    reduced to [0, p). With a shape ``fit``, the region of a patch keeps only the
     positions u with u + fit inside it. Raises EmptyValidRegion when the
     region of a patch is empty, before any symbol is read.
     """
@@ -288,11 +317,11 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
         den = math.lcm(*(c.denominator for _, c in terms))
         terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
     if isinstance(source, TorusConfig):
-        region = None
+        region, w = None, 0
         k, l = source.k, source.l
         # offsets in (-k, 0] and (-l, 0]: negative indexing does the wrap
         terms = [(c, -(vx % k), -(vy % l)) for (vx, vy), c in terms]
-        xr, yr = range(k), range(l)
+        yr = range(l)
     else:
         ox, oy = source.origin
         xs, ys = zip(*f.terms)
@@ -304,19 +333,27 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
             y0, y1 = max(y0, oy - fy0), min(y1, oy + source.height - 1 - fy1)
         if x0 > x1 or y0 > y1:
             raise EmptyValidRegion("support of the polynomial exceeds the patch")
-        region = (x0, y0, x1, y1)
-        terms = [(c, -vx - ox, -vy - oy) for (vx, vy), c in terms]
-        xr, yr = range(x0, x1 + 1), range(y0, y1 + 1)
-    return region, den, _cells(_domain_rows(source, dom), terms, xr, yr, dom.p)
+        region, w = (x0, y0, x1, y1), x1 - x0 + 1
+        # the slice of row y - vy - oy from x0 - vx - ox, w cells long
+        terms = [(c, x0 - vx - ox, -vy - oy) for (vx, vy), c in terms]
+        yr = range(y0, y1 + 1)
+    return region, den, _cells(_domain_rows(source, dom), terms, yr, w, dom.p)
 
 
-def _cells(rows, terms, xr, yr, p):
-    """(x, y, sum of c * rows[y + dy][x + dx] over the terms (c, dx, dy))
-    for y in yr and x in xr, reduced mod p when p is given."""
+def _cells(rows, terms, yr, w, p):
+    """(y, sums of c * rows[y + dy][dx : dx + w] over the terms (c, dx, dy))
+    for y in yr, by map at C level and reduced mod p when p is given; w = 0
+    reads the whole row rotated by dx instead."""
     for y in yr:
-        for x in xr:
-            acc = sum([c * rows[y + dy][x + dx] for c, dx, dy in terms])
-            yield x, y, (acc % p if p else acc)
+        acc = repeat(0)
+        for c, dx, dy in terms:
+            r = rows[y + dy]
+            seg = r[dx : dx + w] if w else r[dx:] + r[:dx]
+            if c == 1 or c == -1:
+                acc = map(add if c == 1 else sub, acc, seg)
+            else:
+                acc = map(add, acc, map(mul, repeat(c), seg))
+        yield y, ([v % p for v in acc] if p else list(acc))
 
 
 def apply_poly(f: LaurentPoly, source: Source, fit: Shape | None = None) -> Source:
@@ -329,11 +366,9 @@ def apply_poly(f: LaurentPoly, source: Source, fit: Shape | None = None) -> Sour
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot apply the zero polynomial")
-    region, den, cells = _product(f, source, fit)
-    values = [num if den == 1 else Fraction(num, den) for _, _, num in cells]
-    w = source.k if region is None else region[2] - region[0] + 1
-    rows = [values[j : j + w] for j in range(0, len(values), w)]
-    return TorusConfig(rows) if region is None else Patch(region[:2], rows)
+    region, den, rows = _product(f, source, fit)
+    out = [row if den == 1 else [Fraction(v, den) for v in row] for _, row in rows]
+    return TorusConfig(out) if region is None else Patch(region[:2], out)
 
 
 @dataclass(frozen=True)
@@ -371,19 +406,20 @@ def _domain_rows(source: Source, dom):
 def is_annihilated(source: Source, f: LaurentPoly, fit: Shape | None = None) -> AnnihilationCheck:
     """Test whether f annihilates the source configuration.
 
-    The product is summed cell by cell from the raw rows, and the test
-    stops at the first nonzero cell, which is the ``witness``: the first in
-    fundamental order (row by row from (0, 0)) on a torus, the first in
+    The product is summed row by row from the raw rows, and the test stops
+    at the first nonzero row, whose first nonzero cell is the ``witness``:
+    the first in fundamental order (row by row from (0, 0)) on a torus, in
     row-major order over the valid region on a patch (kept to the positions
     where the shape ``fit`` fits, if given). Raises EmptyValidRegion when
     that region is empty.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial annihilates everything")
-    region, _, cells = _product(f, source, fit)
-    for x, y, num in cells:
-        if num:
-            return AnnihilationCheck("no", witness=(x, y))
+    region, _, rows = _product(f, source, fit)
+    for y, row in rows:
+        if any(row):
+            x = next(i for i, v in enumerate(row) if v)
+            return AnnihilationCheck("no", witness=(x + (region[0] if region else 0), y))
     if region is None:
         return AnnihilationCheck("yes")
     return AnnihilationCheck("yes_on_region", region=region)

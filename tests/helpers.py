@@ -444,14 +444,14 @@ def line_factor_decomposition_oracle(f):
 # -- the polynomial action, one cell at a time -------------------------------
 
 
-def apply_poly_oracle(f, source):
+def apply_poly_oracle(f, source, fit=None):
     """f c cell by cell: (f c)_u = sum_v f_v c_{u-v}, each symbol read
     through value_at and Domain.coerce, then plain + and *, reduced mod p
-    over F_p. On a patch the cells u are those whose every c_{u-v} lies
-    inside, found by trying each one; no such cell raises EmptyValidRegion
-    before any symbol is read. Every symbol of the source is then coerced,
-    so one outside the domain raises ValueError even where f c does not
-    read it."""
+    over F_p. On a patch the cells u are those whose every c_{u-v}, and
+    every u + d for d in the shape ``fit`` if given, lies inside, found by
+    trying each one; no such cell raises EmptyValidRegion before any symbol
+    is read. Every symbol of the source is then coerced, so one outside the
+    domain raises ValueError even where f c does not read it."""
     dom = f.domain
     p = dom.p
     if isinstance(source, TorusConfig):
@@ -465,6 +465,7 @@ def apply_poly_oracle(f, source):
             for y in range(oy - r, oy + source.height + r)
             for x in range(ox - r, ox + source.width + r)
             if all((x - vx, y - vy) in source for vx, vy in f.terms)
+            and all((x + dx, y + dy) in source for dx, dy in (fit.cells if fit else ()))
         ]
         if not valid:
             raise EmptyValidRegion("no cell sees the whole support inside the patch")

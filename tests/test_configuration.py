@@ -57,6 +57,11 @@ CHECKER = TorusConfig([[0, 1], [1, 0]])
 def test_shape_canonical_order():
     s = Shape([(1, 0), (0, 0), (0, 1)])
     assert s.cells == ((0, 0), (1, 0), (0, 1))  # sorted by (u2, u1)
+    for n, m in ((1, 1), (3, 1), (1, 4), (3, 2)):
+        rect = Shape.rectangle(n, m)
+        generic = Shape([(i, j) for i in range(n) for j in range(m)])
+        assert rect == generic and hash(rect) == hash(generic)
+        assert rect.bounding_box() == generic.bounding_box() == (0, 0, n - 1, m - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,24 +140,62 @@ def test_profile_matches_brute_force():
             assert low == (count <= n * m)
 
 
+def test_profile_matches_brute_force_on_patches():
+    # bounds up to the patch's own width and height, at nonzero origins
+    rng = random.Random(4)
+    for _ in range(25):
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(0, 2) for _ in range(w)] for _ in range(h)]
+        patch = Patch((rng.randint(-5, 5), rng.randint(-5, 5)), rows)
+        for nmax, mmax in ((w, h), (rng.randint(1, w), h), (w, rng.randint(1, h))):
+            table = rectangle_complexity_profile(patch, nmax, mmax)
+            assert list(table) == [(n, m) for n in range(1, nmax + 1) for m in range(1, mmax + 1)]
+            for (n, m), (count, low) in table.items():
+                assert count == len(brute_force_patch_patterns(patch, Shape.rectangle(n, m)))
+                assert low == (count <= n * m)
+
+
 def test_profile_counts_each_torus_corner_once(monkeypatch):
     # an n x m pattern on a k x l torus repeats its min(n, k) x min(m, l)
-    # corner, so large bounds count at most k * l shapes; the check runs
-    # before the count, since counting every 300 x 300 shape takes gigabytes
-    calls = []
-    real = configuration._value_tuples
+    # corner, so any bounds count at most k * l corners from l row starts
+    # each, stacking at most l rows of k segments of at most k cells; the
+    # checks run before each stack is zipped, since 300 x 300 rectangles
+    # take gigabytes
+    cases = [
+        (CHECKER, 300, 300, (1, 1), (2, False)),
+        (TorusConfig([[0, 1, 2]]), 50, 40, (2, 40), (3, True)),
+    ]
+    for torus, nmax, mmax, rect, entry in cases:
+        k, l = torus.k, torus.l
+        stacks = []
 
-    def counting(source, shape):
-        calls.append(shape)
-        assert len(calls) <= source.k * source.l, shape.bounding_box()
-        return real(source, shape)
+        def stacking(*rows):
+            stacks.append(rows)
+            assert len(stacks) <= k * l * l and len(rows) <= l
+            assert all(len(row) <= k and all(len(s) <= k for s in row) for row in rows)
+            return zip(*rows)
 
-    monkeypatch.setattr(configuration, "_value_tuples", counting)
-    table = rectangle_complexity_profile(CHECKER, 300, 300)
-    assert table[(1, 1)] == (2, False) and table[(300, 300)] == (2, True)
-    calls.clear()
-    table = rectangle_complexity_profile(TorusConfig([[0, 1, 2]]), 50, 40)
-    assert table[(2, 40)] == (3, True)
+        monkeypatch.setattr(configuration, "zip", stacking, raising=False)
+        table = rectangle_complexity_profile(torus, nmax, mmax)
+        monkeypatch.undo()
+        assert len(table) == nmax * mmax and table[rect] == entry
+        assert table[(nmax, mmax)] == (table[(k, l)][0], True)
+
+
+def test_torus_complexity_reads_each_residue_once(monkeypatch):
+    # only residues mod (k, l) matter on a torus: a 600 x 600 rectangle on
+    # the checkerboard zips at most k * l columns, one per residue, not 360,000
+    def residues(*columns):
+        assert len(columns) <= CHECKER.k * CHECKER.l
+        return zip(*columns)
+
+    monkeypatch.setattr(configuration, "zip", residues, raising=False)
+    assert complexity(CHECKER, Shape.rectangle(600, 600)) == (2, True)
+    monkeypatch.undo()
+    torus = random_torus(random.Random(8), kmax=3, lmax=3)
+    for shape in (Shape.rectangle(7, 5), Shape([(0, 0), (3, 0), (0, 4), (5, 2)])):
+        patterns = {p.values for p in extract_patterns(torus, shape)}
+        assert patterns == brute_force_torus_patterns(torus, shape)
 
 
 def test_profile_patch_bounds():
@@ -330,10 +373,10 @@ def polys(draw, domain, periods):
     return f
 
 
-def _reference_check(source, f):
+def _reference_check(source, f, fit=None):
     """The annihilation test built on the per-cell product: compute all of
     it, then scan it in fundamental / row-major order."""
-    product = apply_poly_oracle(f, source)
+    product = apply_poly_oracle(f, source, fit)
     if isinstance(product, TorusConfig):
         for cell in torus_cells(product):
             if product.value_at(cell) != 0:
@@ -348,11 +391,11 @@ def _reference_check(source, f):
     return AnnihilationCheck("yes_on_region", region=region)
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     # with several symbols outside the domain, the message may name another
     # one, so only the exception type is compared
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (EmptyValidRegion, ValueError) as exc:
         return type(exc)
 
@@ -362,13 +405,23 @@ def _outcome(fn, *args):
 FRACTION_SYMBOLS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5)])
 
 
+def _fit(data, source):
+    """None, or on a patch half the time a small shape, as verify passes it."""
+    if isinstance(source, TorusConfig) or data.draw(st.booleans()):
+        return None
+    cells = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return Shape(data.draw(st.lists(cells, min_size=1, max_size=4)))
+
+
 def _assert_matches_reference(data, symbols):
     domain = data.draw(st.sampled_from(DOMAINS))
     source, periods = data.draw(sources(symbols))
     f = data.draw(polys(domain, periods))
     if f.is_zero:
         return
-    assert _outcome(is_annihilated, source, f) == _outcome(_reference_check, source, f)
+    fit = _fit(data, source)
+    expected = _outcome(_reference_check, source, f, fit)
+    assert _outcome(is_annihilated, source, f, fit=fit) == expected
 
 
 @PROPERTY
@@ -393,7 +446,8 @@ def test_apply_poly_matches_per_cell_oracle(data):
     f = data.draw(polys(domain, periods))
     if f.is_zero:
         return
-    assert _outcome(apply_poly, f, source) == _outcome(apply_poly_oracle, f, source)
+    fit = _fit(data, source)
+    assert _outcome(apply_poly, f, source, fit=fit) == _outcome(apply_poly_oracle, f, source, fit)
 
 
 def test_is_annihilated_fraction_symbol_values():
