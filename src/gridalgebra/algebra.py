@@ -145,14 +145,17 @@ def domain_from_name(name: str) -> Domain:
     raise ValueError(f"unknown domain name {name!r}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LaurentPoly:
     """A sparse two-variable Laurent polynomial over an exact domain.
 
     ``terms`` maps exponent vectors to nonzero coefficients; zero terms are
-    dropped on construction. Instances are immutable by convention.
+    dropped on construction. Instances are frozen and nothing mutates
+    ``terms`` once built; being a dict, it leaves polynomials unhashable.
     """
 
-    __slots__ = ("domain", "terms")
+    domain: Domain
+    terms: dict[ExponentVector, object]
 
     def __init__(self, domain: Domain, terms):
         object.__setattr__(self, "domain", domain)
@@ -173,9 +176,6 @@ class LaurentPoly:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -268,11 +268,6 @@ class LaurentPoly:
         if p is None:
             return LaurentPoly._trusted(self.domain, {e: c for e, c in out.items() if c})
         return LaurentPoly._trusted(self.domain, {e: r for e, c in out.items() if (r := c % p)})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.domain == other.domain and self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.domain.name}, {self})"

@@ -20,7 +20,7 @@ patch; the rectangle profile likewise stacks row segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
@@ -35,11 +35,13 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Shape:
     """Finite non-empty set of cells, stored in canonical (u2, u1) order
     with their bounding box."""
 
-    __slots__ = ("cells", "_box")
+    cells: tuple[tuple[int, int], ...]
+    _box: tuple[int, int, int, int] = field(compare=False)
 
     def __init__(self, cells):
         uniq = sorted({(int(c[0]), int(c[1])) for c in cells}, key=lambda c: (c[1], c[0]))
@@ -49,9 +51,6 @@ class Shape:
         box = (min(xs), uniq[0][1], max(xs), uniq[-1][1])  # uniq is sorted by y first
         object.__setattr__(self, "cells", tuple(uniq))
         object.__setattr__(self, "_box", box)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Shape is immutable")
 
     @classmethod
     def rectangle(cls, n: int, m: int) -> "Shape":
@@ -69,12 +68,6 @@ class Shape:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Shape) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
     def __repr__(self) -> str:
         return f"Shape({list(self.cells)})"
 
@@ -91,30 +84,17 @@ class Shape:
         return Shape((-c[0], -c[1]) for c in self.cells)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Pattern:
     """Assignment of symbols on a shape, values aligned with cell order."""
 
-    __slots__ = ("shape", "values")
+    shape: Shape
+    values: tuple
 
-    def __init__(self, shape: Shape, values):
-        vals = tuple(values)
-        if len(vals) != len(shape):
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.values) != len(self.shape):
             raise ValueError("value tuple length must match the shape size")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pattern is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Pattern)
-            and self.shape == other.shape
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.values))
 
     def __repr__(self) -> str:
         return f"Pattern({self.values})"
@@ -128,26 +108,35 @@ def _canon_value(v):
     return v
 
 
+def _set_rows(carrier, rows, what: str) -> tuple[tuple, ...]:
+    """Store the rows of a patch or torus as tuples of canonical values,
+    and their alphabet; they must be non-empty and of one length."""
+    rows = tuple(tuple(_canon_value(v) for v in row) for row in rows)
+    if not rows or not rows[0]:
+        raise ValueError(f"{what} must be non-empty")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    object.__setattr__(carrier, "rows", rows)
+    object.__setattr__(carrier, "alphabet", frozenset(v for row in rows for v in row))
+    return rows
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Patch:
     """Rectangular sample of a configuration; rows[j][i] holds the symbol
     at cell (origin_x + i, origin_y + j)."""
 
-    __slots__ = ("origin", "width", "height", "rows", "alphabet")
+    origin: ExponentVector
+    rows: tuple[tuple, ...]
+    width: int = field(compare=False)
+    height: int = field(compare=False)
+    alphabet: frozenset = field(compare=False)
 
     def __init__(self, origin: ExponentVector, rows):
-        rows = tuple(tuple(_canon_value(v) for v in row) for row in rows)
-        if not rows or not rows[0]:
-            raise ValueError("patch must be non-empty")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
+        rows = _set_rows(self, rows, "patch")
         object.__setattr__(self, "origin", (int(origin[0]), int(origin[1])))
         object.__setattr__(self, "width", len(rows[0]))
         object.__setattr__(self, "height", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "alphabet", frozenset(v for row in rows for v in row))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Patch is immutable")
 
     def __contains__(self, cell) -> bool:
         x, y = cell
@@ -161,43 +150,28 @@ class Patch:
             raise KeyError(f"cell {cell} outside the patch")
         return self.rows[y - oy][x - ox]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Patch)
-            and self.origin == other.origin
-            and self.rows == other.rows
-        )
-
     def __repr__(self) -> str:
         return f"Patch(origin={self.origin}, {self.width}x{self.height})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TorusConfig:
     """Fully two-periodic configuration with periods (k,0) and (0,l);
     rows[j][i] is the symbol at (i, j) for 0 <= i < k, 0 <= j < l."""
 
-    __slots__ = ("k", "l", "rows", "alphabet")
+    rows: tuple[tuple, ...]
+    k: int = field(compare=False)
+    l: int = field(compare=False)
+    alphabet: frozenset = field(compare=False)
 
     def __init__(self, rows):
-        rows = tuple(tuple(_canon_value(v) for v in row) for row in rows)
-        if not rows or not rows[0]:
-            raise ValueError("torus must be non-empty")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
+        rows = _set_rows(self, rows, "torus")
         object.__setattr__(self, "k", len(rows[0]))
         object.__setattr__(self, "l", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "alphabet", frozenset(v for row in rows for v in row))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusConfig is immutable")
 
     def value_at(self, cell):
         x, y = cell
         return self.rows[y % self.l][x % self.k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusConfig) and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"TorusConfig({self.k}x{self.l})"

@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Domain, LaurentPoly, domain_from_name, ZZ
+from .algebra import MAX_DENSE_ENTRIES, Domain, LaurentPoly, domain_from_name, ZZ
 from .annihilator import DIRECT, PERIODIZER_TIMES_BINOMIAL, AnnihilatorResult
 from .configuration import Patch, Pattern, Shape, TorusConfig
-from .errors import InputFormatError
+from .errors import InputFormatError, InputTooLarge
 from .linestructure import EliminationReport, LineDecomposition, PeriodicityVerdict
 from .sft import BudgetSpent, Decision, SftSpec
 
@@ -111,10 +111,13 @@ def parse_shape_spec(spec: str) -> Shape:
     shape_from_json)."""
     if spec == "plus":
         return Shape.plus()
-    m = re.match(r"^rect:(\d+)x(\d+)$", spec)
-    if m:
+    match = re.match(r"^rect:(\d+)x(\d+)$", spec)
+    if match:
+        n, m = int(match.group(1)), int(match.group(2))
+        if n * m > MAX_DENSE_ENTRIES:  # refused before any cell is built
+            raise InputTooLarge(f"{n * m} shape cells exceed the limit of {MAX_DENSE_ENTRIES}")
         try:
-            return Shape.rectangle(int(m.group(1)), int(m.group(2)))
+            return Shape.rectangle(n, m)
         except ValueError as e:
             raise InputFormatError(f"bad shape spec {spec!r}: {e}") from e
     raise InputFormatError(f"unknown shape spec {spec!r}")
@@ -256,7 +259,7 @@ def elimination_report_to_json(report: EliminationReport) -> dict:
         "per_variable": [
             {
                 "variable": e.variable,
-                "resultant": poly_to_json(e.resultant) if e.resultant is not None else None,
+                "resultant": poly_to_json(e.resultant),
                 "nonzero": e.nonzero,
                 "axis": list(e.axis),
             }

@@ -115,7 +115,7 @@ def classify(f: LaurentPoly) -> PeriodicityVerdict:
 @dataclass(frozen=True)
 class EliminationEntry:
     variable: int
-    resultant: LaurentPoly | None
+    resultant: LaurentPoly
     nonzero: bool
     axis: ExponentVector
 
@@ -140,7 +140,8 @@ def eliminate_and_classify_fp(f: LaurentPoly, g: LaurentPoly) -> EliminationRepo
     generated by f and g, hence an annihilator of any configuration killed
     by both; that forces periodicity along the corresponding axis, and two
     nonzero eliminants force two-periodicity. If one input already avoids
-    the eliminated variable it serves as the eliminant itself.
+    the eliminated variable, up to a power of it (a unit), it serves as the
+    eliminant itself, shifted to exponent 0 in that variable.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("elimination needs nonzero inputs")
@@ -152,10 +153,11 @@ def eliminate_and_classify_fp(f: LaurentPoly, g: LaurentPoly) -> EliminationRepo
     for var in (1, 2):
         # eliminating var leaves a polynomial in the other variable
         other_axis = (0, 1) if var == 1 else (1, 0)
-        if _extent_in_var(f, var) == 0:
-            r = f
-        elif _extent_in_var(g, var) == 0:
-            r = g
+        free = [h for h in (f, g) if _extent_in_var(h, var) == 0]
+        if free:
+            # free[0] is a power of the variable (a unit) times the eliminant
+            a = free[0].min_exponents()[var - 1]
+            r = free[0].shift((-a, 0) if var == 1 else (0, -a))
         else:
             r = univariate_resultant(f, g, var)
         entries.append(

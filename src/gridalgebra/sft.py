@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .algebra import _cross, _dense_trim, _gcd_primitive_prs, _is_prime, _primitive, convex_hull
-from .configuration import Shape, TorusConfig
+from .configuration import Pattern, Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
 EMPTY = "empty"
@@ -25,35 +25,26 @@ NONEMPTY = "nonempty"
 UNKNOWN = "unknown"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SftSpec:
     """Shape, alphabet and the set of allowed patterns on the shape."""
 
-    __slots__ = ("shape", "alphabet", "allowed")
+    shape: Shape
+    alphabet: frozenset[int]
+    allowed: frozenset[Pattern]
 
-    def __init__(self, shape: Shape, alphabet, allowed):
-        alphabet = frozenset(int(a) for a in alphabet)
+    def __post_init__(self):
+        alphabet = frozenset(int(a) for a in self.alphabet)
         if not alphabet:
             raise ValueError("alphabet must be non-empty")
-        allowed = frozenset(allowed)
+        allowed = frozenset(self.allowed)
         for p in allowed:
-            if p.shape != shape:
+            if p.shape != self.shape:
                 raise ValueError("allowed patterns must live on the spec shape")
             if any(v not in alphabet for v in p.values):
                 raise ValueError("pattern symbol outside the alphabet")
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "allowed", allowed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SftSpec is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SftSpec)
-            and self.shape == other.shape
-            and self.alphabet == other.alphabet
-            and self.allowed == other.allowed
-        )
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,25 @@ def test_prime_field_moduli():
         domain_from_name("F" + "1" * 30)
 
 
+# -- the value contract ---------------------------------------------------
+
+
+def test_poly_refuses_assignment_and_hashing():
+    f = LaurentPoly(ZZ, {(0, 0): 1, (1, 0): 2})
+    for name in ("domain", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, getattr(f, name))
+    with pytest.raises(TypeError):
+        hash(f)  # terms is a dict
+
+
+@pytest.mark.parametrize("other", [1, 0, Fraction(1), "1", {(0, 0): 1}, None], ids=repr)
+def test_poly_never_equals_a_non_polynomial(other):
+    for f in (LaurentPoly.one(ZZ), LaurentPoly.zero(GF(2)), LaurentPoly.one(QQ)):
+        assert f != other and not f == other
+        assert f.__eq__(other) is NotImplemented
+
+
 # -- add / mul / divexact -------------------------------------------------
 
 

@@ -530,6 +530,14 @@ def test_exponent_gap_exits_input_too_large(argv):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
 
 
+def test_huge_rect_shape_exits_input_too_large(checker_grid):
+    # 4 * 10^8 cells are refused before the first one is built
+    code, out, err = _run_capped(["complexity", checker_grid, "--shape", "rect:20000x20000"])
+    assert (code, out) == (65, "")
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
 def test_verify_of_an_empty_claim_at_window_1000_exits_input_too_large(tmp_path):
     # re-confirming it would lay out about 10^13 bits of keep masks
     spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}

@@ -1,5 +1,6 @@
 """Patterns, complexity counts, polynomial action, periods."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from gridalgebra import (
     GF,
     LaurentPoly,
     Patch,
+    Pattern,
     QQ,
     Shape,
     TorusConfig,
@@ -62,6 +64,49 @@ def test_shape_canonical_order():
         generic = Shape([(i, j) for i in range(n) for j in range(m)])
         assert rect == generic and hash(rect) == hash(generic)
         assert rect.bounding_box() == generic.bounding_box() == (0, 0, n - 1, m - 1)
+
+
+_DOMINO = Shape([(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_DOMINO, Pattern(_DOMINO, (0, 1)), Patch((0, 0), [[0, 1]]), TorusConfig([[0, 1]])],
+    ids=lambda v: type(v).__name__,
+)
+def test_values_refuse_assignment_to_every_field(value):
+    for f in dataclasses.fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+_ROWS = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "make, derived, other",
+    [
+        (lambda: Shape([(1, 0), (0, 0)]), {"_box": (5, 5, 5, 5)}, Shape([(0, 0), (0, 1)])),
+        (lambda: Pattern(Shape.rectangle(2, 1), [0, 1]), {}, Pattern(_DOMINO, (1, 0))),
+        (
+            lambda: Patch((1, 2), _ROWS),
+            {"width": 9, "height": 9, "alphabet": None},
+            Patch((1, 3), _ROWS),
+        ),
+        (
+            lambda: TorusConfig(_ROWS),
+            {"k": 9, "l": 9, "alphabet": None},
+            TorusConfig(_ROWS[::-1]),
+        ),
+    ],
+    ids=["Shape", "Pattern", "Patch", "TorusConfig"],
+)
+def test_values_compare_and_hash_by_their_defining_fields(make, derived, other):
+    a, b = make(), make()
+    for name, v in derived.items():
+        object.__setattr__(b, name, v)  # derived fields take no part
+    assert a == b and hash(a) == hash(b)
+    assert a != other
 
 
 @settings(max_examples=100, deadline=None)

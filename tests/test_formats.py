@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import formats
 from gridalgebra import GF, LaurentPoly, Patch, QQ, Shape, TorusConfig, ZZ
-from gridalgebra.errors import InputFormatError
+from gridalgebra.errors import InputFormatError, InputTooLarge
 from gridalgebra.formats import (
     annihilator_result_from_json,
     grid_from_text,
@@ -142,6 +142,17 @@ def test_shape_specs():
     for bad in ("blob", "rect:0x1"):
         with pytest.raises(InputFormatError):
             parse_shape_spec(bad)
+
+
+def test_rect_spec_over_the_dense_limit_is_refused_before_any_cell(monkeypatch):
+    # one cell past 2^22 is refused; under a limit of 12 cells, 3 x 4 still passes
+    with pytest.raises(InputTooLarge):
+        parse_shape_spec("rect:4194305x1")
+    monkeypatch.setattr(formats, "MAX_DENSE_ENTRIES", 12)
+    assert parse_shape_spec("rect:3x4") == Shape.rectangle(3, 4)
+    for big in ("rect:13x1", "rect:1x13", "rect:4x4"):
+        with pytest.raises(InputTooLarge):
+            parse_shape_spec(big)
 
 
 def test_grid_text_roundtrip():

@@ -235,11 +235,15 @@ def test_eliminate_requires_prime_field():
 
 
 def test_eliminate_input_free_of_variable_is_its_own_eliminant():
-    f = P("1 + x + x^2", GF(2))  # no y at all: already an annihilator in x
-    g = P("1 + x + y", GF(2))
-    report = eliminate_and_classify_fp(f, g)
-    by_var = {e.variable: e for e in report.entries}
-    assert by_var[2].resultant == f
+    for f, g, var, eliminant in (
+        # no y at all: already an annihilator in x
+        ("1 + x + x^2", "1 + x + y", 2, "1 + x + x^2"),
+        # x (1 + y) has no x but the unit x: its eliminant is 1 + y
+        ("x*y + x", "x + y + 1", 1, "1 + y"),
+    ):
+        report = eliminate_and_classify_fp(P(f, GF(2)), P(g, GF(2)))
+        by_var = {e.variable: e for e in report.entries}
+        assert by_var[var].resultant == P(eliminant, GF(2))
 
 
 def test_eliminate_second_input_free_of_variable_is_the_eliminant():

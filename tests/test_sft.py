@@ -62,6 +62,21 @@ def plus_cotiler_spec():
     return cotiler_sft(ClusterTile(Shape.plus()))
 
 
+def test_spec_refuses_assignment_to_every_field():
+    for name in ("shape", "alphabet", "allowed"):
+        with pytest.raises(AttributeError):
+            setattr(CHECKER_SPEC, name, getattr(CHECKER_SPEC, name))
+
+
+def test_spec_compares_and_hashes_by_its_normalized_fields():
+    # the alphabet and the allowed set are normalized to frozensets
+    allowed = [Pattern(DOMINO, [1, 0]), Pattern(DOMINO, (0, 1))]
+    same = SftSpec(Shape.rectangle(2, 1), [1, 0, 1], allowed)
+    assert same == CHECKER_SPEC and hash(same) == hash(CHECKER_SPEC)
+    assert len({same, CHECKER_SPEC, FULL_DOMINO}) == 2
+    assert SftSpec(DOMINO, {0, 1, 2}, CHECKER_SPEC.allowed) != CHECKER_SPEC
+
+
 def test_window_full_spec_always_fillable():
     for n in (2, 3, 4):
         assert window_fillable(FULL_DOMINO, n) is not None

@@ -1,6 +1,8 @@
-"""Two source rules, checked over src: no line is longer than 100
-characters, and every module-level import of a library module is used in
-that module (the package ``__init__`` is exempt: it imports to re-export)."""
+"""Three source rules, checked over src: no line is longer than 100
+characters, every module-level import of a library module is used in
+that module (the package ``__init__`` is exempt: it imports to re-export),
+and no class writes its own ``__setattr__``, ``__eq__`` or ``__hash__``
+(immutable values are frozen dataclasses)."""
 
 import ast
 from pathlib import Path
@@ -50,3 +52,31 @@ def test_every_module_level_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but unused: {unused}"
+
+
+VALUE_DUNDERS = {"__setattr__", "__eq__", "__hash__"}
+
+
+def _bound_names(stmt):
+    """Names a class-body statement defines or assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_hand_writes_value_semantics(path):
+    tree = ast.parse(path.read_text())
+    hand_written = [
+        f"{node.name}.{name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        for name in _bound_names(stmt)
+        if name in VALUE_DUNDERS
+    ]
+    assert not hand_written, f"{path.name}: use a frozen dataclass, not {hand_written}"
