@@ -376,11 +376,6 @@ def line_direction_candidates(f: LaurentPoly) -> set[ExponentVector]:
 MAX_DENSE_ENTRIES = 1 << 22
 
 
-def _check_dense(entries: int):
-    if entries > MAX_DENSE_ENTRIES:
-        raise InputTooLarge(f"{entries} dense entries exceed the limit of {MAX_DENSE_ENTRIES}")
-
-
 def _dense_trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
@@ -535,7 +530,7 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
         lo = min(col)
         span = max(col) - lo + 1
         entries += span
-        _check_dense(entries)
+        InputTooLarge.check(entries, MAX_DENSE_ENTRIES, "dense entries")
         row = [0] * span
         for e1, v in col.items():
             row[e1 - lo] = v
@@ -608,7 +603,7 @@ def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list], int]:
     lo_v = min(e[vi] for e in terms)
     lo = min(e[oi] for e in terms)
     width = max(e[oi] for e in terms) - lo + 1
-    _check_dense((hi_v - lo_v + 1) * width)
+    InputTooLarge.check((hi_v - lo_v + 1) * width, MAX_DENSE_ENTRIES, "dense entries")
     coeffs = [[0] * width for _ in range(hi_v - lo_v + 1)]
     for e, c in terms.items():
         coeffs[hi_v - e[vi]][e[oi] - lo] = c

@@ -24,7 +24,9 @@ from .applications import (
 )
 from .errors import InputFormatError
 from .formats import (
+    _typed,
     annihilator_result_from_json,
+    malformed,
     sft_spec_from_json,
     shape_from_json,
     source_from_json,
@@ -36,13 +38,10 @@ BUDGET_CHECK = "window_reconfirmed_within_budget"
 
 def _field(cert: dict, key: str, kind: type | None = None):
     """cert[key], which must be present, and of JSON type kind if given."""
-    try:
-        value = cert[key]
-    except KeyError:
-        raise InputFormatError(f"certificate lacks {key!r}") from None
-    if kind is not None and type(value) is not kind:
-        raise InputFormatError(f"certificate {key} {value!r} is not a JSON {kind.__name__}")
-    return value
+    if key not in cert:
+        raise InputFormatError(f"certificate lacks {key!r}")
+    with malformed(f"certificate {key}"):
+        return cert[key] if kind is None else _typed(cert[key], kind)
 
 
 def _annihilator(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, bool]:
@@ -104,10 +103,8 @@ def _cotiler(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, 
 
 def _antenna(cert: dict, source, seed: int, max_nodes: int | None) -> dict[str, bool]:
     shape = shape_from_json(_field(cert, "shape"))
-    try:
+    with malformed("antenna a/b"):
         problem = AntennaProblem(shape, _field(cert, "a", int), _field(cert, "b", int))
-    except ValueError as e:
-        raise InputFormatError(f"bad antenna a/b: {e}") from e
     config = source_from_json(_field(cert, "config"))
     return {"antenna_condition": antenna_verify(config, problem) == _field(cert, "valid", bool)}
 

@@ -44,6 +44,7 @@ from .formats import (
     decomposition_to_json,
     elimination_report_to_json,
     grid_from_text,
+    malformed,
     parse_shape_spec,
     poly_from_json,
     poly_from_text,
@@ -74,10 +75,8 @@ def _read_file(path: str, inputs: dict) -> str:
 
 
 def _parse_json(text: str):
-    try:
+    with malformed("JSON"):
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise InputFormatError(str(e)) from e
 
 
 def _load_source(path: str, inputs: dict, torus: bool):
@@ -167,10 +166,12 @@ def _budget_value(text: str) -> int:
     return value
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-window", type=_budget_value, default=Budget.max_window)
-    p.add_argument("--max-torus", type=_budget_value, default=Budget.max_torus)
-    p.add_argument("--max-nodes", type=_budget_value, default=Budget.max_nodes)
+def _parent(*flags, **options) -> argparse.ArgumentParser:
+    """A parent parser of flags that share their options."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        p.add_argument(flag, **options)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,80 +181,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
+    out = _parent("--out")
+    grid = _parent("grid")
+    torus = _parent("--torus", action="store_true")
+    shape = _parent("--shape", required=True)
+    tile = _parent("--tile", required=True)
+    a_b = _parent("--a", "--b", type=int, required=True)
+    bounds = _parent("--nmax", "--mmax", type=int, required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-window", type=_budget_value, default=Budget.max_window)
+    budget.add_argument("--max-torus", type=_budget_value, default=Budget.max_torus)
+    nodes = _parent("--max-nodes", type=_budget_value, default=Budget.max_nodes)
 
-    p = sub.add_parser("complexity", help="pattern count and low-complexity flag")
-    p.add_argument("grid")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--torus", action="store_true")
-    p.add_argument("--out")
+    shaped = [grid, shape, torus, out]
+    sub.add_parser("complexity", help="pattern count and low-complexity flag", parents=shaped)
 
-    p = sub.add_parser("profile", help="rectangle complexity profile")
-    p.add_argument("grid")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--torus", action="store_true")
-    p.add_argument("--out")
+    sub.add_parser(
+        "profile", help="rectangle complexity profile", parents=[grid, bounds, torus, out]
+    )
 
-    p = sub.add_parser("annihilate", help="construct an annihilator from pattern data")
-    p.add_argument("grid")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--torus", action="store_true")
-    p.add_argument("--out")
+    sub.add_parser("annihilate", help="construct an annihilator from pattern data", parents=shaped)
 
-    p = sub.add_parser("factor-lines", help="line-polynomial decomposition")
+    p = sub.add_parser("factor-lines", help="line-polynomial decomposition", parents=[out])
     p.add_argument("poly")
     p.add_argument("--field", default="Z")
-    p.add_argument("--out")
 
-    p = sub.add_parser("classify", help="periodicity verdict from line factors")
+    p = sub.add_parser("classify", help="periodicity verdict from line factors", parents=[out])
     p.add_argument("poly")
     p.add_argument("--role", choices=["annihilates", "periodizes"], default="annihilates")
     p.add_argument("--field", default="Z")
-    p.add_argument("--out")
 
-    p = sub.add_parser("eliminate-fp", help="resultant elimination over a prime field")
+    p = sub.add_parser(
+        "eliminate-fp", help="resultant elimination over a prime field", parents=[out]
+    )
     p.add_argument("poly_f")
     p.add_argument("poly_g")
     p.add_argument("--field", default="F2")
-    p.add_argument("--out")
 
-    p = sub.add_parser("decide-sft", help="budgeted SFT emptiness decision")
+    p = sub.add_parser(
+        "decide-sft", help="budgeted SFT emptiness decision", parents=[budget, nodes, out]
+    )
     p.add_argument("spec")
-    _add_budget_flags(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("antenna", help="antenna placement problems")
     anten = p.add_subparsers(dest="antenna_command")
-    pc = anten.add_parser("classify")
-    pc.add_argument("--shape", required=True)
-    pc.add_argument("--a", type=int, required=True)
-    pc.add_argument("--b", type=int, required=True)
-    pc.add_argument("--out")
-    pv = anten.add_parser("verify")
-    pv.add_argument("grid")
-    pv.add_argument("--shape", required=True)
-    pv.add_argument("--a", type=int, required=True)
-    pv.add_argument("--b", type=int, required=True)
-    pv.add_argument("--out")
+    anten.add_parser("classify", parents=[shape, a_b, out])
+    anten.add_parser("verify", parents=[grid, shape, a_b, out])
 
     p = sub.add_parser("cotiler", help="cluster tile co-tilers")
     cot = p.add_subparsers(dest="cotiler_command")
-    cf = cot.add_parser("find")
-    cf.add_argument("--tile", required=True)
-    _add_budget_flags(cf)
-    cf.add_argument("--out")
-    cv = cot.add_parser("verify")
-    cv.add_argument("grid")
-    cv.add_argument("--tile", required=True)
-    cv.add_argument("--out")
+    cot.add_parser("find", parents=[tile, budget, nodes, out])
+    cot.add_parser("verify", parents=[grid, tile, out])
 
-    p = sub.add_parser("verify", help="re-verify an emitted certificate")
-    p.add_argument("certificate")
+    p = sub.add_parser(
+        "verify", help="re-verify an emitted certificate", parents=[torus, nodes, out]
+    )
+    p.add_argument("certificate")  # parents' arguments come first, so grid is declared here
     p.add_argument("grid", nargs="?")
-    p.add_argument("--torus", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=_budget_value, default=Budget.max_nodes)
-    p.add_argument("--out")
 
     return parser
 

@@ -25,9 +25,10 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
-from .algebra import ExponentVector, LaurentPoly, _half_plane, line_direction_of
+from .algebra import MAX_DENSE_ENTRIES, ExponentVector, LaurentPoly, _half_plane, line_direction_of
 from .errors import (
     EmptyValidRegion,
+    InputTooLarge,
     NotALinePolynomial,
     NotAnnihilated,
     ShapeTooLarge,
@@ -240,12 +241,14 @@ def rectangle_complexity_profile(
 ) -> dict[tuple[int, int], tuple[int, bool]]:
     """Complexity of every n x m rectangle with n <= nmax, m <= mmax: each
     row is cut once per width n into its length-n segments, and the n x m
-    patterns are the tuples of m stacked segments."""
+    patterns are the tuples of m stacked segments. A table of more than
+    MAX_DENSE_ENTRIES entries is refused before any is counted."""
     if nmax < 1 or mmax < 1:
         raise ValueError("rectangle bounds must be positive")
     torus = isinstance(source, TorusConfig)
     if not torus and (nmax > source.width or mmax > source.height):
         raise ShapeTooLarge("requested rectangles exceed the patch")
+    InputTooLarge.check(nmax * mmax, MAX_DENSE_ENTRIES, "profile entries")
     w, h = (source.k, source.l) if torus else (source.width, source.height)
     nk, ml = min(nmax, w), min(mmax, h)
     rows = source.rows

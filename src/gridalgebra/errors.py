@@ -55,6 +55,12 @@ class InputTooLarge(GridAlgebraError):
     code = "input-too-large"
     exit_code = 65
 
+    @classmethod
+    def check(cls, count: int, limit: int, unit: str) -> None:
+        """Refuse count units past limit, before they are built."""
+        if count > limit:
+            raise cls(f"{count} {unit} exceed the limit of {limit}")
+
 
 class UsageError(GridAlgebraError):
     code = "usage"

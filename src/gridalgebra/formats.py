@@ -8,6 +8,7 @@ strings (``n`` or ``n/d``) so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import MAX_DENSE_ENTRIES, Domain, LaurentPoly, domain_from_name, ZZ
@@ -27,6 +28,17 @@ _TERM_RE = re.compile(
 )
 
 
+@contextmanager
+def malformed(what: str):
+    """Raise the KeyError, ValueError, TypeError, ZeroDivisionError or
+    RecursionError by which the body meets malformed input as
+    InputFormatError("bad <what>: ...")."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, RecursionError) as e:
+        raise InputFormatError(f"bad {what}: {e}") from e
+
+
 def _typed(value, kind: type):
     """value, if its JSON type is kind (a bool is no int); else TypeError."""
     if type(value) is not kind:
@@ -44,22 +56,15 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
     # a leading sign makes the split alternate sign, body, sign, body, ...
     chunks = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)[1:]
     terms: dict[tuple[int, int], object] = {}
-    # int() raises ValueError beyond the interpreter's digit limit
-    try:
+    # int() raises ValueError beyond the interpreter's digit limit, and a
+    # zero denominator raises ZeroDivisionError
+    with malformed("polynomial text"):
         for sign, body in zip(chunks[::2], chunks[1::2]):
             m = _TERM_RE.match(body)
             if not m or not body:
                 raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
-            coeff = m.group("coeff")
-            if coeff is None:
-                if not (m.group("xpart") or m.group("ypart")):
-                    raise InputFormatError(f"cannot parse term {body!r} in {text!r}")
-                c = Fraction(1)
-            else:
-                num, _, den = coeff.partition("/")
-                if den and int(den) == 0:
-                    raise InputFormatError(f"zero denominator in term {body!r} of {text!r}")
-                c = Fraction(int(num), int(den or 1))
+            num, _, den = (m.group("coeff") or "1").partition("/")
+            c = Fraction(int(num), int(den or 1))
             if sign == "-":
                 c = -c
 
@@ -70,8 +75,6 @@ def poly_from_text(text: str, domain: Domain = ZZ) -> LaurentPoly:
             b = exp(m.group("ye")) if m.group("ypart") else 0
             terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
         return LaurentPoly(domain, terms)
-    except (ValueError, TypeError) as e:
-        raise InputFormatError(str(e)) from e
 
 
 def poly_to_json(f: LaurentPoly) -> dict:
@@ -82,14 +85,12 @@ def poly_to_json(f: LaurentPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> LaurentPoly:
-    try:
+    with malformed("polynomial JSON"):
         domain = domain_from_name(_typed(data["domain"], str))
         terms = {}
         for a, b, c in data["terms"]:
             terms[_typed(a, int), _typed(b, int)] = domain.parse_coeff(_typed(c, str))
         return LaurentPoly(domain, terms)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
-        raise InputFormatError(f"bad polynomial JSON: {e}") from e
 
 
 # -- shapes and grids -----------------------------------------------------
@@ -100,10 +101,8 @@ def shape_to_json(shape: Shape) -> list:
 
 
 def shape_from_json(data) -> Shape:
-    try:
+    with malformed("shape JSON"):
         return Shape((_typed(a, int), _typed(b, int)) for a, b in data)
-    except (ValueError, TypeError) as e:
-        raise InputFormatError(f"bad shape JSON: {e}") from e
 
 
 def parse_shape_spec(spec: str) -> Shape:
@@ -112,27 +111,21 @@ def parse_shape_spec(spec: str) -> Shape:
     if spec == "plus":
         return Shape.plus()
     match = re.match(r"^rect:(\d+)x(\d+)$", spec)
-    if match:
-        n, m = int(match.group(1)), int(match.group(2))
-        if n * m > MAX_DENSE_ENTRIES:  # refused before any cell is built
-            raise InputTooLarge(f"{n * m} shape cells exceed the limit of {MAX_DENSE_ENTRIES}")
-        try:
-            return Shape.rectangle(n, m)
-        except ValueError as e:
-            raise InputFormatError(f"bad shape spec {spec!r}: {e}") from e
-    raise InputFormatError(f"unknown shape spec {spec!r}")
+    if not match:
+        raise InputFormatError(f"unknown shape spec {spec!r}")
+    n, m = int(match.group(1)), int(match.group(2))
+    InputTooLarge.check(n * m, MAX_DENSE_ENTRIES, "shape cells")  # before any cell is built
+    with malformed(f"shape spec {spec!r}"):
+        return Shape.rectangle(n, m)
 
 
 def grid_from_text(text: str) -> list[list[int]]:
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as e:
-            raise InputFormatError(f"bad grid line {line!r}") from e
+        if line:
+            with malformed(f"grid line {line!r}"):
+                rows.append([int(tok) for tok in line.split()])
     if not rows:
         raise InputFormatError("empty grid")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -156,17 +149,20 @@ def source_to_json(source) -> dict:
 
 
 def source_from_json(data) -> Patch | TorusConfig:
-    try:
+    """A grid; a torus's optional ``k`` and ``l`` are its row length and count."""
+    with malformed("grid JSON"):
         kind = data["kind"]
         if kind not in ("torus", "patch"):
             raise InputFormatError(f"unknown grid kind {kind!r}")
         rows = [[_typed(v, int) for v in row] for row in data["values"]]
-        if kind == "torus":
-            return TorusConfig(rows)
-        ox, oy = data.get("origin", [0, 0])
-        return Patch((_typed(ox, int), _typed(oy, int)), rows)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputFormatError(f"bad grid JSON: {e}") from e
+        if kind == "patch":
+            ox, oy = data.get("origin", [0, 0])
+            return Patch((_typed(ox, int), _typed(oy, int)), rows)
+        torus = TorusConfig(rows)
+        for key, size in (("k", torus.k), ("l", torus.l)):
+            if key in data and _typed(data[key], int) != size:
+                raise ValueError(f"torus {key} {data[key]} is not its size {size}")
+        return torus
 
 
 # -- sft specs and decisions ----------------------------------------------
@@ -181,13 +177,11 @@ def sft_spec_to_json(spec: SftSpec) -> dict:
 
 
 def sft_spec_from_json(data) -> SftSpec:
-    try:
+    with malformed("SFT spec JSON"):
         shape = shape_from_json(data["shape"])
         alphabet = [_typed(a, int) for a in data["alphabet"]]
         allowed = {Pattern(shape, tuple(_typed(v, int) for v in vs)) for vs in data["allowed"]}
         return SftSpec(shape, alphabet, allowed)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputFormatError(f"bad SFT spec JSON: {e}") from e
 
 
 def budget_spent_to_json(spent: BudgetSpent | None) -> dict | None:
@@ -222,7 +216,7 @@ def annihilator_result_to_json(result: AnnihilatorResult) -> dict:
 
 
 def annihilator_result_from_json(data) -> AnnihilatorResult:
-    try:
+    with malformed("annihilator JSON"):
         kind, constant = data["kind"], data.get("constant")
         if kind not in (DIRECT, PERIODIZER_TIMES_BINOMIAL):
             raise ValueError(f"unknown annihilator kind {kind!r}")
@@ -232,8 +226,6 @@ def annihilator_result_from_json(data) -> AnnihilatorResult:
             periodizer=None if kind == DIRECT else poly_from_json(data["periodizer"]),
             constant=int(_typed(constant, str)) if constant is not None else None,
         )
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputFormatError(f"bad annihilator JSON: {e}") from e
 
 
 def verdict_to_json(verdict: PeriodicityVerdict) -> dict:

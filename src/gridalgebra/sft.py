@@ -188,7 +188,8 @@ class _CompiledSpec:
         f = self.count + 1
         stride = 2 * k * f
         # each keep mask is narrower than the 2k x 2l block
-        _check_mask_bits(len(self.values) * k * l * 2 * l * stride)
+        bits = len(self.values) * k * l * 2 * l * stride
+        InputTooLarge.check(bits, MAX_MASK_BITS, "keep-mask bits")
         up = l * stride
         stencils = [0] * len(self.values)
         for (cx, cy), masks in zip(self.cells, self.clear):
@@ -216,16 +217,10 @@ class _CompiledSpec:
 MAX_MASK_BITS = 1 << 30
 
 
-def _check_mask_bits(bits: int):
-    """Refuse masks of more than MAX_MASK_BITS bits before building them."""
-    if bits > MAX_MASK_BITS:
-        raise InputTooLarge(f"{bits} keep-mask bits exceed the limit of {MAX_MASK_BITS}")
-
-
 def _window_width(nvalues: int, count: int, box, w: int, h: int) -> int:
     """Bits of each of the nvalues * w * h window keep masks, refused past MAX_MASK_BITS."""
     width = (2 * w * h + (box[3] - box[1]) * w + box[2] - box[0]) * (count + 1)
-    _check_mask_bits(nvalues * w * h * width)
+    InputTooLarge.check(nvalues * w * h * width, MAX_MASK_BITS, "keep-mask bits")
     return width
 
 

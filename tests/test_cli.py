@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import Budget, ClusterTile, Pattern, Shape, SftSpec, decide
 from gridalgebra.applications import cotiler_decision
-from gridalgebra.cli import run
+from gridalgebra.cli import _build_parser, run
 from gridalgebra.formats import budget_spent_to_json, sft_spec_to_json
 
 from helpers import run_capped
@@ -538,6 +539,15 @@ def test_huge_rect_shape_exits_input_too_large(checker_grid):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
 
 
+def test_huge_torus_profile_exits_input_too_large(checker_grid):
+    # 10^10 table entries are refused before the first count, within the cap
+    argv = ["profile", checker_grid, "--nmax", "100000", "--mmax", "100000", "--torus"]
+    code, out, err = _run_capped(argv)
+    assert (code, out) == (65, "")
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
 def test_verify_of_an_empty_claim_at_window_1000_exits_input_too_large(tmp_path):
     # re-confirming it would lay out about 10^13 bits of keep masks
     spec = {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1], "allowed": [[0, 1], [1, 0]]}
@@ -800,3 +810,112 @@ def test_negative_budgets_are_usage_errors(capsys, tmp_path, argv):
     spec.write_text(json.dumps(_CHECKER_SPEC))
     assert run([arg.replace("{spec}", str(spec)) for arg in argv]) == 64
     assert capsys.readouterr().out == ""
+
+
+BUDGET = dataclasses.asdict(Budget())
+# every subcommand's arguments and the namespace they parse to (None: a
+# usage error, exit 64), so the flag declarations can change without the
+# surface: positional order, each default, and each required flag
+CLI_SURFACE = [
+    ([], {"command": None}),
+    (
+        ["complexity", "g", "--shape", "plus"],
+        {"command": "complexity", "grid": "g", "shape": "plus", "torus": False, "out": None},
+    ),
+    (["complexity", "g"], None),
+    (["complexity", "--shape", "plus"], None),
+    (
+        ["profile", "g", "--nmax", "2", "--mmax", "3", "--torus", "--out", "o"],
+        {"command": "profile", "grid": "g", "nmax": 2, "mmax": 3, "torus": True, "out": "o"},
+    ),
+    (["profile", "g", "--nmax", "2"], None),
+    (["profile", "g", "--nmax", "two", "--mmax", "3"], None),
+    (
+        ["annihilate", "g", "--shape", "rect:2x1", "--torus"],
+        {"command": "annihilate", "grid": "g", "shape": "rect:2x1", "torus": True, "out": None},
+    ),
+    (["annihilate", "g", "h", "--shape", "plus"], None),
+    (
+        ["factor-lines", "1 + x"],
+        {"command": "factor-lines", "poly": "1 + x", "field": "Z", "out": None},
+    ),
+    (
+        ["classify", "1 + x"],
+        {"command": "classify", "poly": "1 + x", "role": "annihilates", "field": "Z", "out": None},
+    ),
+    (
+        ["classify", "1 + x", "--role", "periodizes", "--field", "F3", "--out", "o"],
+        {"command": "classify", "poly": "1 + x", "role": "periodizes", "field": "F3", "out": "o"},
+    ),
+    (["classify", "1 + x", "--role", "bogus"], None),
+    (
+        ["eliminate-fp", "f", "g"],
+        {"command": "eliminate-fp", "poly_f": "f", "poly_g": "g", "field": "F2", "out": None},
+    ),
+    (["eliminate-fp", "f"], None),
+    (["decide-sft", "s"], {"command": "decide-sft", "spec": "s", **BUDGET, "out": None}),
+    (
+        ["decide-sft", "s", "--max-window", "3", "--max-torus", "0", "--max-nodes", "9"],
+        {
+            "command": "decide-sft", "spec": "s", "max_window": 3, "max_torus": 0,
+            "max_nodes": 9, "out": None,
+        },
+    ),
+    (["decide-sft"], None),
+    (["antenna"], {"command": "antenna", "antenna_command": None}),
+    (
+        ["antenna", "classify", "--shape", "plus", "--a", "1", "--b", "2"],
+        {
+            "command": "antenna", "antenna_command": "classify", "shape": "plus", "a": 1,
+            "b": 2, "out": None,
+        },
+    ),
+    (["antenna", "classify", "--shape", "plus", "--a", "1"], None),
+    (
+        ["antenna", "verify", "g", "--shape", "plus", "--a", "1", "--b", "2", "--out", "o"],
+        {
+            "command": "antenna", "antenna_command": "verify", "grid": "g", "shape": "plus",
+            "a": 1, "b": 2, "out": "o",
+        },
+    ),
+    (["antenna", "verify", "--shape", "plus", "--a", "1", "--b", "2"], None),
+    (["cotiler"], {"command": "cotiler", "cotiler_command": None}),
+    (
+        ["cotiler", "find", "--tile", "plus"],
+        {"command": "cotiler", "cotiler_command": "find", "tile": "plus", **BUDGET, "out": None},
+    ),
+    (["cotiler", "find"], None),
+    (
+        ["cotiler", "verify", "g", "--tile", "t"],
+        {"command": "cotiler", "cotiler_command": "verify", "grid": "g", "tile": "t", "out": None},
+    ),
+    (["cotiler", "verify", "g"], None),
+    (
+        ["verify", "c"],
+        {
+            "command": "verify", "certificate": "c", "grid": None, "torus": False, "seed": 0,
+            "max_nodes": BUDGET["max_nodes"], "out": None,
+        },
+    ),
+    (
+        ["verify", "c", "g", "--torus", "--seed", "3", "--max-nodes", "7", "--out", "o"],
+        {
+            "command": "verify", "certificate": "c", "grid": "g", "torus": True, "seed": 3,
+            "max_nodes": 7, "out": "o",
+        },
+    ),
+    (["verify"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, namespace",
+    CLI_SURFACE,
+    ids=[" ".join(argv) or "no-arguments" for argv, _ in CLI_SURFACE],
+)
+def test_cli_surface(capsys, argv, namespace):
+    if namespace is None:
+        assert run(argv) == 64
+        assert capsys.readouterr().out == ""
+    else:
+        assert vars(_build_parser().parse_args(argv)) == namespace

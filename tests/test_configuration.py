@@ -33,7 +33,7 @@ from gridalgebra.configuration import (
     _period_basis,
     period_from_line_annihilator,
 )
-from gridalgebra.errors import EmptyValidRegion, ShapeTooLarge, ZeroPolynomial
+from gridalgebra.errors import EmptyValidRegion, InputTooLarge, ShapeTooLarge, ZeroPolynomial
 from gridalgebra.formats import poly_from_text
 
 from helpers import (
@@ -225,6 +225,18 @@ def test_profile_counts_each_torus_corner_once(monkeypatch):
         monkeypatch.undo()
         assert len(table) == nmax * mmax and table[rect] == entry
         assert table[(nmax, mmax)] == (table[(k, l)][0], True)
+
+
+def test_profile_table_over_the_dense_limit_is_refused_before_any_count(monkeypatch):
+    # 10^10 entries are refused at once; under a limit of 12 entries, 3 x 4
+    # bounds still pass and one entry more does not
+    with pytest.raises(InputTooLarge):
+        rectangle_complexity_profile(CHECKER, 100_000, 100_000)
+    monkeypatch.setattr(configuration, "MAX_DENSE_ENTRIES", 12)
+    assert len(rectangle_complexity_profile(CHECKER, 3, 4)) == 12
+    for nmax, mmax in ((13, 1), (1, 13), (4, 4)):
+        with pytest.raises(InputTooLarge):
+            rectangle_complexity_profile(CHECKER, nmax, mmax)
 
 
 def test_torus_complexity_reads_each_residue_once(monkeypatch):

@@ -166,6 +166,11 @@ def test_grid_text_roundtrip():
 def test_source_json_roundtrip():
     torus = TorusConfig([[0, 1], [2, 3]])
     assert source_from_json(source_to_json(torus)) == torus
+    # k is the row length and l the row count; both may be left out
+    wide = TorusConfig([[0, 1, 2], [2, 3, 4]])
+    assert source_to_json(wide)["k"] == 3
+    assert source_from_json(source_to_json(wide)) == wide
+    assert source_from_json({"kind": "torus", "values": [[0, 1, 2], [2, 3, 4]]}) == wide
     patch = Patch((-2, 5), [[1, 2, 3], [4, 5, 6]])
     assert source_from_json(source_to_json(patch)) == patch
 
@@ -246,6 +251,13 @@ def test_json_parsers_raise_only_input_format_error(name, data):
         (source_from_json, {"kind": "torus", "values": [[True]]}),
         (shape_from_json, [[0.5, 0]]),
         (annihilator_result_from_json, []),
+        # a torus's k and l, when given, are JSON ints equal to its row length and row count
+        (source_from_json, {"kind": "torus", "k": 5, "l": 7, "values": [[0, 1], [1, 0]]}),
+        (source_from_json, {"kind": "torus", "k": True, "l": "x", "values": [[0, 1], [1, 0]]}),
+        (source_from_json, {"kind": "torus", "k": 1, "values": [[0, 1], [1, 0]]}),
+        (source_from_json, {"kind": "torus", "l": 1, "values": [[0, 1], [1, 0]]}),
+        (source_from_json, {"kind": "torus", "k": 3, "l": 2.0, "values": [[0, 1, 2], [1, 2, 0]]}),
+        (source_from_json, {"kind": "torus", "k": 3, "l": 2, "values": [[0, 1], [1, 0], [0, 0]]}),
     ],
 )
 def test_json_parsers_reject_non_integers(parse, data):

@@ -1,8 +1,9 @@
-"""Three source rules, checked over src: no line is longer than 100
-characters, every module-level import of a library module is used in
-that module (the package ``__init__`` is exempt: it imports to re-export),
-and no class writes its own ``__setattr__``, ``__eq__`` or ``__hash__``
-(immutable values are frozen dataclasses)."""
+"""Source rules, checked over src: no line is longer than 100 characters,
+every module-level import of a library module is used in that module (the
+package ``__init__`` is exempt: it imports to re-export), no class writes
+its own ``__setattr__``, ``__eq__`` or ``__hash__`` (immutable values are
+frozen dataclasses), only ``InputTooLarge.check`` raises ``InputTooLarge``,
+and the input parsers catch exceptions only in ``formats.malformed``."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,33 @@ def test_no_class_hand_writes_value_semantics(path):
         if name in VALUE_DUNDERS
     ]
     assert not hand_written, f"{path.name}: use a frozen dataclass, not {hand_written}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_input_too_large_is_raised_only_by_its_check(path):
+    raised = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and getattr(getattr(node.exc, "func", node.exc), "id", None) == "InputTooLarge"
+    ]
+    assert not raised, f"{path.name}: lines {raised} raise InputTooLarge, not its check"
+
+
+@pytest.mark.parametrize("name", ["formats.py", "certificates.py"])
+def test_input_parsers_catch_only_in_malformed(name):
+    tree = ast.parse((SRC / name).read_text())
+    inside = {
+        id(handler)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "malformed"
+        for handler in ast.walk(node)
+    }
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and id(node) not in inside
+    ]
+    assert not stray, f"{name}: lines {stray} catch outside formats.malformed"
