@@ -11,13 +11,14 @@ arithmetic: Newton polygons as convex hulls, parallel-edge direction
 detection, per-direction line-polynomial content (``split_direction``), and
 the resultant that eliminates one variable.
 
-The content's gcds over Z and Q never leave the integers: each column is
-cleared to a primitive integer polynomial and the gcd comes from the
-primitive polynomial remainder sequence (pseudo-remainder, then divide by
-the content); by Gauss's lemma that is the rational gcd cleared to coprime
-integers, and a primitive candidate that divides a column over Q divides it
-over Z. Over F_p it is Euclid's algorithm on ints mod p, and the content is
-monic. Resultants run the subresultant remainder sequence in the eliminated
+Every gcd of the content is taken by one function, ``_dense_gcd``. Over Z
+and Q it never leaves the integers: each column is cleared to a primitive
+integer polynomial and the gcd comes from the primitive polynomial
+remainder sequence (pseudo-remainder, then divide by the content); by
+Gauss's lemma that is the rational gcd cleared to coprime integers, and a
+primitive candidate that divides a column over Q divides it over Z. Over
+F_p it is Euclid's algorithm on ints mod p, and the content is monic.
+Resultants run the subresultant remainder sequence in the eliminated
 variable on coefficients that are dense lists in the kept variable, shifted
 to nonnegative exponents and shifted back at the end; the entries are ints
 mod p over F_p and Fractions over Q, and every division is exact.
@@ -87,32 +88,24 @@ class Domain:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
     def coerce(self, value):
-        """Map an int / Fraction into the canonical internal representation."""
+        """An int or Fraction as the domain's canonical value; else TypeError."""
         if type(value) is int:
             if self.kind == "Z":
                 return value
             if self.kind == "Q":
                 return Fraction(value)
             return value % self.p
-        if self.kind == "Z":
-            if isinstance(value, Fraction):
+        if isinstance(value, Fraction):
+            if self.kind == "Q":
+                return Fraction(value)
+            if self.kind == "Z":
                 if value.denominator != 1:
                     raise ValueError(f"{value} is not an integer")
                 return int(value)
-            if isinstance(value, int):
-                return value
-            raise TypeError(f"cannot coerce {value!r} into Z")
-        if self.kind == "Q":
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise TypeError(f"cannot coerce {value!r} into Q")
-        if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ValueError(f"{value} has no image mod {self.p}")
             return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
-        if isinstance(value, int):
-            return value % self.p
-        raise TypeError(f"cannot coerce {value!r} into F{self.p}")
+        raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def format_coeff(self, a) -> str:
         if self.kind == "Q" and a.denominator != 1:
@@ -311,18 +304,16 @@ def convex_hull(points) -> list[ExponentVector]:
     pts = sorted(set(points))
     if len(pts) == 1:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    hull = []
+    for seq in (pts, pts[::-1]):  # the lower chain, then the upper
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
     # never empty: collinear points leave the two endpoints
-    return lower[:-1] + upper[:-1]
+    return hull
 
 
 def normalize_direction(v: ExponentVector) -> ExponentVector:
@@ -383,7 +374,7 @@ def _dense_trim(c: list) -> list:
 
 
 def _primitive(c: list[int]) -> list[int]:
-    """Divide a nonzero integer list by the gcd of its entries."""
+    """Divide an integer list by the gcd of its entries ([] stays [])."""
     g = math.gcd(*c)
     return c if g == 1 else [v // g for v in c]
 
@@ -404,19 +395,11 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _gcd_primitive_prs(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two primitive integer polynomials up to sign, by the
-    primitive polynomial remainder sequence (Collins 1967)."""
+def _dense_gcd(a: list[int], b: list[int], p: int | None = None) -> list[int]:
+    """A gcd, not normalized: by Euclid's algorithm over F_p (p given), by the primitive
+    remainder sequence (Collins 1967) on primitive integer polynomials (p None)."""
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r) if r else r
-    return a
-
-
-def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """A gcd over F_p by Euclid's algorithm, not normalized."""
-    while b:
-        a, b = b, _dense_divmod(a, b, p)[1]
+        a, b = b, _dense_divmod(a, b, p)[1] if p is not None else _primitive(_pseudo_rem(a, b))
     return a
 
 
@@ -477,20 +460,10 @@ def line_direction_of(f: LaurentPoly) -> ExponentVector | None:
     through the origin), else None."""
     if f.num_terms < 2:
         return None
-    nonzero = [e for e in f.terms if e != (0, 0)]
-    if not nonzero:
-        return None
-    u = normalize_direction(nonzero[0])
-    for e in f.terms:
-        # e must be an integer multiple of u
-        if e[0] * u[1] != e[1] * u[0]:
-            return None
-        if u[0] != 0:
-            if e[0] % u[0] != 0:
-                return None
-        elif e[1] % u[1] != 0:
-            return None
-    return u
+    # two terms have a nonzero exponent; u is primitive, so an exponent
+    # parallel to u is an integer multiple of it
+    u = normalize_direction(next(e for e in f.terms if e != (0, 0)))
+    return None if any(e[0] * u[1] != e[1] * u[0] for e in f.terms) else u
 
 
 def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, LaurentPoly]:
@@ -537,16 +510,13 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
         dense[t] = (lo, row)
 
     def primitive(row: list) -> list:
-        """The row over Z and Q as a primitive integer polynomial."""
+        """The row as a primitive integer polynomial over Z and Q, as it is over F_p."""
+        if p is not None:
+            return row
         if dom.kind == "Q":
             den = math.lcm(*(v.denominator for v in row))
             row = [v.numerator * (den // v.denominator) for v in row]
         return _primitive(row)
-
-    def gcd(g: list, row: list) -> list:
-        if p is not None:
-            return _gcd_mod_p(g, row, p)
-        return _gcd_primitive_prs(g, primitive(row))
 
     def normalized(g: list) -> list:
         """Monic over F_p, positive lead over Z and Q."""
@@ -556,9 +526,9 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
         return [-v for v in g] if g[-1] < 0 else g
 
     first, last = min(dense), max(dense)
-    content = dense[first][1] if p is not None else primitive(dense[first][1])
+    content = primitive(dense[first][1])
     if last != first:
-        content = gcd(content, dense[last][1])
+        content = _dense_gcd(content, primitive(dense[last][1]), p)
     integral = dom.kind == "Z"
     quotients: dict[int, tuple[int, list]] = {}
     while len(content) > 1:
@@ -566,7 +536,7 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
         for t, (lo, row) in dense.items():
             q, r = _dense_divmod(row, content, p, integral)
             if r:
-                content = gcd(content, row)
+                content = _dense_gcd(content, primitive(row), p)
                 break
             quotients[t] = (lo, q)
         else:

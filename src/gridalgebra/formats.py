@@ -113,9 +113,9 @@ def parse_shape_spec(spec: str) -> Shape:
     match = re.match(r"^rect:(\d+)x(\d+)$", spec)
     if not match:
         raise InputFormatError(f"unknown shape spec {spec!r}")
-    n, m = int(match.group(1)), int(match.group(2))
-    InputTooLarge.check(n * m, MAX_DENSE_ENTRIES, "shape cells")  # before any cell is built
-    with malformed(f"shape spec {spec!r}"):
+    with malformed(f"shape spec {spec!r}"):  # int() refuses sides past the digit limit
+        n, m = int(match.group(1)), int(match.group(2))
+        InputTooLarge.check(n * m, MAX_DENSE_ENTRIES, "shape cells")  # before any cell is built
         return Shape.rectangle(n, m)
 
 
@@ -184,9 +184,7 @@ def sft_spec_from_json(data) -> SftSpec:
         return SftSpec(shape, alphabet, allowed)
 
 
-def budget_spent_to_json(spent: BudgetSpent | None) -> dict | None:
-    if spent is None:
-        return None
+def budget_spent_to_json(spent: BudgetSpent) -> dict:
     return {
         "nodes": spent.nodes,
         "windows_tried": list(spent.windows_tried),

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import _cross, _dense_trim, _gcd_primitive_prs, _is_prime, _primitive, convex_hull
+from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, _primitive, convex_hull
 from .configuration import Pattern, Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
@@ -64,9 +64,9 @@ class BudgetSpent:
 @dataclass(frozen=True)
 class Decision:
     kind: str  # EMPTY | NONEMPTY | UNKNOWN
+    budget_spent: BudgetSpent
     window: int | None = None
     witness: TorusConfig | None = None
-    budget_spent: BudgetSpent | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -137,7 +137,7 @@ class _CompiledSpec:
             if n == 1 or _is_prime(n):
                 self._coprime[key] = n == 1 or r.count(r[0]) < n
             else:
-                g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+                g = _dense_gcd([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
                 self._coprime[key] = len(g) == 1
         return self._coprime[key]
 

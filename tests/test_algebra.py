@@ -95,6 +95,67 @@ def test_poly_never_equals_a_non_polynomial(other):
         assert f.__eq__(other) is NotImplemented
 
 
+# -- coefficient coercion -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain, value, image",
+    [
+        (ZZ, -3, -3),
+        (ZZ, Fraction(6, 3), 2),
+        (QQ, 7, Fraction(7)),
+        (QQ, Fraction(-1, 2), Fraction(-1, 2)),
+        (GF(5), 7, 2),
+        (GF(5), -1, 4),
+        (GF(5), Fraction(1, 2), 3),
+        (GF(5), Fraction(-3, 4), 3),
+    ],
+    ids=repr,
+)
+def test_coerce_maps_ints_and_fractions_to_canonical_values(domain, value, image):
+    c = domain.coerce(value)
+    assert c == image and type(c) is type(image)
+
+
+@pytest.mark.parametrize(
+    "domain, value, error, message",
+    [
+        (ZZ, Fraction(1, 2), ValueError, "1/2 is not an integer"),
+        (GF(5), Fraction(1, 5), ValueError, "1/5 has no image mod 5"),
+        (ZZ, 1.5, TypeError, "cannot coerce 1.5 into Z"),
+        (QQ, 1.5, TypeError, "cannot coerce 1.5 into Q"),
+        (GF(5), 1.5, TypeError, "cannot coerce 1.5 into F5"),
+    ],
+    ids=repr,
+)
+def test_coerce_refuses_values_outside_the_domain(domain, value, error, message):
+    with pytest.raises(error) as info:
+        domain.coerce(value)
+    assert str(info.value) == message
+
+
+def test_coerce_refuses_a_bool():
+    # a bool is no int: every domain refuses it like any other non-number
+    for domain in (ZZ, QQ, GF(5)):
+        with pytest.raises(TypeError) as info:
+            domain.coerce(True)
+        assert str(info.value) == f"cannot coerce True into {domain.name}"
+
+
+@pytest.mark.parametrize(
+    "text, direction",
+    [
+        ("3", None),
+        ("2*x^2*y", None),
+        ("1 + x^2*y^4", (1, 2)),
+        ("x^-2 + x^4", (1, 0)),
+        ("1 + x + y", None),
+    ],
+)
+def test_line_direction_of(text, direction):
+    assert algebra.line_direction_of(P(text)) == direction
+
+
 # -- add / mul / divexact -------------------------------------------------
 
 
@@ -729,3 +790,51 @@ def test_dense_size_guard_at_the_limit(monkeypatch):
 def test_half_plane_is_emitted_in_key_order():
     for bound in range(13):
         assert algebra._half_plane(bound) == half_plane_oracle(bound), bound
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: algebra.Domain("R"), ValueError, "unknown domain kind 'R'"),
+        (lambda: algebra.Domain("Z", 5), ValueError, "modulus only makes sense for a prime field"),
+        (lambda: domain_from_name("R"), ValueError, "unknown domain name 'R'"),
+        (
+            lambda: LaurentPoly.difference_binomial(ZZ, (0, 0)),
+            ValueError,
+            "difference binomial needs a nonzero vector",
+        ),
+        (lambda: LaurentPoly.zero(ZZ).min_exponents(), ZeroPolynomial, "zero polynomial has no support"),
+        (lambda: algebra.normalize_direction((0, 0)), ValueError, "zero vector has no direction"),
+        (lambda: split_direction(P("1 + x^2"), (2, 0)), ValueError, "(2, 0) is not a primitive direction"),
+        (lambda: univariate_resultant(P("x + y", QQ), P("1 + x", QQ), 3), ValueError, "var must be 1 or 2"),
+        (
+            lambda: univariate_resultant(P("x + y", QQ), LaurentPoly.zero(QQ), 1),
+            ZeroPolynomial,
+            "resultant needs nonzero inputs",
+        ),
+        (
+            lambda: univariate_resultant(P("1 + y", GF(3)), P("x + y", GF(3)), 1),
+            ValueError,
+            "both inputs must involve the eliminated variable",
+        ),
+    ],
+    ids=[
+        "unknown-kind",
+        "modulus-off-a-field",
+        "unknown-name",
+        "zero-binomial",
+        "zero-support",
+        "zero-direction",
+        "non-primitive-split",
+        "resultant-var",
+        "resultant-zero",
+        "resultant-degree-0",
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)

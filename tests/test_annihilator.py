@@ -395,3 +395,27 @@ def test_kernel_vector_is_the_canonical_one(matrix):
     j = max(i for i, c in enumerate(v) if c)
     assert fraction_rank([row[:j] for row in matrix]) == j
     assert fraction_rank([row[: j + 1] for row in matrix]) == j
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_annihilator(set()), "need at least one pattern"),
+        (
+            lambda: find_annihilator(
+                {Pattern(Shape([(0, 0)]), (0,)), Pattern(Shape([(0, 0), (1, 0)]), (0, 1))}
+            ),
+            "patterns must share one shape",
+        ),
+        (lambda: find_binomial_product_annihilator(TorusConfig([[0]]), 0), "max_norm must be at least 1"),
+        (
+            lambda: find_binomial_product_annihilator(TorusConfig([[0]]), 1, max_factors=4),
+            "max_factors must be between 1 and 3",
+        ),
+    ],
+    ids=["no-patterns", "mixed-shapes", "max-norm-0", "max-factors-4"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)

@@ -212,3 +212,9 @@ def test_equivalent_formulations_agree():
         assert a == b == c
         seen_valid += a
     assert seen_valid >= 1  # the seeded Lee code keeps the test honest
+
+
+def test_exact_cover_refuses_a_symbol_outside_0_and_1():
+    with pytest.raises(InvalidAlphabet) as info:
+        exact_cover_on_torus(ClusterTile(Shape([(0, 0), (1, 0)])), TorusConfig([[1, 2]]))
+    assert info.value.args == ("co-tiler configurations are over {0, 1}",)

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -395,6 +396,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         (["factor-lines", "1 + x", "--out", "{tmp}/missing/o.json"], 64, "usage"),
         (["factor-lines", "1 + x\0"], 65, "input-format"),
         (["complexity", "{grid}\0", "--shape", "rect:1x1"], 65, "input-format"),
+        (["antenna"], 64, "usage"),
+        (["cotiler"], 64, "usage"),
     ],
     ids=[
         "zero-denominator",
@@ -426,6 +429,8 @@ def test_seed_does_not_change_verify_verdict(capsys, tmp_path):
         "out-dir-missing",
         "poly-text-with-nul",
         "grid-path-with-nul",
+        "antenna-no-subcommand",
+        "cotiler-no-subcommand",
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, argv, exit_code, error):
@@ -537,6 +542,17 @@ def test_huge_rect_shape_exits_input_too_large(checker_grid):
     assert (code, out) == (65, "")
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+def test_rect_side_past_the_digit_limit_is_a_usage_error(capsys, checker_grid):
+    # int() refuses more digits than the interpreter's limit, where there is
+    # one; without it the side is read and the cell count is refused
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    expected = (64, "usage") if 0 < limit < 5000 else (65, "input-too-large")
+    code = run(["complexity", checker_grid, "--shape", f"rect:{'9' * 5000}x1"])
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert (code, json.loads(captured.err.strip().splitlines()[-1])["error"]) == expected
 
 
 def test_huge_torus_profile_exits_input_too_large(checker_grid):

@@ -615,3 +615,22 @@ def test_period_from_line_annihilator_matches_oracle(torus, a, b):
     n = brute_force_least_period(torus, (a, b))
     f = LaurentPoly.difference_binomial(ZZ, (n * a, n * b))
     assert period_from_line_annihilator(f, torus) == n
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Patch((0, 0), [[0, 1]]).value_at((2, 0)), KeyError, "cell (2, 0) outside the patch"),
+        (lambda: rectangle_complexity_profile(CHECKER, 0, 1), ValueError, "rectangle bounds must be positive"),
+        (
+            lambda: is_annihilated(CHECKER, LaurentPoly.zero(ZZ)),
+            ZeroPolynomial,
+            "the zero polynomial annihilates everything",
+        ),
+    ],
+    ids=["cell-outside-patch", "profile-bound-0", "annihilated-by-zero"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)

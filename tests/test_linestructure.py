@@ -315,3 +315,17 @@ def test_period_rejects_non_line_polynomial():
 def test_period_rejects_non_annihilator():
     with pytest.raises(NotAnnihilated):
         period_from_line_annihilator(P("x - 1"), TorusConfig([[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize(
+    "f, g, error, message",
+    [
+        (P("1 + x", GF(2)), LaurentPoly.zero(GF(2)), ZeroPolynomial, "elimination needs nonzero inputs"),
+        (P("1 + x", GF(2)), P("1 + y", GF(3)), DomainMismatch, "F2 vs F3"),
+    ],
+    ids=["zero-input", "mixed-fields"],
+)
+def test_eliminate_refusals(f, g, error, message):
+    with pytest.raises(error) as info:
+        eliminate_and_classify_fp(f, g)
+    assert info.value.args == (message,)

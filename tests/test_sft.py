@@ -23,7 +23,7 @@ from gridalgebra import (
     verify_witness,
     window_fillable,
 )
-from gridalgebra.algebra import _dense_trim, _gcd_primitive_prs, _primitive
+from gridalgebra.algebra import _dense_gcd, _dense_trim, _primitive
 from gridalgebra.errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 from gridalgebra.sft import (
     EMPTY,
@@ -666,7 +666,7 @@ def test_coprime_shortcut_agrees_with_the_gcd():
                 r = [0] * n
                 for cell in shape.cells:
                     r[cell[axis] % n] += 1
-                g = _gcd_primitive_prs([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+                g = _dense_gcd([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
                 assert compiled.coprime(axis, n) == (len(g) == 1), (shape.cells, axis, n)
                 if n in (2, 3, 5, 7, 11):
                     answers.add(len(g) == 1)
@@ -700,3 +700,20 @@ def test_window_and_torus_masks_are_sized_before_they_are_built():
                 check(CHECKER_SPEC, n)
     with pytest.raises(InputTooLarge):
         find_periodic_point(CHECKER_SPEC, 1000, 1000)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: SftSpec(DOMINO, {0, 1}, {Pattern(Shape([(0, 0)]), (0,))}),
+            "allowed patterns must live on the spec shape",
+        ),
+        (lambda: find_periodic_point(CHECKER_SPEC, 0, 2), "torus periods must be positive"),
+    ],
+    ids=["pattern-on-another-shape", "period-0"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)
