@@ -136,9 +136,7 @@ def verify(result: AnnihilatorResult, source: Patch | TorusConfig) -> Verificati
     check = is_annihilated(source, result.poly, fit=pair)
     identity_ok = result.poly == LaurentPoly.difference_binomial(g.domain, (1, 0)) * g
     product = apply_poly(g, source, fit=fit)
-    values = {v for row in product.rows for v in row}
-    observed = values.pop() if len(values) == 1 else None
-    constant_ok = observed is not None and observed == result.constant
+    constant_ok = {v for row in product.rows for v in row} == {result.constant}
     return VerificationReport(
         passed=check.annihilated and constant_ok and identity_ok,
         annihilation=check,
@@ -176,20 +174,24 @@ def find_binomial_product_annihilator(
     order builds each prefix difference once, from its own prefix's. On a
     torus, x^t - 1 annihilates a prefix iff t is a period of it, so each
     prefix keeps its period basis; on a patch, iff its rows agree with
-    themselves shifted by t. Tuples that outgrow a patch are skipped;
-    EmptyValidRegion only if all do; at the first tuple that fits, a symbol
-    outside Z raises as in is_annihilated.
+    themselves shifted by t. Tuples that outgrow a patch are skipped. Only
+    a 1x1 patch outgrows them all, since (1, 0) fits any patch 2 wide and
+    (0, 1) any patch 2 tall: it raises EmptyValidRegion before the search,
+    reading no symbol. Every other source has its symbols coerced to Z once,
+    before the search, so a symbol outside Z raises as in is_annihilated.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
     if not 1 <= max_factors <= 3:
         raise ValueError("max_factors must be between 1 and 3")
+    torus = isinstance(source, TorusConfig)
+    if not torus and source.width == source.height == 1:
+        raise EmptyValidRegion("every candidate product outgrows the patch")
+    _domain_rows(source, ZZ)  # Z coerces a symbol to an equal value or raises
     candidates = _half_plane(max_norm)
     binomial = partial(LaurentPoly.difference_binomial, ZZ)
-    torus = isinstance(source, TorusConfig)
     # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its period basis on a torus)
     root = (None, source, _period_basis(source) if torus else None)
-    skipped_all = True
     for m in range(1, max_factors + 1):
         chain = [root]
         for ts in itertools.combinations(candidates, m):
@@ -205,11 +207,6 @@ def find_binomial_product_annihilator(
                 hit = _is_period(basis, t) if torus else _shift_agrees(prefix.rows, t)
             except EmptyValidRegion:
                 continue
-            if skipped_all:  # Z coerces a symbol to an equal value or raises, as in is_annihilated
-                _domain_rows(source, ZZ)
-            skipped_all = False
             if hit:
                 return ts
-    if skipped_all:
-        raise EmptyValidRegion("every candidate product outgrows the patch")
     return None

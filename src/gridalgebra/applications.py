@@ -62,14 +62,15 @@ def antenna_classify(problem: AntennaProblem) -> PeriodicityVerdict:
 def antenna_verify(config: TorusConfig, problem: AntennaProblem) -> bool:
     """Exact check that the torus solves the antenna problem: the range
     sum at every cell equals (b - a) * c + a."""
-    if not config.alphabet <= {0, 1}:
-        raise InvalidAlphabet("antenna configurations are over {0, 1}")
-    return _range_sum_is(config, problem.shape, problem.b - problem.a, problem.a)
+    return _range_sum_is(config, problem.shape, problem.b - problem.a, problem.a, "antenna")
 
 
-def _range_sum_is(config: TorusConfig, shape: Shape, d: int, a: int) -> bool:
+def _range_sum_is(config: TorusConfig, shape: Shape, d: int, a: int, what: str) -> bool:
     """Whether the range sum, the sum of c_(u - v) over the shape cells v,
-    equals d * c_u + a at every cell u of the torus."""
+    equals d * c_u + a at every cell u of the torus; raises InvalidAlphabet,
+    naming the ``what`` configurations, unless the torus is over {0, 1}."""
+    if not config.alphabet <= {0, 1}:
+        raise InvalidAlphabet(f"{what} configurations are over {{0, 1}}")
     # the range sum, not antenna_polynomial: that is zero when D = {0}, b - a = 1
     _, _, rows = _product(LaurentPoly(ZZ, {cell: 1 for cell in shape.cells}), config)
     return all(s == [d * v + a for v in config.rows[y]] for y, s in rows)
@@ -91,9 +92,7 @@ def exact_cover_on_torus(tile: ClusterTile, config: TorusConfig) -> bool:
     """Every cell covered exactly once by tile translates placed at the
     1-cells of the torus configuration: the antenna condition with range
     the tile and a = b = 1."""
-    if not config.alphabet <= {0, 1}:
-        raise InvalidAlphabet("co-tiler configurations are over {0, 1}")
-    return _range_sum_is(config, tile.shape, 0, 1)
+    return _range_sum_is(config, tile.shape, 0, 1, "co-tiler")
 
 
 def cotiler_decision(tile: ClusterTile, budget: Budget = Budget()) -> Decision:

@@ -365,10 +365,7 @@ def _dispatch(args, inputs) -> tuple[str, dict, int]:
         result = {**head, "config": source_to_json(source), "exact_cover_verified": ok}
         return "cotiler verify", result, 0 if ok else 1
 
-    if cmd == "verify":
-        return _verify_certificate(args, inputs)
-
-    raise UsageError(f"unknown command {cmd!r}")
+    return _verify_certificate(args, inputs)  # argparse admits no other command
 
 
 def _verify_certificate(args, inputs) -> tuple[str, dict, int]:

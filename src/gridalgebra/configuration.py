@@ -145,11 +145,9 @@ class Patch:
         return ox <= x < ox + self.width and oy <= y < oy + self.height
 
     def value_at(self, cell):
-        x, y = cell
-        ox, oy = self.origin
-        if not (ox <= x < ox + self.width and oy <= y < oy + self.height):
+        if cell not in self:
             raise KeyError(f"cell {cell} outside the patch")
-        return self.rows[y - oy][x - ox]
+        return self.rows[cell[1] - self.origin[1]][cell[0] - self.origin[0]]
 
     def __repr__(self) -> str:
         return f"Patch(origin={self.origin}, {self.width}x{self.height})"
@@ -461,19 +459,3 @@ def period_lattice_index(torus: TorusConfig) -> int:
     a, _, d = _period_basis(torus)
     return a * d
 
-
-__all__ = [
-    "Shape",
-    "Pattern",
-    "Patch",
-    "TorusConfig",
-    "AnnihilationCheck",
-    "extract_patterns",
-    "complexity",
-    "rectangle_complexity_profile",
-    "apply_poly",
-    "is_annihilated",
-    "detect_periods",
-    "period_from_line_annihilator",
-    "period_lattice_index",
-]

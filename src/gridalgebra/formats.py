@@ -8,6 +8,7 @@ strings (``n`` or ``n/d``) so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import re
+import reprlib
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -107,13 +108,13 @@ def shape_from_json(data) -> Shape:
 
 def parse_shape_spec(spec: str) -> Shape:
     """Shape shorthand: ``rect:NxM`` or ``plus`` (file contents go through
-    shape_from_json)."""
+    shape_from_json). A refusal quotes the spec cut to about 30 characters."""
     if spec == "plus":
         return Shape.plus()
     match = re.match(r"^rect:(\d+)x(\d+)$", spec)
     if not match:
-        raise InputFormatError(f"unknown shape spec {spec!r}")
-    with malformed(f"shape spec {spec!r}"):  # int() refuses sides past the digit limit
+        raise InputFormatError(f"unknown shape spec {reprlib.repr(spec)}")
+    with malformed(f"shape spec {reprlib.repr(spec)}"):  # int() refuses sides past the digit limit
         n, m = int(match.group(1)), int(match.group(2))
         InputTooLarge.check(n * m, MAX_DENSE_ENTRIES, "shape cells")  # before any cell is built
         return Shape.rectangle(n, m)

@@ -555,6 +555,27 @@ def test_rect_side_past_the_digit_limit_is_a_usage_error(capsys, checker_grid):
     assert (code, json.loads(captured.err.strip().splitlines()[-1])["error"]) == expected
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(
+            f"rect:{'9' * 5000}x1",
+            marks=pytest.mark.skipif(
+                not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                reason="no digit limit: the cell count is refused instead",
+            ),
+        ),
+        f"rect:{'9' * 5000}",
+    ],
+    ids=["past-the-digit-limit", "no-x"],
+)
+def test_long_shape_spec_refusal_quotes_it_briefly(capsys, checker_grid, spec):
+    code = run(["complexity", checker_grid, "--shape", spec])
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert (code, json.loads(last)["error"]) == (64, "usage")
+    assert len(last.encode()) < 300, last
+
+
 def test_huge_torus_profile_exits_input_too_large(checker_grid):
     # 10^10 table entries are refused before the first count, within the cap
     argv = ["profile", checker_grid, "--nmax", "100000", "--mmax", "100000", "--torus"]

@@ -360,9 +360,13 @@ def test_reconfirm_empty_stops_at_its_node_limit():
     assert reconfirm_empty(spec, 6, seed=3, max_nodes=629) is True
     assert reconfirm_empty(spec, 6, seed=3, max_nodes=628) is None
     # a forged claim on a spec that fills every window is refuted, in 190
-    # nodes at window 10, and a smaller budget ends at its limit
+    # nodes at window 10, and every smaller budget ends at its limit: 90,
+    # 100, ..., 180 when the next node would try a branch value, the others
+    # in the middle of a revision
     assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=20_000) is False
+    assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=190) is False
     assert reconfirm_empty(CHECKER_SPEC, 10, max_nodes=189) is None
+    assert all(reconfirm_empty(CHECKER_SPEC, 10, max_nodes=n) is None for n in range(190))
     assert reconfirm_empty(CHECKER_SPEC, 3, max_nodes=20_000) is False
 
 

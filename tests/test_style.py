@@ -2,8 +2,10 @@
 every module-level import of a library module is used in that module (the
 package ``__init__`` is exempt: it imports to re-export), no class writes
 its own ``__setattr__``, ``__eq__`` or ``__hash__`` (immutable values are
-frozen dataclasses), only ``InputTooLarge.check`` raises ``InputTooLarge``,
-and the input parsers catch exceptions only in ``formats.malformed``."""
+frozen dataclasses), no module defines ``__all__`` (the package imports
+list the public names once), only ``InputTooLarge.check`` raises
+``InputTooLarge``, and the input parsers catch exceptions only in
+``formats.malformed``."""
 
 import ast
 from pathlib import Path
@@ -35,22 +37,12 @@ def _imported_names(tree):
     return names
 
 
-def _exported(tree):
-    """The strings listed in a top-level ``__all__``."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return set()
-
-
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text())
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but unused: {unused}"
 
@@ -59,7 +51,7 @@ VALUE_DUNDERS = {"__setattr__", "__eq__", "__hash__"}
 
 
 def _bound_names(stmt):
-    """Names a class-body statement defines or assigns."""
+    """Names a class-body or module-level statement defines or assigns."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return [stmt.name]
     if isinstance(stmt, ast.Assign):
@@ -81,6 +73,14 @@ def test_no_class_hand_writes_value_semantics(path):
         if name in VALUE_DUNDERS
     ]
     assert not hand_written, f"{path.name}: use a frozen dataclass, not {hand_written}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_defines_all(path):
+    # the imports of the package __init__ are the one list of public names
+    tree = ast.parse(path.read_text())
+    listed = [stmt.lineno for stmt in tree.body if "__all__" in _bound_names(stmt)]
+    assert not listed, f"{path.name}: lines {listed} define __all__"
 
 
 @pytest.mark.parametrize(
