@@ -300,20 +300,32 @@ def _cross(o, a, b) -> int:
 
 
 def convex_hull(points) -> list[ExponentVector]:
-    """Extreme points of a finite set, counterclockwise, no three collinear."""
-    pts = sorted(set(points))
-    if len(pts) == 1:
-        return pts
+    """Extreme points of a finite set, counterclockwise from the least, no
+    three collinear. A vertex is the least or the greatest point of its
+    row, so the monotone chain runs over at most two points per row."""
+    lo, hi = {}, {}
+    for p in points:
+        y = p[1]
+        q = lo.get(y)
+        if q is None:
+            lo[y] = hi[y] = p
+        elif p < q:
+            lo[y] = p
+        elif p > hi[y]:
+            hi[y] = p
+    pts = sorted({*lo.values(), *hi.values()})
     hull = []
     for seq in (pts, pts[::-1]):  # the lower chain, then the upper
         chain = []
         for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                    break  # a left turn at a
                 chain.pop()
             chain.append(p)
         hull += chain[:-1]
-    # never empty: collinear points leave the two endpoints
-    return hull
+    return hull or pts  # empty for one point; collinear points leave two
 
 
 def normalize_direction(v: ExponentVector) -> ExponentVector:

@@ -57,9 +57,12 @@ class InputTooLarge(GridAlgebraError):
 
     @classmethod
     def check(cls, count: int, limit: int, unit: str) -> None:
-        """Refuse count units past limit, before they are built."""
+        """Refuse count units past limit, before they are built. A count past
+        128 bits, which str() may refuse to write, is given by its size."""
         if count > limit:
-            raise cls(f"{count} {unit} exceed the limit of {limit}")
+            bits = (count - 1).bit_length()  # 2^(bits - 1) < count <= 2^bits
+            size = count if bits <= 128 else f"more than 2^{bits - 1}"
+            raise cls(f"{size} {unit} exceed the limit of {limit}")
 
 
 class UsageError(GridAlgebraError):

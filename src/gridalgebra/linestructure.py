@@ -34,7 +34,7 @@ class LineDecomposition:
 
     Factors are line polynomials in pairwise linearly independent
     directions, merged per direction; the remainder carries no line
-    factors (certified against its own candidate directions).
+    factors.
     """
 
     monomial: ExponentVector
@@ -69,6 +69,10 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
     Candidate directions come from parallel edge pairs of the Newton
     polygon; extracting the full per-direction content removes every line
     factor in that direction at once, and the same pass gives the cofactor.
+    The remainder is not split again: a product's Newton polygon is the
+    Minkowski sum of its factors' (Ostrowski 1921), so each parallel edge
+    pair of the remainder's polygon is one of f's, and the remainder divides
+    the cofactor left once f's full content in that direction was removed.
     The last decomposition is kept and returned again for the next call
     whose f has an equal domain and equal terms, so decomposing and then
     classifying f decomposes it once.
@@ -87,10 +91,6 @@ def line_factor_decomposition(f: LaurentPoly) -> LineDecomposition:
             factors.append((u, g))
     monomial = work.min_exponents()
     remainder = work.shift((-monomial[0], -monomial[1]))
-    for u in sorted(line_direction_candidates(remainder)):
-        leftover = split_direction(remainder, u)[0]
-        if leftover.num_terms >= 2:
-            raise AssertionError(f"remainder kept a line factor in direction {u}")
     decomp = LineDecomposition(monomial=monomial, factors=tuple(factors), remainder=remainder)
     _last = (f.domain, dict(f.terms), decomp)
     return decomp

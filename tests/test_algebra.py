@@ -656,6 +656,31 @@ def test_convex_hull_matches_vertex_oracle(points):
     assert convex_hull(points) == convex_hull_oracle(points)
 
 
+@st.composite
+def row_point_sets(draw):
+    """Full rows of differing extents, or one row, or one column, with
+    repeated points on top: most points lie strictly inside their row."""
+    kind = draw(st.sampled_from(["rows", "row", "column"]))
+    if kind == "rows":
+        ys = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+        pts = []
+        for y in ys:
+            lo = draw(st.integers(-3, 3))
+            pts += [(x, y) for x in range(lo, lo + draw(st.integers(1, 6)))]
+    else:
+        x0, y0 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        steps = draw(st.lists(st.integers(0, 8), min_size=1, max_size=9))
+        pts = [(x0 + k, y0) if kind == "row" else (x0, y0 + k) for k in steps]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=6))
+
+
+@PROPERTY
+@given(row_point_sets())
+def test_convex_hull_of_full_rows_matches_vertex_oracle(points):
+    # the hull reads only the least and greatest point of each row
+    assert convex_hull(points) == convex_hull_oracle(points)
+
+
 @PROPERTY
 @given(st.data())
 def test_resultant_fp_matches_laplace_oracle(data):

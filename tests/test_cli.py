@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gridalgebra import Budget, ClusterTile, Pattern, Shape, SftSpec, decide
 from gridalgebra.applications import cotiler_decision
 from gridalgebra.cli import _build_parser, run
+from gridalgebra.errors import InputTooLarge
 from gridalgebra.formats import budget_spent_to_json, sft_spec_to_json
 
 from helpers import run_capped
@@ -583,6 +584,33 @@ def test_huge_torus_profile_exits_input_too_large(checker_grid):
     assert (code, out) == (65, "")
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--nmax", "9" * 4000, "--mmax", "9" * 4000, "--torus"],
+        ["complexity", "--shape", f"rect:{'9' * 4000}x{'9' * 4000}"],
+    ],
+    ids=["profile", "rect"],
+)
+def test_count_past_the_digit_limit_exits_input_too_large(checker_grid, argv):
+    # each side parses, but their product has about 8,000 digits: the
+    # refusal gives its size in bits, not its digits
+    code, out, err = _run_capped([argv[0], checker_grid, *argv[1:]])
+    assert (code, out) == (65, "")
+    last = err.strip().splitlines()[-1]
+    e = json.loads(last)
+    assert e["error"] == "input-too-large" and e["message"].startswith("more than 2^26575 "), e
+    assert len(last.encode()) < 200, last
+
+
+def test_refused_count_keeps_its_digits_up_to_128_bits():
+    cases = [(10**21 + 1, str(10**21 + 1)), (2**128, str(2**128)), (2**128 + 1, "more than 2^128")]
+    for count, text in cases:
+        with pytest.raises(InputTooLarge) as refusal:
+            InputTooLarge.check(count, 4, "cells")
+        assert str(refusal.value) == f"{text} cells exceed the limit of 4"
 
 
 def test_verify_of_an_empty_claim_at_window_1000_exits_input_too_large(tmp_path):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridalgebra import (
     GF,
@@ -34,6 +36,7 @@ from gridalgebra.linestructure import (
 )
 
 from helpers import (
+    direction_content_oracle,
     fp_torus_annihilated_by,
     random_fp_poly_with_both_vars,
     random_line_poly,
@@ -87,6 +90,50 @@ def test_decomposition_roundtrip_random():
         assert set(planted) <= set(decomp.directions())
         for u in line_direction_candidates(decomp.remainder):
             assert split_direction(decomp.remainder, u)[0] == LaurentPoly.one(ZZ)
+
+
+@st.composite
+def planted_line_polys(draw):
+    """A triangle, or a box with its corners and some inner points (two
+    parallel edge pairs, seldom a line factor), times 0-3 line polynomials,
+    shifted by a monomial; over Z, Q or F_p."""
+    dom = draw(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(5), GF(101)]))
+    if dom.p:
+        nonzero = st.integers(1, dom.p - 1)
+    elif dom == QQ:
+        nonzero = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    else:
+        nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    if draw(st.booleans()):
+        support = draw(
+            st.lists(point, min_size=3, max_size=3, unique=True).filter(
+                lambda t: (t[1][0] - t[0][0]) * (t[2][1] - t[0][1])
+                != (t[1][1] - t[0][1]) * (t[2][0] - t[0][0])
+            )
+        )
+    else:
+        w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        support = [(0, 0), (w, 0), (0, h), (w, h)]
+        support += draw(st.lists(st.tuples(st.integers(0, w), st.integers(0, h)), max_size=4))
+    f = LaurentPoly(dom, {e: draw(nonzero) for e in support})
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2)]
+    for u in draw(st.lists(st.sampled_from(directions), max_size=3)):
+        steps = [0] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+        f = f * LaurentPoly(dom, {(j * u[0], j * u[1]): draw(nonzero) for j in steps})
+    return f.shift((draw(st.integers(-2, 2)), draw(st.integers(-2, 2))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(planted_line_polys())
+def test_remainder_has_no_line_factor_by_euclid_oracle(f):
+    # the decomposition never splits its remainder again: the Newton
+    # polygon argument says it has nothing left, and Euclid agrees
+    decomp = line_factor_decomposition(f)
+    one = LaurentPoly.one(f.domain)
+    for u in line_direction_candidates(decomp.remainder):
+        assert direction_content_oracle(decomp.remainder, u) == one
+    assert decomp.product() == f
 
 
 def test_classify_no_line_factors():
@@ -187,6 +234,16 @@ def test_alternating_polynomials_each_get_their_own_decomposition(split_calls):
         assert decomp.product() == h
     per_call = len(line_direction_candidates(f)), len(line_direction_candidates(g))
     assert len(split_calls) == 3 * per_call[0] + 2 * per_call[1]
+
+
+def test_decomposition_splits_only_the_candidates_of_f(split_calls):
+    # the remainder's square Newton polygon has two parallel edge pairs, but
+    # no line factor: nothing of it is split again
+    remainder = P("1 + x + y + 3*x*y")
+    f = P("x - 1") * remainder
+    decomp = line_factor_decomposition(f)
+    assert split_calls == sorted(line_direction_candidates(f))
+    assert decomp.remainder == remainder
 
 
 def test_zero_still_raises_after_a_kept_decomposition(split_calls):
