@@ -87,10 +87,10 @@ def _load_source(path: str, inputs: dict, torus: bool):
     return TorusConfig(rows) if torus else Patch((0, 0), rows)
 
 
-def _load_shape(spec: str, inputs: dict):
+def _load_shape(spec: str, inputs: dict, source=None):
     if spec.startswith("rect:") or spec == "plus":
         try:
-            return parse_shape_spec(spec)
+            return parse_shape_spec(spec, source)
         except InputFormatError as e:
             raise UsageError(str(e)) from e
     return shape_from_json(_parse_json(_read_file(spec, inputs)))
@@ -272,7 +272,7 @@ def _dispatch(args, inputs) -> tuple[str, dict, int]:
 
     if cmd == "complexity":
         source = _load_source(args.grid, inputs, args.torus)
-        shape = _load_shape(args.shape, inputs)
+        shape = _load_shape(args.shape, inputs, source)
         count, low = complexity(source, shape)
         return cmd, {"count": count, "low_complexity": low, "shape_size": len(shape)}, 0
 
@@ -291,7 +291,7 @@ def _dispatch(args, inputs) -> tuple[str, dict, int]:
 
     if cmd == "annihilate":
         source = _load_source(args.grid, inputs, args.torus)
-        shape = _load_shape(args.shape, inputs)
+        shape = _load_shape(args.shape, inputs, source)
         patterns = extract_patterns(source, shape)
         result_obj = find_annihilator(patterns)
         report = verify_annihilator(result_obj, source)

@@ -144,6 +144,15 @@ class Patch:
         ox, oy = self.origin
         return ox <= x < ox + self.width and oy <= y < oy + self.height
 
+    def translates(self, width: int, height: int) -> tuple[int, int]:
+        """Translates of a width x height box per row and per column; refused if none fits."""
+        nx, ny = self.width - width + 1, self.height - height + 1
+        if nx < 1 or ny < 1:
+            raise ShapeTooLarge(
+                f"no translate of the shape fits inside the {self.width}x{self.height} patch"
+            )
+        return nx, ny
+
     def value_at(self, cell):
         if cell not in self:
             raise KeyError(f"cell {cell} outside the patch")
@@ -204,11 +213,7 @@ def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
             [source.rows[j % l][i % k] for i in range(x0, x1 + k)] for j in range(y0, y1 + l)
         ]
     else:
-        nx, ny = source.width - (x1 - x0), source.height - (y1 - y0)
-        if nx < 1 or ny < 1:
-            raise ShapeTooLarge(
-                f"no translate of the shape fits inside the {source.width}x{source.height} patch"
-            )
+        nx, ny = source.translates(x1 - x0 + 1, y1 - y0 + 1)
         grid = source.rows
     columns = [
         [v for row in grid[cy - y0 : cy - y0 + ny] for v in row[cx - x0 : cx - x0 + nx]]

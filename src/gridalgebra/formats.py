@@ -106,7 +106,7 @@ def shape_from_json(data) -> Shape:
         return Shape((_typed(a, int), _typed(b, int)) for a, b in data)
 
 
-def parse_shape_spec(spec: str) -> Shape:
+def parse_shape_spec(spec: str, source=None) -> Shape:
     """Shape shorthand: ``rect:NxM`` or ``plus`` (file contents go through
     shape_from_json). A refusal quotes the spec cut to about 30 characters."""
     if spec == "plus":
@@ -117,6 +117,8 @@ def parse_shape_spec(spec: str) -> Shape:
     with malformed(f"shape spec {reprlib.repr(spec)}"):  # int() refuses sides past the digit limit
         n, m = int(match.group(1)), int(match.group(2))
         InputTooLarge.check(n * m, MAX_DENSE_ENTRIES, "shape cells")  # before any cell is built
+        if isinstance(source, Patch) and n and m:  # refused by its sides; a side of 0 below
+            source.translates(n, m)
         return Shape.rectangle(n, m)
 
 

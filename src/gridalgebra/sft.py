@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, _primitive, convex_hull
 from .configuration import Pattern, Shape, TorusConfig
@@ -213,7 +215,7 @@ class _CompiledSpec:
 
 # The keep masks are integers whose bits grow as the fourth power of the
 # window's or torus's side; refuse one whose masks would take more bits
-# than this (128 MB).
+# than this (128 MB). The 1 x 1 torus builds none, so it is never refused.
 MAX_MASK_BITS = 1 << 30
 
 
@@ -249,18 +251,26 @@ def _search(
     recursion limit. A node is one value tried at one cell and is charged
     to ``compiled.used`` before the state is touched. Deterministic: cells in
     row-major order, values in sorted order, first solution returned as
-    rows.
+    rows. The 1 x 1 torus (the constant points) builds no mask or stack:
+    value v fills it iff the OR of v's clear masks over the shape cells
+    leaves out some allowed pattern, each value charged as the walk would.
     """
     if not compiled.count:
         return None  # every translate is refuted before any mask or node
+    stop = float("inf") if compiled.limit is None else compiled.limit
+    if wrap and w == h == 1:
+        for v, clears in zip(compiled.values, zip(*compiled.clear)):
+            if compiled.used >= stop:
+                raise _BudgetExhausted
+            compiled.used += 1
+            if reduce(or_, clears).bit_count() < compiled.count:
+                return [[v]]
+        return None
     keeps, guard = compiled.torus(w, h, b) if wrap else compiled.window(w, h)
     values = compiled.values
     ones = (guard >> compiled.count) * ((1 << compiled.count) - 1)
     last = w * h - 1
     nvalues = len(values)
-    stop = compiled.limit
-    if stop is None:
-        stop = float("inf")
     used = compiled.used
     # the explicit stack: the state each depth was entered with, and how
     # many of its values have been tried
@@ -334,7 +344,9 @@ def find_periodic_point(
     g = gcd(k, shear), the cells v of column x in one period L = l * k / g
     are a count of period g, summing to m * L over D's column offsets: when
     D(x, 1), exponents mod g, is coprime to x^g - 1, ``area`` divides L. A
-    lattice that fails either is answered None too.
+    lattice that fails either is answered None too. On the 1 x 1 torus v
+    is a point iff some allowed pattern carries v at every shape cell: it is
+    read off the clear masks, one node per value, with no mask built.
     """
     if k < 1 or l < 1:
         raise ValueError("torus periods must be positive")
@@ -370,7 +382,8 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     up to ``max_torus`` on a side, plus every lattice of index at most
     ``max_torus``. ``tori_tried`` lists each as (k, l, b). Unknown reports
     the spent budget; a window or torus whose masks would pass
-    ``MAX_MASK_BITS`` ends the search there too, as the last one tried.
+    ``MAX_MASK_BITS`` ends the search there too, as the last one tried
+    (never at (1, 1, 0): the 1 x 1 torus builds none, see ``_search``).
     The spec is compiled once, shared by every window and torus, and counts
     their nodes. A lattice refuted by a symbol count of its index, rows or
     columns (see ``find_periodic_point``) is still listed in ``tori_tried``

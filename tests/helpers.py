@@ -43,12 +43,12 @@ from gridalgebra.formats import (
 from gridalgebra.linestructure import LineDecomposition
 
 
-def run_capped(code, limit=1 << 30):
+def run_capped(code, limit=1 << 30, timeout=60):
     """Run the Python source ``code`` in a child interpreter that imports
     this checkout's gridalgebra, capped at ``limit`` bytes of address space
-    and 60 s, so a size guard that fails ends in MemoryError or a timeout
-    and never takes the machine's memory; returns the exit code and the
-    child's stdout and stderr."""
+    and ``timeout`` seconds, so a size guard that fails ends in MemoryError
+    or a timeout and never takes the machine's memory; returns the exit
+    code and the child's stdout and stderr."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -56,7 +56,7 @@ def run_capped(code, limit=1 << 30):
     env = dict(os.environ, PYTHONPATH=str(Path(gridalgebra.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -512,10 +512,11 @@ def test_crash_exits_internal_not_a_verdict(capsys, monkeypatch, checker_grid):
     _assert_internal(capsys, run(["complexity", checker_grid, "--shape", "rect:2x2"]))
 
 
-def _run_capped(argv):
+def _run_capped(argv, **caps):
     """cli.run(argv) in a child process capped at 1 GiB of address space
-    and 60 s (see ``run_capped``)."""
-    return run_capped(f"import sys; from gridalgebra.cli import run; sys.exit(run({argv!r}))")
+    and 60 s unless ``caps`` says otherwise (see ``run_capped``)."""
+    code = f"import sys; from gridalgebra.cli import run; sys.exit(run({argv!r}))"
+    return run_capped(code, **caps)
 
 
 @pytest.mark.parametrize(
@@ -543,6 +544,19 @@ def test_huge_rect_shape_exits_input_too_large(checker_grid):
     assert (code, out) == (65, "")
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+@pytest.mark.parametrize("command", ["complexity", "annihilate"])
+def test_rect_larger_than_the_patch_is_refused_before_it_is_built(checker_grid, command):
+    # the 4 * 10^6 cells of rect:2000x2000 would take about 400 MB; the 2 x 2
+    # patch refuses the rectangle by its sides first
+    argv = [command, checker_grid, "--shape", "rect:2000x2000"]
+    code, out, err = _run_capped(argv, limit=128 << 20, timeout=10)
+    assert (code, out) == (70, ""), err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "shape-too-large",
+        "message": "no translate of the shape fits inside the 2x2 patch",
+    }
 
 
 def test_rect_side_past_the_digit_limit_is_a_usage_error(capsys, checker_grid):

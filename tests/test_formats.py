@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import formats
 from gridalgebra import GF, LaurentPoly, Patch, QQ, Shape, TorusConfig, ZZ
-from gridalgebra.errors import InputFormatError, InputTooLarge
+from gridalgebra.errors import InputFormatError, InputTooLarge, ShapeTooLarge
 from gridalgebra.formats import (
     annihilator_result_from_json,
     grid_from_text,
@@ -153,6 +153,22 @@ def test_rect_spec_over_the_dense_limit_is_refused_before_any_cell(monkeypatch):
     for big in ("rect:13x1", "rect:1x13", "rect:4x4"):
         with pytest.raises(InputTooLarge):
             parse_shape_spec(big)
+
+
+def test_rect_spec_past_a_patch_is_refused_by_its_sides(monkeypatch):
+    # refusals keep their order: past the dense limit, then past the patch,
+    # then a side of 0; a torus is never refused by the rectangle's sides
+    patch = Patch((0, 0), [[0, 1, 0], [1, 0, 1]])
+    assert parse_shape_spec("rect:3x2", patch) == Shape.rectangle(3, 2)
+    for big in ("rect:4x1", "rect:1x3"):
+        with pytest.raises(ShapeTooLarge, match="^no translate of the shape fits inside the 3x2 patch$"):
+            parse_shape_spec(big, patch)
+    with pytest.raises(InputFormatError):
+        parse_shape_spec("rect:0x3", patch)
+    assert parse_shape_spec("rect:3x1", TorusConfig([[0]])) == Shape.rectangle(3, 1)
+    monkeypatch.setattr(formats, "MAX_DENSE_ENTRIES", 3)
+    with pytest.raises(InputTooLarge):
+        parse_shape_spec("rect:4x1", patch)
 
 
 def test_grid_text_roundtrip():

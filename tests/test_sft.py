@@ -23,12 +23,14 @@ from gridalgebra import (
     verify_witness,
     window_fillable,
 )
+from gridalgebra import sft
 from gridalgebra.algebra import _dense_gcd, _dense_trim, _primitive
 from gridalgebra.errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 from gridalgebra.sft import (
     EMPTY,
     NONEMPTY,
     UNKNOWN,
+    BudgetSpent,
     _BudgetExhausted,
     _CompiledSpec,
     _search,
@@ -48,6 +50,9 @@ DOMINO = Shape([(0, 0), (1, 0)])
 FULL_DOMINO = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, v) for v in [(0, 0), (0, 1), (1, 0), (1, 1)]})
 EMPTY_DOMINO = SftSpec(DOMINO, {0, 1}, set())
 CHECKER_SPEC = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, (0, 1)), Pattern(DOMINO, (1, 0))})
+# no value sits a fixed number of times in every pattern, so no torus is
+# refuted by a symbol count, and none is constant
+NO_CONSTANT = SftSpec(DOMINO, {0, 1, 2}, {Pattern(DOMINO, v) for v in [(0, 1), (1, 2), (2, 0)]})
 
 
 def domino_cotiler_spec():
@@ -453,7 +458,8 @@ def test_search_matches_forward_checking_reference(spec, data):
     """Same first filling and the same node count as the list-based
     forward-checking reference, for windows (as wide as the shape
     included) and tori (narrower than the shape included), and the same
-    exhaustion node."""
+    exhaustion node. The 1 x 1 torus, answered without the walk, is
+    checked at every budget up to its whole node count."""
     limit = data.draw(st.sampled_from([None, 20_000, 1, 7, 40]), label="limit")
     for n in range(spec.shape.extent, 5):
         expected = forward_checking_search(spec, n, n, False, limit=limit)
@@ -462,6 +468,42 @@ def test_search_matches_forward_checking_reference(spec, data):
     l = data.draw(st.integers(1, 4), label="l")
     assert _kernel(spec, k, l, True, limit=limit) == forward_checking_search(
         spec, k, l, True, limit=limit
+    )
+    _, nodes = forward_checking_search(spec, 1, 1, True)
+    for one_cell_limit in [None, *range(nodes + 1)]:
+        assert _kernel(spec, 1, 1, True, limit=one_cell_limit) == forward_checking_search(
+            spec, 1, 1, True, limit=one_cell_limit
+        )
+
+
+def test_one_cell_torus_builds_no_torus_masks(monkeypatch):
+    """The constant points are read off the clear masks: with the torus
+    mask builder gone, the 1 x 1 torus still gives the constant witness,
+    or None."""
+
+    def refused(*args):
+        raise AssertionError("the 1 x 1 torus built torus masks")
+
+    monkeypatch.setattr(_CompiledSpec, "torus", refused)
+    assert find_periodic_point(FULL_DOMINO, 1, 1) == TorusConfig([[0]])
+    ones_only = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, (0, 1)), Pattern(DOMINO, (1, 1))})
+    assert find_periodic_point(ones_only, 1, 1) == TorusConfig([[1]])
+    assert find_periodic_point(NO_CONSTANT, 1, 1) is None
+
+
+def test_mask_cap_does_not_end_a_run_at_the_one_cell_torus(monkeypatch):
+    """Every mask passes a cap of 0 bits, but the 1 x 1 torus builds none:
+    a spec with an allowed constant pattern is nonempty there, and one
+    without is refuted there and stops at the next torus."""
+    monkeypatch.setattr(sft, "MAX_MASK_BITS", 0)
+    decision = decide(FULL_DOMINO, Budget(max_window=0, max_torus=1))
+    assert decision.kind == NONEMPTY
+    assert decision.witness == TorusConfig([[0]])
+    assert decision.budget_spent == BudgetSpent(nodes=1, windows_tried=(), tori_tried=((1, 1, 0),))
+    decision = decide(NO_CONSTANT, Budget(max_window=0, max_torus=2))
+    assert decision.kind == UNKNOWN
+    assert decision.budget_spent == BudgetSpent(
+        nodes=3, windows_tried=(), tori_tried=((1, 1, 0), (1, 2, 0))
     )
 
 
