@@ -39,6 +39,7 @@ from .applications import (
 )
 from .configuration import (
     AnnihilationCheck,
+    Lattice,
     Patch,
     Pattern,
     Shape,

@@ -17,13 +17,12 @@ from functools import partial
 from .algebra import ExponentVector, LaurentPoly, QQ, ZZ, _half_plane, normalize_direction
 from .configuration import (
     AnnihilationCheck,
+    Lattice,
     Pattern,
     Patch,
     Shape,
     TorusConfig,
     _domain_rows,
-    _is_period,
-    _period_basis,
     apply_poly,
     is_annihilated,
 )
@@ -173,7 +172,7 @@ def find_binomial_product_annihilator(
     the prefix difference (x^t1 - 1)...(x^t(m-1) - 1) c, and lexicographic
     order builds each prefix difference once, from its own prefix's. On a
     torus, x^t - 1 annihilates a prefix iff t is a period of it, so each
-    prefix keeps its period basis; on a patch, iff its rows agree with
+    prefix keeps its period lattice; on a patch, iff its rows agree with
     themselves shifted by t. Tuples that outgrow a patch are skipped. Only
     a 1x1 patch outgrows them all, since (1, 0) fits any patch 2 wide and
     (0, 1) any patch 2 tall: it raises EmptyValidRegion before the search,
@@ -190,8 +189,8 @@ def find_binomial_product_annihilator(
     _domain_rows(source, ZZ)  # Z coerces a symbol to an equal value or raises
     candidates = _half_plane(max_norm)
     binomial = partial(LaurentPoly.difference_binomial, ZZ)
-    # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its period basis on a torus)
-    root = (None, source, _period_basis(source) if torus else None)
+    # chain[i] is (ti, (x^t1 - 1)...(x^ti - 1) c, its period lattice on a torus)
+    root = (None, source, Lattice.of(source) if torus else None)
     for m in range(1, max_factors + 1):
         chain = [root]
         for ts in itertools.combinations(candidates, m):
@@ -202,9 +201,9 @@ def find_binomial_product_annihilator(
             try:
                 for t in ts[keep:-1]:
                     prefix = apply_poly(binomial(t), chain[-1][1])
-                    chain.append((t, prefix, _period_basis(prefix) if torus else None))
-                (_, prefix, basis), t = chain[-1], ts[-1]
-                hit = _is_period(basis, t) if torus else _shift_agrees(prefix.rows, t)
+                    chain.append((t, prefix, Lattice.of(prefix) if torus else None))
+                (_, prefix, lattice), t = chain[-1], ts[-1]
+                hit = t in lattice if torus else _shift_agrees(prefix.rows, t)
             except EmptyValidRegion:
                 continue
             if hit:

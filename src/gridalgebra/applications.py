@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, ZZ
+from .algebra import MAX_DENSE_ENTRIES, LaurentPoly, ZZ
 from .configuration import Pattern, Shape, TorusConfig, _product
-from .errors import InvalidAlphabet
+from .errors import InputTooLarge, InvalidAlphabet
 from .linestructure import UNDETERMINED, PeriodicityVerdict, classify
 from .sft import Budget, Decision, SftSpec, decide
 
@@ -79,6 +79,7 @@ def _range_sum_is(config: TorusConfig, shape: Shape, d: int, a: int, what: str) 
 def cotiler_sft(tile: ClusterTile) -> SftSpec:
     """Co-tiler SFT of a cluster tile: over the reflected shape, the
     allowed patterns are exactly those containing a single 1."""
+    InputTooLarge.check(len(tile.shape) ** 2, MAX_DENSE_ENTRIES, "co-tiler pattern values")
     shape = tile.shape.negate()
     allowed = set()
     for i in range(len(shape)):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
-from .algebra import MAX_DENSE_ENTRIES, ExponentVector, LaurentPoly, _half_plane, line_direction_of
+from .algebra import ExponentVector, LaurentPoly, _half_plane, line_direction_of
 from .errors import (
     EmptyValidRegion,
     InputTooLarge,
@@ -239,19 +239,23 @@ def complexity(source: Source, shape: Shape) -> tuple[int, bool]:
     return count, count <= len(shape)
 
 
+# an entry costs about 1.2 KB with its JSON: 2^18 of them fit in a 512 MB address space
+MAX_PROFILE_ENTRIES = 1 << 18
+
+
 def rectangle_complexity_profile(
     source: Source, nmax: int, mmax: int
 ) -> dict[tuple[int, int], tuple[int, bool]]:
     """Complexity of every n x m rectangle with n <= nmax, m <= mmax: each
     row is cut once per width n into its length-n segments, and the n x m
     patterns are the tuples of m stacked segments. A table of more than
-    MAX_DENSE_ENTRIES entries is refused before any is counted."""
+    MAX_PROFILE_ENTRIES entries is refused before any is counted."""
     if nmax < 1 or mmax < 1:
         raise ValueError("rectangle bounds must be positive")
     torus = isinstance(source, TorusConfig)
     if not torus and (nmax > source.width or mmax > source.height):
         raise ShapeTooLarge("requested rectangles exceed the patch")
-    InputTooLarge.check(nmax * mmax, MAX_DENSE_ENTRIES, "profile entries")
+    InputTooLarge.check(nmax * mmax, MAX_PROFILE_ENTRIES, "profile entries")
     w, h = (source.k, source.l) if torus else (source.width, source.height)
     nk, ml = min(nmax, w), min(mmax, h)
     rows = source.rows
@@ -408,44 +412,61 @@ def is_annihilated(source: Source, f: LaurentPoly, fit: Shape | None = None) -> 
 # -- periodicity ----------------------------------------------------------
 
 
-def _period_basis(torus: TorusConfig) -> tuple[int, int, int]:
-    """Hermite basis (a, 0), (c, d) of the period lattice of the torus, the
-    t with c_{u+t} = c_u for every u: 0 <= c < a, a | k and d | l. a is the
-    least rotation that fixes every row, and d the least row step for which
-    some c < a rotates row j + d onto row j for every j."""
-    rows, k, l = torus.rows, torus.k, torus.l
-    a = next(a for a in range(1, k + 1) if k % a == 0 and all(r[a:] + r[:a] == r for r in rows))
-    return next(
-        (a, c, d)
-        for d in range(1, l + 1)
-        if l % d == 0
-        for c in range(a)
-        if all(rows[j] == rows[(j + d) % l][c:] + rows[(j + d) % l][:c] for j in range(l))
-    )
+@dataclass(frozen=True, slots=True)
+class Lattice:
+    """Lattice of Z^2 with the Hermite basis (a, 0), (c, d): a, d >= 1 and
+    0 <= c < a (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4), whose a x d box is a fundamental domain. It is the period lattice
+    of a torus (``Lattice.of``) and each lattice the SFT search tries."""
 
+    a: int
+    c: int
+    d: int
 
-def _is_period(basis: tuple[int, int, int], t: ExponentVector) -> bool:
-    """Whether t is in the lattice of the period basis (a, c, d), that is
-    t = (t1 / d) (c, d) + m (a, 0) for an integer m."""
-    a, c, d = basis
-    return t[1] % d == 0 and (t[0] - t[1] // d * c) % a == 0
+    def __post_init__(self):
+        if self.a < 1 or self.d < 1:
+            raise ValueError("torus periods must be positive")
+        if not 0 <= self.c < self.a:
+            raise ValueError("the shear must lie in [0, k)")
 
+    @classmethod
+    def of(cls, torus: TorusConfig) -> Lattice:
+        """The period lattice of the torus, the t with c_{u+t} = c_u for
+        every u (a | k, d | l): a is the least rotation that fixes every row,
+        d the least row step for which some c < a turns each row j + d onto row j."""
+        rows, k, l = torus.rows, torus.k, torus.l
+        a = next(a for a in range(1, k + 1) if not k % a and all(r[a:] + r[:a] == r for r in rows))
+        return next(
+            cls(a, c, d)
+            for d in range(1, l + 1)
+            if l % d == 0
+            for c in range(a)
+            if all(rows[j] == rows[(j + d) % l][c:] + rows[(j + d) % l][:c] for j in range(l))
+        )
 
-def _least_period_multiple(basis: tuple[int, int, int], u: ExponentVector) -> int:
-    """Minimal n >= 1 such that n*u is a period, in closed form: d | n*u1 iff
-    n1 = d / gcd(d, u1) divides n, and then a | (n / n1) e, with
-    e = n1*u0 - (n1*u1 / d) c, iff a / gcd(a, e) divides n / n1."""
-    a, c, d = basis
-    n1 = d // math.gcd(d, u[1])
-    return n1 * a // math.gcd(a, n1 * u[0] - n1 * u[1] // d * c)
+    def __contains__(self, t: ExponentVector) -> bool:
+        """Whether t = (t1 / d) (c, d) + m (a, 0) for an integer m."""
+        return t[1] % self.d == 0 and (t[0] - t[1] // self.d * self.c) % self.a == 0
+
+    def least_multiple(self, u: ExponentVector) -> int:
+        """Minimal n >= 1 with n*u in the lattice, in closed form: d | n*u1
+        iff n1 = d / gcd(d, u1) divides n, and then a | (n / n1) e, with
+        e = n1*u0 - (n1*u1 / d) c, iff a / gcd(a, e) divides n / n1."""
+        a, c, d = self.a, self.c, self.d
+        n1 = d // math.gcd(d, u[1])
+        return n1 * a // math.gcd(a, n1 * u[0] - n1 * u[1] // d * c)
+
+    @property
+    def index(self) -> int:
+        return self.a * self.d
 
 
 def detect_periods(torus: TorusConfig) -> dict[ExponentVector, int]:
     """Minimal multiple n per primitive direction u such that n*u is a
     period, for every direction with max-norm at most max(k, l)."""
-    basis = _period_basis(torus)
+    lattice = Lattice.of(torus)
     dirs = sorted(u for u in _half_plane(max(torus.k, torus.l)) if math.gcd(*u) == 1)
-    return {u: _least_period_multiple(basis, u) for u in dirs}
+    return {u: lattice.least_multiple(u) for u in dirs}
 
 
 def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
@@ -456,11 +477,10 @@ def period_from_line_annihilator(f: LaurentPoly, source: TorusConfig) -> int:
         raise NotALinePolynomial(f"{f} is not a line polynomial")
     if not is_annihilated(source, f).annihilated:
         raise NotAnnihilated(f"{f} does not annihilate the torus")
-    return _least_period_multiple(_period_basis(source), u)
+    return Lattice.of(source).least_multiple(u)
 
 
 def period_lattice_index(torus: TorusConfig) -> int:
     """Index in Z^2 of the full period lattice of the configuration."""
-    a, _, d = _period_basis(torus)
-    return a * d
+    return Lattice.of(torus).index
 

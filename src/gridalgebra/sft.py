@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import or_
 
 from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, _primitive, convex_hull
-from .configuration import Pattern, Shape, TorusConfig
+from .configuration import Lattice, Pattern, Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
 EMPTY = "empty"
@@ -168,7 +168,7 @@ class _CompiledSpec:
         guard = _repunit(w - x1 + x0, f) * _repunit(h - y1 + y0, w * f)
         return keeps, guard << (base * f + self.count)
 
-    def torus(self, k: int, l: int, b: int = 0) -> tuple[list[list[int]], int]:
+    def torus(self, lattice: Lattice) -> tuple[list[list[int]], int]:
         """Keep masks ``keeps[vi][cell]`` and the guard of the torus of the
         lattice with basis (k, 0), (b, l), over its k x l fundamental domain.
 
@@ -187,6 +187,7 @@ class _CompiledSpec:
         the AND of their keeps. Bits above the live rows are garbage that
         the state's zeros mask off.
         """
+        k, b, l = lattice.a, lattice.c, lattice.d
         f = self.count + 1
         stride = 2 * k * f
         # each keep mask is narrower than the 2k x 2l block
@@ -232,14 +233,14 @@ def _repunit(count: int, step: int) -> int:
 
 
 def _search(
-    compiled: _CompiledSpec, w: int, h: int, wrap: bool, b: int = 0
+    compiled: _CompiledSpec, w: int, h: int, lattice: Lattice | None = None
 ) -> list[list[int]] | None:
     """Backtracking fill of a w x h grid, forward checking on one integer.
 
-    With ``wrap`` the grid is the fundamental domain of the lattice with
-    basis (w, 0), (b, h), and every translate of the shape is constrained
-    (cells reduced modulo the lattice); otherwise every translate lying
-    fully inside the window is. The whole state at one depth is one int:
+    With a ``lattice`` the grid is its w x h fundamental domain (w and h
+    its a and d), and every translate of the shape is constrained (cells
+    reduced modulo the lattice); otherwise every translate lying fully
+    inside the window is. The whole state at one depth is one int:
     each translate owns a field of B + 1 bits (B allowed patterns) whose
     low B bits are the patterns that agree with every assigned cell it
     covers, and whose top (guard) bit is 0. Assigning a value to a cell is
@@ -258,7 +259,7 @@ def _search(
     if not compiled.count:
         return None  # every translate is refuted before any mask or node
     stop = float("inf") if compiled.limit is None else compiled.limit
-    if wrap and w == h == 1:
+    if lattice and w == h == 1:
         for v, clears in zip(compiled.values, zip(*compiled.clear)):
             if compiled.used >= stop:
                 raise _BudgetExhausted
@@ -266,7 +267,7 @@ def _search(
             if reduce(or_, clears).bit_count() < compiled.count:
                 return [[v]]
         return None
-    keeps, guard = compiled.torus(w, h, b) if wrap else compiled.window(w, h)
+    keeps, guard = compiled.torus(lattice) if lattice else compiled.window(w, h)
     values = compiled.values
     ones = (guard >> compiled.count) * ((1 << compiled.count) - 1)
     last = w * h - 1
@@ -314,17 +315,17 @@ def window_fillable(
     if n < spec.shape.extent:
         raise WindowSmallerThanShape(f"window {n} < shape extent {spec.shape.extent}")
     compiled = _compiled or _CompiledSpec(spec)
-    return _search(compiled, n, n, False)
+    return _search(compiled, n, n)
 
 
 def find_periodic_point(
-    spec: SftSpec, k: int, l: int, _compiled: _CompiledSpec | None = None, *, shear: int = 0
+    spec: SftSpec, lattice: Lattice, _compiled: _CompiledSpec | None = None
 ) -> TorusConfig | None:
-    """Exhaustive search for a point with periods (k, 0) and (shear, l) all
-    of whose shape-patterns are allowed, over the k x l fundamental domain
-    of that lattice (0 <= shear < k; 0 gives the k x l rectangle torus).
-    The point is returned as the k x (l * k / gcd(k, shear)) rectangle
-    torus it also fills: row y + j * l is row y rotated right by j * shear.
+    """Exhaustive search, over the k x l fundamental domain of ``lattice``
+    (basis (k, 0), (b, l); b = 0 gives the k x l rectangle torus), for a
+    point with those periods all of whose shape-patterns are allowed. The
+    point is returned as the k x (l * k / gcd(k, b)) rectangle torus it
+    also fills: row y + j * l is row y rotated right by j * b.
 
     Some lattices are refuted by symbol counts, before any mask is built or
     node spent. If value v sits m times in every allowed pattern of shape
@@ -341,32 +342,29 @@ def find_periodic_point(
     is m * k for every row y. If D(1, y), exponents mod l, is coprime to
     y^l - 1, no l-th root of unity can carry a nonconstant N, so N is the
     integer m * k / |D| and ``area`` divides k. Over columns, with
-    g = gcd(k, shear), the cells v of column x in one period L = l * k / g
+    g = gcd(k, b), the cells v of column x in one period L = l * k / g
     are a count of period g, summing to m * L over D's column offsets: when
     D(x, 1), exponents mod g, is coprime to x^g - 1, ``area`` divides L. A
     lattice that fails either is answered None too. On the 1 x 1 torus v
     is a point iff some allowed pattern carries v at every shape cell: it is
     read off the clear masks, one node per value, with no mask built.
     """
-    if k < 1 or l < 1:
-        raise ValueError("torus periods must be positive")
-    if not 0 <= shear < k:
-        raise ValueError("the shear must lie in [0, k)")
+    k, b, l = lattice.a, lattice.c, lattice.d
     compiled = _compiled or _CompiledSpec(spec)
     area = compiled.area
     if area > 1:
-        g = gcd(k, shear)
+        g = gcd(k, b)
         if (
             k * l % area
             or (k % area and compiled.coprime(1, l))
             or (l * k // g % area and compiled.coprime(0, g))
         ):
             return None
-    rows = _search(compiled, k, l, True, shear)
+    rows = _search(compiled, k, l, lattice)
     if rows is None:
         return None
-    if shear:
-        turns = [-j * shear % k for j in range(k // gcd(k, shear))]
+    if b:
+        turns = [-j * b % k for j in range(k // gcd(k, b))]
         rows = [row[t:] + row[:t] for t in turns for row in rows]
     return TorusConfig(rows)
 
@@ -377,7 +375,7 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
     Alternates one window size and one torus diagonal (k + l constant) per
     round and returns the first certificate under that fixed schedule, so
     the outcome is deterministic. Within a diagonal each k x l rectangle
-    torus (shear 0) comes first, then, when k * l <= ``max_torus``, the
+    torus (b = 0) comes first, then, when k * l <= ``max_torus``, the
     sheared lattices with basis (k, 0), (b, l) for b = 1..k-1: rectangles
     up to ``max_torus`` on a side, plus every lattice of index at most
     ``max_torus``. ``tori_tried`` lists each as (k, l, b). Unknown reports
@@ -410,7 +408,7 @@ def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:
                     l = s - k
                     for b in range(k if k * l <= budget.max_torus else 1):
                         tori_tried.append((k, l, b))
-                        witness = find_periodic_point(spec, k, l, compiled, shear=b)
+                        witness = find_periodic_point(spec, Lattice(k, b, l), compiled)
                         if witness is not None:
                             return Decision(
                                 kind=NONEMPTY,

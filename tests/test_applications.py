@@ -22,8 +22,9 @@ from gridalgebra import (
     exact_cover_on_torus,
     verify_witness,
 )
+from gridalgebra import applications
 from gridalgebra.applications import cotiler_decision
-from gridalgebra.errors import InvalidAlphabet
+from gridalgebra.errors import InputTooLarge, InvalidAlphabet
 from gridalgebra.formats import poly_from_text
 from gridalgebra.linestructure import (
     PERIODIC_IN_DIRECTION,
@@ -155,6 +156,15 @@ def test_cotiler_sft_singleton():
     assert len(spec.allowed) == 1
     only = next(iter(spec.allowed))
     assert only.values == (1,)
+
+
+def test_cotiler_sft_is_refused_past_the_dense_limit_before_it_is_built(monkeypatch):
+    # |T| patterns of |T| values: under a limit of 25 values the plus
+    # pentomino still passes and a 6-cell tile does not
+    monkeypatch.setattr(applications, "MAX_DENSE_ENTRIES", 25)
+    assert len(cotiler_sft(ClusterTile(PLUS)).allowed) == 5
+    with pytest.raises(InputTooLarge):
+        cotiler_sft(ClusterTile(Shape.rectangle(3, 2)))
 
 
 def test_cotiler_decision_domino():

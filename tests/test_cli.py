@@ -601,6 +601,24 @@ def test_huge_torus_profile_exits_input_too_large(checker_grid):
 
 
 @pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # 2^20 entries would take about 1.2 GB on their way to the JSON
+        (["profile", "GRID", "--nmax", "1024", "--mmax", "1024", "--torus"], 512 << 20),
+        # the co-tiler SFT of a 10^4-cell tile would hold 10^8 pattern values
+        (["cotiler", "find", "--tile", "rect:100x100", "--max-window", "2", "--max-torus", "1"], 1 << 30),
+    ],
+    ids=["profile-1024x1024", "cotiler-100x100"],
+)
+def test_input_past_its_memory_cost_is_refused_before_it_is_built(checker_grid, argv, limit):
+    argv = [checker_grid if a == "GRID" else a for a in argv]
+    code, out, err = _run_capped(argv, limit=limit, timeout=10)
+    assert (code, out) == (65, ""), err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "input-too-large"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["profile", "--nmax", "9" * 4000, "--mmax", "9" * 4000, "--torus"],

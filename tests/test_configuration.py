@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import (
     GF,
+    Lattice,
     LaurentPoly,
     Patch,
     Pattern,
@@ -29,8 +30,6 @@ from gridalgebra import (
 from gridalgebra import configuration
 from gridalgebra.configuration import (
     AnnihilationCheck,
-    _is_period,
-    _period_basis,
     period_from_line_annihilator,
 )
 from gridalgebra.errors import EmptyValidRegion, InputTooLarge, ShapeTooLarge, ZeroPolynomial
@@ -42,6 +41,7 @@ from helpers import (
     brute_force_least_period,
     brute_force_patch_patterns,
     brute_force_torus_patterns,
+    lattice_cell,
     random_poly,
     random_torus,
     torus_cells,
@@ -232,7 +232,7 @@ def test_profile_table_over_the_dense_limit_is_refused_before_any_count(monkeypa
     # bounds still pass and one entry more does not
     with pytest.raises(InputTooLarge):
         rectangle_complexity_profile(CHECKER, 100_000, 100_000)
-    monkeypatch.setattr(configuration, "MAX_DENSE_ENTRIES", 12)
+    monkeypatch.setattr(configuration, "MAX_PROFILE_ENTRIES", 12)
     assert len(rectangle_complexity_profile(CHECKER, 3, 4)) == 12
     for nmax, mmax in ((13, 1), (1, 13), (4, 4)):
         with pytest.raises(InputTooLarge):
@@ -584,11 +584,40 @@ def tori(draw):
 @given(tori())
 def test_period_basis_is_hermite_and_matches_oracle(torus):
     k, l = torus.k, torus.l
-    a, c, d = basis = _period_basis(torus)
-    assert k % a == 0 and l % d == 0 and 0 <= c < a
-    assert _is_period(basis, (k, 0)) and _is_period(basis, (0, l))
+    lattice = Lattice.of(torus)
+    assert k % lattice.a == 0 and l % lattice.d == 0 and 0 <= lattice.c < lattice.a
+    assert (k, 0) in lattice and (0, l) in lattice
     for t in torus_cells(torus):
-        assert _is_period(basis, t) == brute_force_is_period(torus, t), t
+        assert (t in lattice) == brute_force_is_period(torus, t), t
+
+
+# Hermite bases (a, c, d) with a, d <= 8 and 0 <= c < a
+BASES = st.integers(1, 8).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(0, a - 1), st.integers(1, 8))
+)
+
+
+@PROPERTY
+@given(BASES, st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_lattice_membership_matches_the_cell_oracle(basis, t):
+    # t is in the lattice iff it is congruent to the origin of the a x d domain
+    a, c, d = basis
+    assert (t in Lattice(a, c, d)) == (lattice_cell(*t, a, d, c) == (0, 0))
+
+
+@PROPERTY
+@given(BASES, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_lattice_least_multiple_and_index_match_the_cell_oracle(basis, u):
+    # n = a * d always takes u into the lattice, so the scan ends by then
+    a, c, d = basis
+    lattice = Lattice(a, c, d)
+    if u != (0, 0):
+        hits = (
+            n for n in range(1, a * d + 1) if lattice_cell(n * u[0], n * u[1], a, d, c) == (0, 0)
+        )
+        assert lattice.least_multiple(u) == next(hits)
+    side = range(a * d)
+    assert lattice.index == len({lattice_cell(x, y, a, d, c) for x in side for y in side})
 
 
 @PROPERTY
@@ -627,8 +656,20 @@ def test_period_from_line_annihilator_matches_oracle(torus, a, b):
             ZeroPolynomial,
             "the zero polynomial annihilates everything",
         ),
+        (lambda: Lattice(0, 0, 1), ValueError, "torus periods must be positive"),
+        (lambda: Lattice(1, 0, 0), ValueError, "torus periods must be positive"),
+        (lambda: Lattice(2, -1, 1), ValueError, "the shear must lie in [0, k)"),
+        (lambda: Lattice(2, 2, 1), ValueError, "the shear must lie in [0, k)"),
     ],
-    ids=["cell-outside-patch", "profile-bound-0", "annihilated-by-zero"],
+    ids=[
+        "cell-outside-patch",
+        "profile-bound-0",
+        "annihilated-by-zero",
+        "lattice-a-0",
+        "lattice-d-0",
+        "lattice-c-negative",
+        "lattice-c-at-a",
+    ],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridalgebra import (
     Budget,
+    Lattice,
     Patch,
     Pattern,
     Shape,
@@ -112,13 +113,13 @@ def test_window_filling_satisfies_constraints():
 
 
 def test_periodic_point_full_spec_constant():
-    torus = find_periodic_point(FULL_DOMINO, 1, 1)
+    torus = find_periodic_point(FULL_DOMINO, Lattice(1, 0, 1))
     assert torus == TorusConfig([[0]])
 
 
 def test_periodic_point_checkerboard_spec():
-    assert find_periodic_point(CHECKER_SPEC, 1, 1) is None
-    torus = find_periodic_point(CHECKER_SPEC, 2, 1)
+    assert find_periodic_point(CHECKER_SPEC, Lattice(1, 0, 1)) is None
+    torus = find_periodic_point(CHECKER_SPEC, Lattice(2, 0, 1))
     assert torus is not None
     assert verify_witness(CHECKER_SPEC, torus)
 
@@ -126,15 +127,15 @@ def test_periodic_point_checkerboard_spec():
 def test_periodic_point_on_a_sheared_lattice():
     # the checkerboard has periods (2, 0) and (1, 1): one row of the lattice
     # domain, shown as the 2 x 2 torus it fills
-    assert find_periodic_point(CHECKER_SPEC, 2, 1, shear=1) == TorusConfig([[0, 1], [1, 0]])
+    assert find_periodic_point(CHECKER_SPEC, Lattice(2, 1, 1)) == TorusConfig([[0, 1], [1, 0]])
     for shear in (-1, 2):
         with pytest.raises(ValueError, match="shear"):
-            find_periodic_point(CHECKER_SPEC, 2, 1, shear=shear)
+            Lattice(2, shear, 1)
 
 
 def test_periodic_point_empty_spec():
     for k, l in [(1, 1), (2, 2), (3, 2)]:
-        assert find_periodic_point(EMPTY_DOMINO, k, l) is None
+        assert find_periodic_point(EMPTY_DOMINO, Lattice(k, 0, l)) is None
 
 
 def test_decide_empty_spec():
@@ -172,7 +173,7 @@ def test_decide_plus_pentomino_cotiler():
     assert len(spent.tori_tried) == 27
     # the 1-cell-high lattice (5, 0), (2, 1), shown as the 5 x 5 torus it fills
     assert spent.tori_tried[-1] == (5, 1, 2)
-    assert find_periodic_point(spec, 5, 1, shear=2) == witness
+    assert find_periodic_point(spec, Lattice(5, 2, 1)) == witness
 
 
 def test_decide_unknown_when_budget_exhausted():
@@ -206,7 +207,7 @@ def test_empty_certificates_are_monotone():
 def test_witness_pattern_set_is_exact():
     # wraparound extraction on the witness equals its infinite pattern set
     spec = CHECKER_SPEC
-    torus = find_periodic_point(spec, 2, 2)
+    torus = find_periodic_point(spec, Lattice(2, 0, 2))
     assert torus is not None
     assert {p for p in extract_patterns(torus, spec.shape)} <= spec.allowed
 
@@ -295,7 +296,7 @@ def test_search_matches_brute_force(spec, data):
     l_max = max(l for l in range(1, 5) if a ** (k * l) <= MAX_FILLINGS)
     l = data.draw(st.integers(1, l_max), label="l")
     expected = brute_force_torus_filling(spec, k, l)
-    torus = find_periodic_point(spec, k, l)
+    torus = find_periodic_point(spec, Lattice(k, 0, l))
     assert torus == (None if expected is None else TorusConfig(expected))
 
 
@@ -348,7 +349,7 @@ def test_node_budget_boundary_is_exact(make_spec, budget, nodes, witness):
 def _kernel(spec, w, h, wrap, limit=None, shear=0):
     compiled = _CompiledSpec(spec, limit)
     try:
-        rows = _search(compiled, w, h, wrap, shear)
+        rows = _search(compiled, w, h, Lattice(w, shear, h) if wrap else None)
     except _BudgetExhausted:
         rows = "exhausted"
     return rows, compiled.used
@@ -485,10 +486,10 @@ def test_one_cell_torus_builds_no_torus_masks(monkeypatch):
         raise AssertionError("the 1 x 1 torus built torus masks")
 
     monkeypatch.setattr(_CompiledSpec, "torus", refused)
-    assert find_periodic_point(FULL_DOMINO, 1, 1) == TorusConfig([[0]])
+    assert find_periodic_point(FULL_DOMINO, Lattice(1, 0, 1)) == TorusConfig([[0]])
     ones_only = SftSpec(DOMINO, {0, 1}, {Pattern(DOMINO, (0, 1)), Pattern(DOMINO, (1, 1))})
-    assert find_periodic_point(ones_only, 1, 1) == TorusConfig([[1]])
-    assert find_periodic_point(NO_CONSTANT, 1, 1) is None
+    assert find_periodic_point(ones_only, Lattice(1, 0, 1)) == TorusConfig([[1]])
+    assert find_periodic_point(NO_CONSTANT, Lattice(1, 0, 1)) is None
 
 
 def test_mask_cap_does_not_end_a_run_at_the_one_cell_torus(monkeypatch):
@@ -589,7 +590,7 @@ def _sweep_cotiler_tori(size, count):
             expected = forward_checking_search(spec, k, l, True, shear=b)
             assert _kernel(spec, k, l, True, shear=b) == expected, (cells, k, l, b)
             before = compiled.used
-            torus = find_periodic_point(spec, k, l, compiled, shear=b)
+            torus = find_periodic_point(spec, Lattice(k, b, l), compiled)
             spent = compiled.used - before
             rows, nodes = expected
             assert torus == _expanded(rows, b), (cells, k, l, b)
@@ -648,7 +649,7 @@ def test_periodic_point_matches_reference_on_every_small_torus(spec):
     compiled = _CompiledSpec(spec)
     for k, l, b in SMALL_LATTICES:
         rows, _ = forward_checking_search(spec, k, l, True, shear=b)
-        found = find_periodic_point(spec, k, l, _compiled=compiled, shear=b)
+        found = find_periodic_point(spec, Lattice(k, b, l), _compiled=compiled)
         assert found == _expanded(rows, b), (k, l, b)
 
 
@@ -668,7 +669,7 @@ def test_periodic_point_matches_brute_force_on_every_lattice_of_index_8(spec):
                 continue
             for b in range(k):
                 rows = brute_force_torus_filling(spec, k, l, b)
-                found = find_periodic_point(spec, k, l, compiled, shear=b)
+                found = find_periodic_point(spec, Lattice(k, b, l), compiled)
                 assert found == (None if rows is None else TorusConfig(rows)), (k, l, b)
 
 
@@ -745,7 +746,7 @@ def test_window_and_torus_masks_are_sized_before_they_are_built():
             with pytest.raises(InputTooLarge):
                 check(CHECKER_SPEC, n)
     with pytest.raises(InputTooLarge):
-        find_periodic_point(CHECKER_SPEC, 1000, 1000)
+        find_periodic_point(CHECKER_SPEC, Lattice(1000, 0, 1000))
 
 
 @pytest.mark.parametrize(
@@ -755,7 +756,7 @@ def test_window_and_torus_masks_are_sized_before_they_are_built():
             lambda: SftSpec(DOMINO, {0, 1}, {Pattern(Shape([(0, 0)]), (0,))}),
             "allowed patterns must live on the spec shape",
         ),
-        (lambda: find_periodic_point(CHECKER_SPEC, 0, 2), "torus periods must be positive"),
+        (lambda: Lattice(0, 0, 2), "torus periods must be positive"),
     ],
     ids=["pattern-on-another-shape", "period-0"],
 )
