@@ -11,17 +11,19 @@ arithmetic: Newton polygons as convex hulls, parallel-edge direction
 detection, per-direction line-polynomial content (``split_direction``), and
 the resultant that eliminates one variable.
 
-Every gcd of the content is taken by one function, ``_dense_gcd``. Over Z
-and Q it never leaves the integers: each column is cleared to a primitive
-integer polynomial and the gcd comes from the primitive polynomial
-remainder sequence (pseudo-remainder, then divide by the content); by
-Gauss's lemma that is the rational gcd cleared to coprime integers, and a
-primitive candidate that divides a column over Q divides it over Z. Over
-F_p it is Euclid's algorithm on ints mod p, and the content is monic.
-Resultants run the subresultant remainder sequence in the eliminated
-variable on coefficients that are dense lists in the kept variable, shifted
-to nonnegative exponents and shifted back at the end; the entries are ints
-mod p over F_p and Fractions over Q, and every division is exact.
+Every dense entry is an int: over Z and F_p as it is, over Q after one
+``_cleared`` of the whole polynomial, which multiplies it by d, the least
+integer that makes its coefficients integral. By Gauss's lemma d f has the
+content of f and d times its cofactor, and Res(d f, e g) = d^m e^n Res(f, g)
+for f of degree n and g of degree m, so the kernels compute over Z and F_p
+only. Every gcd of the content is taken by one function, ``_dense_gcd``:
+over Z the primitive polynomial remainder sequence (pseudo-remainder, then
+divide by the content) on the primitive parts of its arguments, over F_p
+Euclid's algorithm on ints mod p; the content is monic over F_p and has a
+positive lead over Z and Q. Resultants run the subresultant remainder
+sequence in the eliminated variable on coefficients that are dense lists in
+the kept variable, shifted to nonnegative exponents and shifted back at the
+end; every division is exact in Z[y] or F_p[y].
 """
 
 from __future__ import annotations
@@ -385,6 +387,15 @@ def _dense_trim(c: list) -> list:
     return c
 
 
+def _cleared(f: LaurentPoly) -> tuple[dict[ExponentVector, int], int]:
+    """The terms of d f, with int coefficients, and d, the least positive
+    integer that makes them integral: f's own terms and 1 over Z and F_p."""
+    if f.domain.kind != "Q":
+        return f.terms, 1
+    d = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
+
+
 def _primitive(c: list[int]) -> list[int]:
     """Divide an integer list by the gcd of its entries ([] stays [])."""
     g = math.gcd(*c)
@@ -409,7 +420,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _dense_gcd(a: list[int], b: list[int], p: int | None = None) -> list[int]:
     """A gcd, not normalized: by Euclid's algorithm over F_p (p given), by the primitive
-    remainder sequence (Collins 1967) on primitive integer polynomials (p None)."""
+    remainder sequence (Collins 1967) on the primitive parts of a and b (p None)."""
+    if p is None:
+        a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _dense_divmod(a, b, p)[1] if p is not None else _primitive(_pseudo_rem(a, b))
     return a
@@ -431,11 +444,11 @@ def _dense_mul_sub(a: list, b: list, c: list, d: list, p: int | None) -> list:
     return _dense_trim(out)
 
 
-def _dense_divmod(a: list, b: list, p: int | None, integral: bool = False) -> tuple[list, list]:
-    """Quotient and remainder of a by b over F_p (p given), Q (p None) or,
-    with ``integral``, Z. Over Z the division stops at the first leading
-    coefficient that b's lead does not divide and returns the partial
-    remainder, so a nonzero remainder means b does not divide a in Z[x]."""
+def _dense_divmod(a: list[int], b: list[int], p: int | None) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p (p given) or Z (p None).
+    Over Z the division stops at the first leading coefficient that b's
+    lead does not divide and returns the partial remainder, so a nonzero
+    remainder means b does not divide a in Z[x]."""
     a = a[:]
     db = len(b) - 1
     lead = b[-1]
@@ -445,22 +458,18 @@ def _dense_divmod(a: list, b: list, p: int | None, integral: bool = False) -> tu
         c = a.pop()
         if not c:
             continue
-        if p is not None:
-            c = c * inv % p
-        elif integral:
+        if p is None:
             c, r = divmod(c, lead)
             if r:
                 a.append(c * lead + r)
                 return q, a
-        else:
-            c = c / lead
-        q[k] = c
-        if p is None:
             for i in range(db):
                 a[k + i] -= c * b[i]
         else:
+            c = c * inv % p
             for i in range(db):
                 a[k + i] = (a[k + i] - c * b[i]) % p
+        q[k] = c
     return q, _dense_trim(a)
 
 
@@ -491,7 +500,9 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
     constant. The candidate then divides every column; a column that leaves
     a remainder replaces it by their gcd and the division starts over. A
     candidate that divides every column is the gcd of all of them, and the
-    quotient columns, mapped back, are the cofactor.
+    quotient columns, mapped back, are the cofactor. Over Q the columns are
+    those of d f, f cleared of denominators: d f has the content of f, and
+    its quotient columns are d times the cofactor.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no content")
@@ -506,10 +517,11 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
     u0, u1 = u
     a = pow(u0, -1, abs(u1)) if u1 else u0
     b = (1 - a * u0) // u1 if u1 else 0
-    columns: dict[int, dict[int, object]] = {}
-    for (x, y), v in f.terms.items():
+    cleared, d = _cleared(f)
+    columns: dict[int, dict[int, int]] = {}
+    for (x, y), v in cleared.items():
         columns.setdefault(u0 * y - u1 * x, {})[a * x + b * y] = v
-    dense: dict[int, tuple[int, list]] = {}
+    dense: dict[int, tuple[int, list[int]]] = {}
     entries = 0
     for t, col in columns.items():
         lo = min(col)
@@ -521,15 +533,6 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
             row[e1 - lo] = v
         dense[t] = (lo, row)
 
-    def primitive(row: list) -> list:
-        """The row as a primitive integer polynomial over Z and Q, as it is over F_p."""
-        if p is not None:
-            return row
-        if dom.kind == "Q":
-            den = math.lcm(*(v.denominator for v in row))
-            row = [v.numerator * (den // v.denominator) for v in row]
-        return _primitive(row)
-
     def normalized(g: list) -> list:
         """Monic over F_p, positive lead over Z and Q."""
         if p is not None:
@@ -537,35 +540,30 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
             return [v * inv % p for v in g]
         return [-v for v in g] if g[-1] < 0 else g
 
-    first, last = min(dense), max(dense)
-    content = primitive(dense[first][1])
-    if last != first:
-        content = _dense_gcd(content, primitive(dense[last][1]), p)
-    integral = dom.kind == "Z"
-    quotients: dict[int, tuple[int, list]] = {}
+    content = _dense_gcd(dense[min(dense)][1], dense[max(dense)][1], p)
+    quotients: dict[int, tuple[int, list[int]]] = {}
     while len(content) > 1:
         content = normalized(content)
         for t, (lo, row) in dense.items():
-            q, r = _dense_divmod(row, content, p, integral)
+            q, r = _dense_divmod(row, content, p)
             if r:
-                content = _dense_gcd(content, primitive(row), p)
+                content = _dense_gcd(content, row, p)
                 break
             quotients[t] = (lo, q)
         else:
             break
     if len(content) == 1:
         return LaurentPoly.one(dom), f
-    cofactor = LaurentPoly._trusted(
-        dom,
-        {
-            (u0 * i - b * t, u1 * i + a * t): v
-            for t, (lo, q) in quotients.items()
-            for i, v in enumerate(q, lo)
-            if v
-        },
-    )
+    terms = {
+        (u0 * i - b * t, u1 * i + a * t): v
+        for t, (lo, q) in quotients.items()
+        for i, v in enumerate(q, lo)
+        if v
+    }
     if dom.kind == "Q":
+        terms = {e: Fraction(v, d) for e, v in terms.items()}
         content = [Fraction(v) for v in content]
+    cofactor = LaurentPoly._trusted(dom, terms)
     # every column has a nonzero constant term, so the content has one too
     # and is a line polynomial; x^(i,0) maps back to x^(i*u)
     line = LaurentPoly._trusted(dom, {(i * u[0], i * u[1]): v for i, v in enumerate(content) if v})
@@ -575,12 +573,12 @@ def split_direction(f: LaurentPoly, u: ExponentVector) -> tuple[LaurentPoly, Lau
 # -- resultants ----------------------------------------------------------
 
 
-def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list], int]:
-    """Coefficients of f in the chosen variable, leading first, as dense
-    lists in the other variable shifted by its least exponent ``lo`` in f;
-    returns (coefficients, lo)."""
+def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list[int]], int, int]:
+    """Coefficients of d f (d = 1 unless f, over Q, has denominators) in
+    the chosen variable, leading first, as dense lists in the other variable
+    shifted by its least exponent ``lo`` in f; returns (coefficients, lo, d)."""
     vi, oi = var - 1, 2 - var
-    terms = f.terms
+    terms, d = _cleared(f)
     hi_v = max(e[vi] for e in terms)
     lo_v = min(e[vi] for e in terms)
     lo = min(e[oi] for e in terms)
@@ -589,7 +587,7 @@ def _coefficients_in_var(f: LaurentPoly, var: int) -> tuple[list[list], int]:
     coeffs = [[0] * width for _ in range(hi_v - lo_v + 1)]
     for e, c in terms.items():
         coeffs[hi_v - e[vi]][e[oi] - lo] = c
-    return [_dense_trim(c) for c in coeffs], lo
+    return [_dense_trim(c) for c in coeffs], lo, d
 
 
 def _dense_pow(a: list, k: int, p: int | None) -> list:
@@ -610,7 +608,7 @@ def _dense_divexact(a: list, b: list, p: int | None) -> list:
 
 def _subresultant(a: list[list], b: list[list], p: int | None) -> list:
     """Res(a, b) for a and b of positive degree with coefficients, leading
-    first, that are dense polynomials over F_p (p given) or Q (p None): the
+    first, that are dense polynomials over F_p (p given) or Z (p None): the
     subresultant remainder sequence (Collins 1967; Cohen, GTM 138, Algorithm
     3.3.7, no content step), where each pseudo-remainder divides exactly by
     g h^delta (Brown and Traub 1971) and a zero one means a common factor."""
@@ -659,12 +657,15 @@ def univariate_resultant(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPol
     dom = f.domain
     if dom.kind == "Z":
         raise DomainMismatch("resultants are computed over Q or F_p")
-    fc, flo = _coefficients_in_var(f, var)
-    gc, glo = _coefficients_in_var(g, var)
+    fc, flo, d = _coefficients_in_var(f, var)
+    gc, glo, e = _coefficients_in_var(g, var)
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both inputs must involve the eliminated variable")
     det = _subresultant(fc, gc, dom.p)
+    if dom.kind == "Q":  # Res(d f, e g) = d^m e^n Res(f, g)
+        den = d**m * e**n
+        det = [Fraction(c, den) for c in det]
     # the m rows of f carry y^-flo and the n rows of g carry y^-glo
     # (x for var = 2), so the determinant comes back shifted
     shift = flo * m + glo * n

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
-from .algebra import ExponentVector, LaurentPoly, _half_plane, line_direction_of
+from .algebra import ExponentVector, LaurentPoly, _cleared, _half_plane, line_direction_of
 from .errors import (
     EmptyValidRegion,
     InputTooLarge,
@@ -294,17 +294,13 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
     region of a patch is empty, before any symbol is read.
     """
     dom = f.domain
-    terms = f.terms.items()
-    den = 1
-    if dom.kind == "Q":
-        # den * f vanishes exactly where f does, and int sums beat Fraction sums
-        den = math.lcm(*(c.denominator for _, c in terms))
-        terms = [(v, c.numerator * (den // c.denominator)) for v, c in terms]
+    # den * f vanishes exactly where f does, and int sums beat Fraction sums
+    terms, den = _cleared(f)
     if isinstance(source, TorusConfig):
         region, w = None, 0
         k, l = source.k, source.l
         # offsets in (-k, 0] and (-l, 0]: negative indexing does the wrap
-        terms = [(c, -(vx % k), -(vy % l)) for (vx, vy), c in terms]
+        terms = [(c, -(vx % k), -(vy % l)) for (vx, vy), c in terms.items()]
         yr = range(l)
     else:
         ox, oy = source.origin
@@ -319,7 +315,7 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
             raise EmptyValidRegion("support of the polynomial exceeds the patch")
         region, w = (x0, y0, x1, y1), x1 - x0 + 1
         # the slice of row y - vy - oy from x0 - vx - ox, w cells long
-        terms = [(c, x0 - vx - ox, -vy - oy) for (vx, vy), c in terms]
+        terms = [(c, x0 - vx - ox, -vy - oy) for (vx, vy), c in terms.items()]
         yr = range(y0, y1 + 1)
     return region, den, _cells(_domain_rows(source, dom), terms, yr, w, dom.p)
 

@@ -18,7 +18,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 
-from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, _primitive, convex_hull
+from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, convex_hull
 from .configuration import Lattice, Pattern, Shape, TorusConfig
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
@@ -139,7 +139,7 @@ class _CompiledSpec:
             if n == 1 or _is_prime(n):
                 self._coprime[key] = n == 1 or r.count(r[0]) < n
             else:
-                g = _dense_gcd([-1] + [0] * (n - 1) + [1], _primitive(_dense_trim(r)))
+                g = _dense_gcd([-1] + [0] * (n - 1) + [1], _dense_trim(r))
                 self._coprime[key] = len(g) == 1
         return self._coprime[key]
 

@@ -18,7 +18,7 @@ from gridalgebra import (
     split_direction,
     univariate_resultant,
 )
-from gridalgebra import algebra
+from gridalgebra import algebra, linestructure
 from gridalgebra.algebra import _is_prime, convex_hull, domain_from_name
 from gridalgebra.formats import decomposition_to_json
 from gridalgebra.errors import DomainMismatch, InputTooLarge, ZeroPolynomial
@@ -787,6 +787,76 @@ def test_resultant_sequence_matches_laplace_oracle(case, data):
             assert poly_fp_as_uni_dict(r, 3 - v) == sylvester_resultant_oracle_q(f, g, v)
         if case == "shared-factor" and v == var:
             assert r.is_zero
+
+
+# -- Q cleared of denominators --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f, g, resultant",
+    [
+        # integer coefficients, as every annihilator has: (1 + x)(2 + x + 3y + xy)
+        ("2 + 3*x + x^2 + 3*y + 4*x*y + x^2*y", "x - y^2 + 1", "y^2 + 2*y^3 + y^4 + y^5"),
+        # x-columns with denominators 3 and 2: (1/3 - y/2)(1 + x)^2
+        (
+            "1/3 + 2/3*x - 1/2*y - x*y + 1/3*x^2 - 1/2*x^2*y",
+            "x - 1/3*y^2 + 1",
+            "1/27*y^4 - 1/18*y^5",
+        ),
+    ],
+    ids=["integer-coefficients", "mixed-denominators"],
+)
+def test_q_outputs_are_canonical(f, g, resultant):
+    # every output over Q carries Fractions, also where the cleared
+    # polynomial needed no denominator (d = 1)
+    f, g = P(f, QQ), P(g, QQ)
+    for u in [(1, 0), (0, 1), (1, 1)]:
+        content, cofactor = split_direction(f, u)
+        assert_canonical(content)
+        assert_canonical(cofactor)
+        assert content * cofactor == f
+    decomp = line_factor_decomposition(f)
+    assert decomp.factors
+    for _, factor in decomp.factors:
+        assert_canonical(factor)
+    assert_canonical(decomp.remainder)
+    assert decomp.product() == f
+    r = univariate_resultant(f, g, 1)
+    assert_canonical(r)
+    assert r == P(resultant, QQ)
+    assert poly_fp_as_uni_dict(r, 2) == sylvester_resultant_oracle_q(f, g, 1)
+
+
+def ints_only(kernel):
+    """``kernel`` with every list argument checked to hold ints only."""
+
+    def checked(*args):
+        for arg in args:
+            if isinstance(arg, list):
+                assert all(type(v) is int for v in arg), (kernel.__name__, arg)
+        return kernel(*args)
+
+    return checked
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_no_fraction_reaches_a_dense_kernel(data):
+    # Q polynomials with denominators and a planted line factor: the dense
+    # kernels see only the cleared integer forms
+    fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    u = data.draw(directions())
+    line = LaurentPoly(QQ, {(0, 0): data.draw(fraction), u: data.draw(fraction)})
+    f = data.draw(both_var_polys(QQ)) * line
+    g = data.draw(both_var_polys(QQ))
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_dense_divmod", "_dense_mul_sub", "_dense_gcd"):
+            mp.setattr(algebra, name, ints_only(getattr(algebra, name)))
+        mp.setattr(linestructure, "_last", None)
+        assert split_direction(f, u)[0].num_terms >= 2
+        line_factor_decomposition(f)
+        for var in (1, 2):
+            univariate_resultant(f, g, var)
 
 
 # -- dense size guard -------------------------------------------------------
