@@ -600,7 +600,7 @@ def _dense_pow(a: list, k: int, p: int | None) -> list:
 
 
 def _dense_divexact(a: list, b: list, p: int | None) -> list:
-    q, r = _dense_divmod(a, b, p) if b != [1] else (a, [])
+    q, r = _dense_divmod(a, b, p)
     if r:
         raise AssertionError("inexact division in the subresultant sequence")
     return q

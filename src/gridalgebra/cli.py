@@ -262,6 +262,7 @@ def run(argv) -> int:
         print(json.dumps({"error": e.code, "message": str(e)}), file=sys.stderr)
         return e.exit_code
     except Exception as e:  # a crash must never read as a verdict
+        e.__traceback__ = None  # frees the failed run's frames: a MemoryError must not recur
         print(json.dumps({"error": "internal", "message": repr(e)}), file=sys.stderr)
         return 70
 

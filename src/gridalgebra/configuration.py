@@ -188,6 +188,15 @@ class TorusConfig:
 Source = Patch | TorusConfig
 
 
+def _unrolled(rows, x0: int, y0: int, w: int, h: int) -> list:
+    """Rows y0 .. y0 + h - 1 of the torus with fundamental rows ``rows``,
+    each cut to cells x0 .. x0 + w - 1, both read modulo the periods: each
+    row is repeated until it covers the cut, then sliced."""
+    k, l = len(rows[0]), len(rows)
+    dx = x0 % k
+    return [(rows[j % l] * (1 + (dx + w - 1) // k))[dx : dx + w] for j in range(y0, y0 + h)]
+
+
 # -- pattern extraction and complexity -----------------------------------
 
 
@@ -196,8 +205,8 @@ def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
 
     Both carriers reduce to one grid read at offsets (cx - x0, cy - y0) from
     an nx x ny block of positions: a patch is its own grid, and a torus is
-    unrolled to cover every translate of the bounding box, whose cells it
-    reads once per residue mod (k, l), mapping the tuples back to them.
+    ``_unrolled`` to cover every translate of the bounding box, whose cells
+    it reads once per residue mod (k, l), mapping the tuples back to them.
     """
     x0, y0, x1, y1 = shape.bounding_box()
     cells, back = shape.cells, None
@@ -209,9 +218,7 @@ def _value_tuples(source: Source, shape: Shape) -> set[tuple]:
             cells = list(dict.fromkeys(residues))
             back = itemgetter(*map({c: i for i, c in enumerate(cells)}.get, residues))
             x1, y1 = min(x1, x0 + k - 1), min(y1, y0 + l - 1)
-        grid = [
-            [source.rows[j % l][i % k] for i in range(x0, x1 + k)] for j in range(y0, y1 + l)
-        ]
+        grid = _unrolled(source.rows, x0, y0, x1 - x0 + k, y1 - y0 + l)
     else:
         nx, ny = source.translates(x1 - x0 + 1, y1 - y0 + 1)
         grid = source.rows
@@ -261,9 +268,8 @@ def rectangle_complexity_profile(
     rows = source.rows
     if torus:
         # an n x m pattern on a k x l torus repeats its min(n, k) x min(m, l)
-        # corner, so only the corners are counted, on rows extended to hold them
-        rows = [r + r[: nk - 1] for r in rows]
-        rows += rows[: ml - 1]
+        # corner, so only the corners are counted, on rows unrolled to hold them
+        rows = _unrolled(rows, 0, 0, w + nk - 1, h + ml - 1)
     counts = {}
     for n in range(1, nk + 1):
         segments = [[r[i : i + n] for i in range(w if torus else w - n + 1)] for r in rows]
@@ -289,19 +295,20 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
     ``rows`` yields (y, values), y increasing, with den * (f c) at (x0 + i,
     y) equal to values[i]: x0 is 0 on a torus (region None) and region[0]
     on a patch, whose valid region is ``region``. Over F_p values are
-    reduced to [0, p). With a shape ``fit``, the region of a patch keeps only the
-    positions u with u + fit inside it. Raises EmptyValidRegion when the
-    region of a patch is empty, before any symbol is read.
+    reduced to [0, p). A torus's rows are unrolled once to width 2k - 1, and
+    term v reads the k cells from -vx mod k. With a shape ``fit``, a patch's
+    region keeps the positions u with u + fit inside it. Raises
+    EmptyValidRegion when a patch's region is empty, before any symbol is read.
     """
     dom = f.domain
     # den * f vanishes exactly where f does, and int sums beat Fraction sums
     terms, den = _cleared(f)
     if isinstance(source, TorusConfig):
-        region, w = None, 0
-        k, l = source.k, source.l
-        # offsets in (-k, 0] and (-l, 0]: negative indexing does the wrap
-        terms = [(c, -(vx % k), -(vy % l)) for (vx, vy), c in terms.items()]
+        region, w, k, l = None, source.k, source.k, source.l
+        # row offsets in (-l, 0]: negative indexing does the wrap
+        terms = [(c, -vx % k, -(vy % l)) for (vx, vy), c in terms.items()]
         yr = range(l)
+        rows = _unrolled(_domain_rows(source, dom), 0, 0, 2 * k - 1, l)
     else:
         ox, oy = source.origin
         xs, ys = zip(*f.terms)
@@ -317,18 +324,17 @@ def _product(f: LaurentPoly, source: Source, fit: Shape | None = None):
         # the slice of row y - vy - oy from x0 - vx - ox, w cells long
         terms = [(c, x0 - vx - ox, -vy - oy) for (vx, vy), c in terms.items()]
         yr = range(y0, y1 + 1)
-    return region, den, _cells(_domain_rows(source, dom), terms, yr, w, dom.p)
+        rows = _domain_rows(source, dom)
+    return region, den, _cells(rows, terms, yr, w, dom.p)
 
 
 def _cells(rows, terms, yr, w, p):
     """(y, sums of c * rows[y + dy][dx : dx + w] over the terms (c, dx, dy))
-    for y in yr, by map at C level and reduced mod p when p is given; w = 0
-    reads the whole row rotated by dx instead."""
+    for y in yr, by map at C level and reduced mod p when p is given."""
     for y in yr:
         acc = repeat(0)
         for c, dx, dy in terms:
-            r = rows[y + dy]
-            seg = r[dx : dx + w] if w else r[dx:] + r[:dx]
+            seg = rows[y + dy][dx : dx + w]
             if c == 1 or c == -1:
                 acc = map(add if c == 1 else sub, acc, seg)
             else:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import or_
 
 from .algebra import _cross, _dense_gcd, _dense_trim, _is_prime, convex_hull
-from .configuration import Lattice, Pattern, Shape, TorusConfig
+from .configuration import Lattice, Pattern, Shape, TorusConfig, _unrolled
 from .errors import InputFormatError, InputTooLarge, WindowSmallerThanShape
 
 EMPTY = "empty"
@@ -325,7 +325,7 @@ def find_periodic_point(
     (basis (k, 0), (b, l); b = 0 gives the k x l rectangle torus), for a
     point with those periods all of whose shape-patterns are allowed. The
     point is returned as the k x (l * k / gcd(k, b)) rectangle torus it
-    also fills: row y + j * l is row y rotated right by j * b.
+    also fills: row y + j * l is row y rotated right by j * b (read from -j * b).
 
     Some lattices are refuted by symbol counts, before any mask is built or
     node spent. If value v sits m times in every allowed pattern of shape
@@ -363,10 +363,7 @@ def find_periodic_point(
     rows = _search(compiled, k, l, lattice)
     if rows is None:
         return None
-    if b:
-        turns = [-j * b % k for j in range(k // gcd(k, b))]
-        rows = [row[t:] + row[:t] for t in turns for row in rows]
-    return TorusConfig(rows)
+    return TorusConfig([r for j in range(k // gcd(k, b)) for r in _unrolled(rows, -j * b, 0, k, l)])
 
 
 def decide(spec: SftSpec, budget: Budget = Budget()) -> Decision:

@@ -637,6 +637,18 @@ def test_count_past_the_digit_limit_exits_input_too_large(checker_grid, argv):
     assert len(last.encode()) < 200, last
 
 
+def test_memory_error_exits_internal_not_with_a_verdict(tmp_path):
+    # the lattice schedule up to index 10^6 runs out of a 256 MB address
+    # space; the report of that MemoryError must not fail in turn and leave
+    # exit 1, which is decide-sft's code for "empty"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"shape": [[0, 0], [5, 0]], "alphabet": [0, 1], "allowed": []}))
+    argv = ["decide-sft", str(spec), "--max-window", "3", "--max-torus", "1000000"]
+    code, out, err = _run_capped(argv, limit=256 << 20, timeout=30)
+    assert (code, out) == (70, ""), err[-500:]
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "internal"
+
+
 def test_refused_count_keeps_its_digits_up_to_128_bits():
     cases = [(10**21 + 1, str(10**21 + 1)), (2**128, str(2**128)), (2**128 + 1, "more than 2^128")]
     for count, text in cases:

@@ -563,6 +563,21 @@ def test_extract_patterns_matches_brute_force(source_and_periods, cells):
     assert complexity(source, shape)[0] == len(expected)
 
 
+@PROPERTY
+@given(st.data())
+def test_unrolled_reads_each_cell_modulo_the_periods(data):
+    # every torus read past the fundamental domain goes through _unrolled
+    k, l = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    torus = TorusConfig([[data.draw(st.integers(0, 3)) for _ in range(k)] for _ in range(l)])
+    x0, y0 = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
+    w, h = data.draw(st.integers(1, 3 * k + 1)), data.draw(st.integers(1, 3 * l + 1))
+    rows = configuration._unrolled(torus.rows, x0, y0, w, h)
+    assert [len(r) for r in rows] == [w] * h
+    for j in range(h):
+        for i in range(w):
+            assert rows[j][i] == torus.value_at((x0 + i, y0 + j)), (i, j)
+
+
 @st.composite
 def tori(draw):
     """Tori tiled from a small block, so most have periods shorter than

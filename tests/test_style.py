@@ -4,8 +4,9 @@ package ``__init__`` is exempt: it imports to re-export), no class writes
 its own ``__setattr__``, ``__eq__`` or ``__hash__`` (immutable values are
 frozen dataclasses), no module defines ``__all__`` (the package imports
 list the public names once), only ``InputTooLarge.check`` raises
-``InputTooLarge``, and the input parsers catch exceptions only in
-``formats.malformed``."""
+``InputTooLarge``, the input parsers catch exceptions only in
+``formats.malformed``, and the one piece of module state is written only
+by ``linestructure.line_factor_decomposition``."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,24 @@ def test_input_parsers_catch_only_in_malformed(name):
         if isinstance(node, ast.ExceptHandler) and id(node) not in inside
     ]
     assert not stray, f"{name}: lines {stray} catch outside formats.malformed"
+
+
+# the one piece of module state: the decomposition kept for the next call
+GLOBAL_WRITERS = {("linestructure.py", "line_factor_decomposition")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_kept_decomposition_is_module_state(path):
+    tree = ast.parse(path.read_text())
+    inside = {
+        id(node)
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) in GLOBAL_WRITERS
+        for node in ast.walk(func)
+    }
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global) and id(node) not in inside
+    ]
+    assert not stray, f"{path.name}: lines {stray} write module state"
